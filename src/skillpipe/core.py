@@ -18,6 +18,7 @@ __all__ = [
     "JointTrajectory",
     "decode",
     "eval_trajectory",
+    "eval_cubics",
     "clamp",
 ]
 
@@ -32,7 +33,7 @@ def _as_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DimensionError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -41,8 +42,9 @@ def _as_array(values, name: str) -> np.ndarray:
 class ControllerParams:
     """Bounded coefficient vector parameterizing a motion primitive.
 
-    bounds has shape (D, 2) with rows [lo, hi]; values are not clamped on
-    construction, use :func:`clamp`.
+    bounds has shape (D, 2) with rows [lo, hi], lo <= hi, either end possibly
+    infinite but not NaN; values are not clamped on construction, use
+    :func:`clamp`.
     """
 
     values: np.ndarray
@@ -55,8 +57,8 @@ class ControllerParams:
             raise DimensionError(
                 f"bounds shape {bounds.shape} does not match {self.values.shape[0]} values"
             )
-        if np.any(bounds[:, 0] > bounds[:, 1]):
-            raise ValueError("bounds rows must satisfy lo <= hi")
+        if not (bounds[:, 0] <= bounds[:, 1]).all():   # False for NaN too
+            raise ValueError("bounds rows must satisfy lo <= hi, and not be NaN")
         object.__setattr__(self, "bounds", bounds)
 
     @property
@@ -160,25 +162,47 @@ def decode(theta: ControllerParams, n_joints: int, rest=None, duration: float = 
     )
 
 
-def eval_trajectory(traj: JointTrajectory, t: float, joint_limits=None):
-    """Angles and angular velocities at time t.
+def eval_cubics(coeffs, t, rest=None, joint_limits=None):
+    """Angles and angular velocities of cubics rest + a1 t + a2 t^2 + a3 t^3.
 
+    coeffs has shape (..., n_joints, 3) holding (a1, a2, a3) per joint, and
+    rest (n_joints,) the constant terms, zero when None.  A scalar t gives
+    angles and velocities of shape (..., n_joints); a 1-D array of T times
+    gives (..., T, n_joints), each time bit for bit as it gives alone.
     Angles are clamped to joint_limits (shape (n_joints, 2)) when given;
     velocities of clamped joints are zeroed so evaluation stays total.
     """
-    if t < 0 or t > traj.duration:
-        raise ValueError(f"t={t} outside [0, {traj.duration}]")
-    a1 = traj.coeffs[:, 0]
-    a2 = traj.coeffs[:, 1]
-    a3 = traj.coeffs[:, 2]
-    angles = traj.rest + a1 * t + a2 * t * t + a3 * t * t * t
+    coeffs = np.asarray(coeffs, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise DimensionError(f"t must be a scalar or a 1-D array, got shape {t.shape}")
+    if t.ndim == 1:
+        coeffs = coeffs[..., None, :, :]
+        t = t[:, None]
+    a1 = coeffs[..., 0]
+    a2 = coeffs[..., 1]
+    a3 = coeffs[..., 2]
+    angles = a1 * t if rest is None else rest + a1 * t
+    angles = angles + a2 * t * t + a3 * t * t * t
     velocities = a1 + 2.0 * a2 * t + 3.0 * a3 * t * t
     if joint_limits is not None:
         limits = np.asarray(joint_limits, dtype=float)
-        clamped = np.clip(angles, limits[:, 0], limits[:, 1])
+        # what np.clip computes, at half its cost on the arrays of one controller
+        clamped = np.minimum(np.maximum(angles, limits[:, 0]), limits[:, 1])
         velocities = np.where(clamped == angles, velocities, 0.0)
         angles = clamped
     return angles, velocities
+
+
+def eval_trajectory(traj: JointTrajectory, t, joint_limits=None):
+    """Angles and angular velocities at time t, or at each of a 1-D array of times.
+
+    Shapes and clamping as in :func:`eval_cubics`: (n_joints,) for a scalar
+    t, (T, n_joints) for T times.
+    """
+    if np.any(np.less(t, 0) | np.greater(t, traj.duration)):
+        raise ValueError(f"t={t} outside [0, {traj.duration}]")
+    return eval_cubics(traj.coeffs, t, traj.rest, joint_limits)
 
 
 def clamp(theta: ControllerParams) -> ControllerParams:

@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+_BLOCK = 32   # rows per block of the pairwise distance scans
+
+
 class ArchiveFormatError(ValueError):
     """Malformed archive file.
 
@@ -147,14 +150,22 @@ class Archive:
         return [self.skills[i] for i in order[: min(k, len(self.skills))]]
 
     def min_pairwise_distance(self) -> float:
-        """Smallest outcome-space distance between stored skills (inf if < 2)."""
-        if len(self.skills) < 2:
+        """Smallest outcome-space distance between stored skills (inf if < 2).
+
+        Measured _BLOCK rows at a time against the later rows, in memory
+        O(_BLOCK * n * d).
+        """
+        n = len(self.skills)
+        if n < 2:
             return float("inf")
         outs, _ = self._matrices()
-        diff = outs[:, None, :] - outs[None, :, :]
-        d = np.linalg.norm(diff, axis=2)
-        d[np.diag_indices(len(self.skills))] = np.inf
-        return float(d.min())
+        best = np.inf
+        for start in range(0, n - 1, _BLOCK):
+            rows = outs[start:start + _BLOCK]
+            d = np.linalg.norm(rows[:, None, :] - outs[None, start:, :], axis=2)
+            d[np.tril_indices(len(rows), m=n - start)] = np.inf   # each pair once
+            best = min(best, d.min())
+        return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +318,8 @@ def _crowded_pair(outcomes: np.ndarray, r_novel: float) -> tuple[int, int] | Non
     r2 = np.ldexp(r_novel, -exponent) ** 2
     # |a|^2 + |b|^2 - 2 a.b errs by about (d + 2) eps max|x|^2; the margin is wide
     limit = r2 + 16 * (d + 2) * np.finfo(float).eps * (2 * sq.max(initial=0.0) + r2)
-    block = 32
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
         d2 = x[start:stop] @ x[:stop].T
         d2 *= -2.0
         d2 += sq[:stop]

@@ -17,17 +17,18 @@ a desk-scale stand-in chosen for cheap, closed-form evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
+    COEFFS_PER_JOINT,
     ControllerParams,
     DimensionError,
     JointTrajectory,
     Outcome,
-    clamp,
     decode,
+    eval_cubics,
     eval_trajectory,
 )
 
@@ -41,7 +42,7 @@ __all__ = [
     "load_env_config",
     "theta_bounds",
     "execute",
-    "make_executor",
+    "execute_batch",
     "collides",
     "quality",
     "reach_reset",
@@ -66,6 +67,9 @@ REACH_STEP = 0.05
 REACH_TOUCH_RADIUS = 0.1
 FRAME_SIZE = 16
 
+_JOINT_LIMITS = np.tile([-JOINT_LIMIT, JOINT_LIMIT], (N_JOINTS, 1))
+_JOINT_LIMITS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class RealityGap:
@@ -81,7 +85,10 @@ class RealityGap:
     def __post_init__(self):
         if self.gravity_scale <= 0:
             raise ValueError("gravity_scale must be positive")
-        object.__setattr__(self, "joint_bias", np.asarray(self.joint_bias, dtype=float))
+        bias = np.asarray(self.joint_bias, dtype=float)
+        if bias.shape != (N_JOINTS,):
+            raise DimensionError(f"joint_bias must have shape ({N_JOINTS},), got {bias.shape}")
+        object.__setattr__(self, "joint_bias", bias)
 
     @property
     def is_nominal(self) -> bool:
@@ -156,10 +163,23 @@ class EnvironmentSpec:
             raise ValueError(f"unknown environment kind {self.kind!r}")
         object.__setattr__(self, "link_lengths", np.asarray(self.link_lengths, dtype=float))
         object.__setattr__(self, "joystick_pos", np.asarray(self.joystick_pos, dtype=float))
+        if self.kind in SKILL_KINDS:
+            if self.link_lengths.shape != (N_JOINTS - 1,):
+                raise DimensionError(
+                    f"link_lengths must have shape ({N_JOINTS - 1},), got {self.link_lengths.shape}"
+                )
+            if self.joystick_pos.shape != (3,):
+                raise DimensionError(f"joystick_pos must have shape (3,), got {self.joystick_pos.shape}")
         if np.any(self.link_lengths <= 0):
             raise ValueError("link lengths must be positive")
+        if self.perturb_count < 1:
+            raise ValueError("perturb_count must be at least 1")
         if self.step <= 0:
             raise ValueError("integration step must be positive")
+        if not self.duration > 0:
+            raise ValueError("duration must be positive")
+        if not self.gravity > 0:
+            raise ValueError("gravity must be positive")
 
     @property
     def dim_params(self) -> int:
@@ -175,9 +195,8 @@ class EnvironmentSpec:
 
     @property
     def joint_limits(self) -> np.ndarray:
-        lim = np.full((N_JOINTS, 2), JOINT_LIMIT)
-        lim[:, 0] *= -1.0
-        return lim
+        """Per-joint [lo, hi] angle limits, (N_JOINTS, 2), read-only."""
+        return _JOINT_LIMITS
 
 
 def make_env(kind: str, **overrides) -> EnvironmentSpec:
@@ -203,47 +222,77 @@ def random_params(env: EnvironmentSpec, rng: np.random.Generator) -> ControllerP
 
 
 # ---------------------------------------------------------------------------
-# Arm kinematics
+# Arm kinematics, vectorised over any leading axes (controllers, time samples)
 # ---------------------------------------------------------------------------
 
-def _gripper_state(env: EnvironmentSpec, gap: RealityGap, angles, velocities):
-    """Gripper position and velocity from joint angles/velocities.
+def _joint_states(env: EnvironmentSpec, values: np.ndarray, t):
+    """Clamped joint angles and velocities of B controllers values[B, D].
 
-    Joint 0 is the base yaw; joints 1..4 rotate in the yawed vertical plane,
-    angles measured from vertical (rest pose points straight up).
+    Shape (B, J) at a scalar time t, (B, T, J) at a 1-D array of T times.
+    """
+    coeffs = values.reshape(len(values), N_JOINTS, COEFFS_PER_JOINT)
+    return eval_cubics(coeffs, t, joint_limits=env.joint_limits)
+
+
+def _links(env: EnvironmentSpec, gap: RealityGap, angles):
+    """Cosine and sine of the base yaw, and the horizontal and vertical
+    extent of each link.
+
+    angles has shape (..., J); the yaw terms have shape (...) and the
+    extents (..., J - 1).  Joint 0 is the base yaw; joints 1..4 rotate in
+    the yawed vertical plane, angles measured from vertical (rest pose
+    points straight up), so link k sits at the cumulative angle of joints
+    1..k.
     """
     links = env.link_lengths * gap.link_scale
     q = np.asarray(angles, dtype=float) + gap.joint_bias
+    yaw = q[..., 0]
+    phi = q[..., 1:].cumsum(axis=-1)
+    return np.cos(yaw), np.sin(yaw), links * np.sin(phi), links * np.cos(phi)
+
+
+def _stack(*columns) -> np.ndarray:
+    """Equal-shape arrays stacked along a new last axis; np.stack costs
+    several times more on the tiny arrays of a single evaluation."""
+    out = np.empty(np.shape(columns[0]) + (len(columns),))
+    for k, column in enumerate(columns):
+        out[..., k] = column
+    return out
+
+
+def _gripper(env: EnvironmentSpec, gap: RealityGap, angles, velocities=None):
+    """Gripper position (x, y, z) and velocity (vx, vy, vz) from joint
+    states (..., J), each coordinate an array (...).
+
+    The velocity is None when no joint velocities are given.
+    """
+    cos_y, sin_y, reach, rise = _links(env, gap, angles)
+    r = reach.sum(axis=-1)
+    x, y = r * cos_y, r * sin_y
+    pos = (x, y, env.base_height + rise.sum(axis=-1))
+    if velocities is None:
+        return pos, None
     qd = np.asarray(velocities, dtype=float)
-    yaw, yaw_d = q[0], qd[0]
-    phi = np.cumsum(q[1:])
-    phi_d = np.cumsum(qd[1:])
-    r = float(np.sum(links * np.sin(phi)))
-    z = env.base_height + float(np.sum(links * np.cos(phi)))
-    r_d = float(np.sum(links * np.cos(phi) * phi_d))
-    z_d = -float(np.sum(links * np.sin(phi) * phi_d))
-    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
-    pos = np.array([r * cos_y, r * sin_y, z])
-    vel = np.array(
-        [
-            r_d * cos_y - r * sin_y * yaw_d,
-            r_d * sin_y + r * cos_y * yaw_d,
-            z_d,
-        ]
-    )
+    yaw_d = qd[..., 0]
+    phi_d = qd[..., 1:].cumsum(axis=-1)
+    r_d = (rise * phi_d).sum(axis=-1)
+    vel = (r_d * cos_y - y * yaw_d, r_d * sin_y + x * yaw_d, -(reach * phi_d).sum(axis=-1))
     return pos, vel
 
 
+def _gripper_state(env: EnvironmentSpec, gap: RealityGap, angles, velocities):
+    """Gripper position and velocity, each (..., 3), from joint states (..., J)."""
+    pos, vel = _gripper(env, gap, angles, velocities)
+    return _stack(*pos), _stack(*vel)
+
+
 def _arm_points(env: EnvironmentSpec, gap: RealityGap, angles) -> np.ndarray:
-    """Joint positions (base to gripper) for collision sweeps."""
-    links = env.link_lengths * gap.link_scale
-    q = np.asarray(angles, dtype=float) + gap.joint_bias
-    yaw = q[0]
-    phi = np.cumsum(q[1:])
-    r = np.concatenate([[0.0], np.cumsum(links * np.sin(phi))])
-    z = env.base_height + np.concatenate([[0.0], np.cumsum(links * np.cos(phi))])
-    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
-    return np.stack([r * cos_y, r * sin_y, z], axis=1)
+    """Joint positions, base to gripper, (..., J, 3) from angles (..., J)."""
+    cos_y, sin_y, reach, rise = _links(env, gap, angles)
+    start = np.zeros(reach.shape[:-1] + (1,))
+    r = np.concatenate([start, reach.cumsum(axis=-1)], axis=-1)
+    z = env.base_height + np.concatenate([start, rise.cumsum(axis=-1)], axis=-1)
+    return _stack(r * cos_y[..., None], r * sin_y[..., None], z)
 
 
 def _trajectory(env: EnvironmentSpec, theta: ControllerParams) -> JointTrajectory:
@@ -254,22 +303,74 @@ def _trajectory(env: EnvironmentSpec, theta: ControllerParams) -> JointTrajector
     return decode(theta, N_JOINTS, duration=env.duration)
 
 
-def _ballistic_landing(pos, vel, gravity: float):
-    """Closed-form landing point of a projectile released at pos with vel.
+def _flight(pos, vel, gravity: float):
+    """Closed-form landing points (..., 2), landing times (...) and validity
+    of projectiles released at pos = (x, y, z) with vel = (vx, vy, vz),
+    each coordinate an array (...).
 
-    Returns None when the release point is below ground.
+    A release below ground is invalid; its landing point reads (0, 0).
     """
-    z0, vz = pos[2], vel[2]
-    if z0 < 0:
-        return None
-    disc = vz * vz + 2.0 * gravity * z0
-    t_land = (vz + math.sqrt(disc)) / gravity
-    return np.array([pos[0] + vel[0] * t_land, pos[1] + vel[1] * t_land]), t_land
+    (x, y, z), (vx, vy, vz) = pos, vel
+    valid = ~(z < 0)   # a NaN release stays valid and so fails as a non-finite Outcome
+    disc = np.maximum(vz * vz + 2.0 * gravity * z, 0.0)   # negative only when invalid
+    t_land = (vz + np.sqrt(disc)) / gravity
+    landing = _stack(x + vx * t_land, y + vy * t_land)
+    return np.where(valid[..., None], landing, 0.0), t_land, valid
+
+
+def _ballistic_landing(pos, vel, gravity: float):
+    """(landing (x, y), landing time) of one projectile released at pos with
+    vel, each (3,); None when the release point is below ground."""
+    pos, vel = np.asarray(pos, dtype=float), np.asarray(vel, dtype=float)
+    landing, t_land, valid = _flight(tuple(pos), tuple(vel), gravity)
+    return (landing, float(t_land)) if valid else None
 
 
 def _sample_times(env: EnvironmentSpec) -> np.ndarray:
     n = int(round(env.duration / env.step))
     return np.linspace(0.0, env.duration, n + 1)
+
+
+def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.ndarray, np.ndarray]:
+    """Run B controllers at once: values[B, D] -> (outcomes[B, d], valid[B]).
+
+    Row i is what :func:`execute` gives for controller values[i].  Raises
+    DimensionError unless values has shape (B, env.dim_params), and
+    ValueError when it holds non-finite entries.
+
+    throw: each gripper is evaluated at the end of its motion only; an
+    invalid row (release below ground) reads (0, 0).
+
+    joystick: the gripper positions at all T = duration/step + 1 time
+    samples form a (B, T, 3) array; each row takes the deepest penetration
+    of the stick region over T, the first sample when several are equally
+    deep, and reads (0, 0) without contact.  Every joystick row is valid.
+    """
+    if env.kind not in SKILL_KINDS:
+        raise ValueError(f"execute not defined for kind {env.kind!r}")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != env.dim_params:
+        raise DimensionError(
+            f"{env.kind} expects values of shape (B, {env.dim_params}), got {values.shape}"
+        )
+    if not np.isfinite(values).all():
+        raise ValueError("values contains non-finite entries")
+    if env.kind == "throw":
+        pos, vel = _gripper(env, gap, *_joint_states(env, values, env.duration))
+        landing, _, valid = _flight(pos, vel, env.gravity * gap.gravity_scale)
+        return landing, valid
+    angles, _ = _joint_states(env, values, _sample_times(env))
+    (x, y, z), _ = _gripper(env, gap, angles)
+    stick_x, stick_y, stick_z = env.joystick_pos
+    offset = _stack(x - stick_x, y - stick_y, z - stick_z)   # (B, T, 3)
+    # vecdot takes the dot product np.linalg.norm takes of a single vector
+    depth = env.joystick_radius - np.sqrt(np.vecdot(offset, offset))   # (B, T)
+    rows = np.arange(len(values))
+    first = depth.argmax(axis=1)   # the first maximum
+    contact = depth[rows, first] > 0
+    response = np.clip(env.joystick_gain * offset[rows, first, :2], -1.0, 1.0)
+    outcomes = np.where(contact[:, None], env.max_tilt * response, 0.0)
+    return outcomes, np.ones(len(values), dtype=bool)
 
 
 def execute(env: EnvironmentSpec, gap: RealityGap, theta: ControllerParams) -> Outcome:
@@ -280,63 +381,42 @@ def execute(env: EnvironmentSpec, gap: RealityGap, theta: ControllerParams) -> O
     ground contact (x, y).  A release below ground yields an invalid outcome.
 
     joystick: outcome = (pitch, roll) from the clipped linear response to the
-    deepest gripper penetration of the stick region, (0, 0) without contact.
+    deepest gripper penetration of the stick region over the time samples,
+    the earliest when several tie, and (0, 0) without contact.
+
+    A call of :func:`execute_batch` with B = 1: theta.values of shape (D,)
+    gives an outcome of dimension d.
     """
-    if env.kind not in SKILL_KINDS:
+    if env.kind not in SKILL_KINDS:   # checked before theta is read
         raise ValueError(f"execute not defined for kind {env.kind!r}")
-    traj = _trajectory(env, theta)
-    limits = env.joint_limits
-    if env.kind == "throw":
-        angles, vels = eval_trajectory(traj, traj.duration, joint_limits=limits)
-        pos, vel = _gripper_state(env, gap, angles, vels)
-        landing = _ballistic_landing(pos, vel, env.gravity * gap.gravity_scale)
-        if landing is None:
-            return Outcome.invalid(2)
-        return Outcome(values=landing[0])
-
-    # joystick: sweep the trajectory, find the deepest penetration
-    stick = env.joystick_pos
-    best_depth = -1.0
-    best_disp = None
-    for t in _sample_times(env):
-        angles, vels = eval_trajectory(traj, t, joint_limits=limits)
-        pos, _ = _gripper_state(env, gap, angles, vels)
-        dist = float(np.linalg.norm(pos - stick))
-        depth = env.joystick_radius - dist
-        if depth > best_depth and depth > 0:
-            best_depth = depth
-            best_disp = pos[:2] - stick[:2]
-    if best_disp is None:
-        return Outcome(values=np.zeros(2))
-    response = np.clip(env.joystick_gain * best_disp, -1.0, 1.0)
-    return Outcome(values=env.max_tilt * response)
-
-
-def make_executor(env: EnvironmentSpec, gap: RealityGap = NOMINAL_GAP):
-    """Bind (env, gap) into a theta -> Outcome callable."""
-    return lambda theta: execute(env, gap, theta)
+    outcomes, valid = execute_batch(env, gap, theta.values[None, :])
+    # a copy, so that a kept Outcome does not hold the batch array as well
+    return Outcome(values=outcomes[0].copy(), valid=bool(valid[0]))
 
 
 def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, gap: RealityGap = NOMINAL_GAP) -> bool:
-    """True when the sampled arm sweep or ballistic path crosses the wall."""
+    """True when the sampled arm sweep or ballistic path crosses the wall.
+
+    The sweep holds the J joint positions at each of the T time samples
+    execute uses, a (T, J) array per coordinate tested in one
+    :meth:`Obstacle.contains` call; the flight is sampled every env.step
+    from release to landing.
+    """
     if env.kind != "throw":
         raise ValueError("collision checks are defined for the throw environment")
     traj = _trajectory(env, theta)
     limits = env.joint_limits
-    times = _sample_times(env)
-    for t in times:
-        angles, _ = eval_trajectory(traj, t, joint_limits=limits)
-        pts = _arm_points(env, gap, angles)
-        if bool(np.any(obstacle.contains(pts[:, 0], pts[:, 2]))):
-            return True
+    angles, _ = eval_trajectory(traj, _sample_times(env), joint_limits=limits)
+    pts = _arm_points(env, gap, angles)
+    if bool(np.any(obstacle.contains(pts[..., 0], pts[..., 2]))):
+        return True
     angles, vels = eval_trajectory(traj, traj.duration, joint_limits=limits)
     pos, vel = _gripper_state(env, gap, angles, vels)
-    landing = _ballistic_landing(pos, vel, env.gravity * gap.gravity_scale)
+    g = env.gravity * gap.gravity_scale
+    landing = _ballistic_landing(pos, vel, g)
     if landing is None:
         return False
-    _, t_land = landing
-    g = env.gravity * gap.gravity_scale
-    ts = np.arange(0.0, t_land + env.step, env.step)
+    ts = np.arange(0.0, landing[1] + env.step, env.step)
     xs = pos[0] + vel[0] * ts
     zs = pos[2] + vel[2] * ts - 0.5 * g * ts * ts
     return bool(np.any(obstacle.contains(xs, zs)))
@@ -347,8 +427,10 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
 
     throw: negative integral of squared joint accelerations over the motion
     (closed form for cubics), a kinematic stand-in for actuation effort.
-    joystick: negative mean outcome deviation over perturbed re-executions
-    with Gaussian parameter noise.
+    joystick: negative mean outcome deviation over env.perturb_count
+    re-executions under NOMINAL_GAP with Gaussian parameter noise, drawn
+    from PCG64(seed) as a (perturb_count, D) array and clipped to the
+    bounds; the re-executions are one :func:`execute_batch` call.
     """
     if not outcome.valid:
         raise ValueError("quality requires a valid outcome")
@@ -366,12 +448,11 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
         rng = np.random.Generator(np.random.PCG64(seed))
         b = theta.bounds
         sigma = env.perturb_sigma * (b[:, 1] - b[:, 0])
-        dev = 0.0
-        for _ in range(env.perturb_count):
-            noisy = clamp(theta.with_values(theta.values + rng.normal(0.0, sigma)))
-            out = execute(env, NOMINAL_GAP, noisy)
-            dev += float(np.linalg.norm(out.values - outcome.values))
-        return -dev / env.perturb_count
+        noise = rng.normal(0.0, sigma, size=(env.perturb_count, theta.dim))
+        noisy = np.clip(theta.values + noise, b[:, 0], b[:, 1])
+        outs, _ = execute_batch(env, NOMINAL_GAP, noisy)
+        dev = outs - outcome.values
+        return -float(np.mean(np.sqrt(np.vecdot(dev, dev))))
     raise ValueError(f"quality not defined for kind {env.kind!r}")
 
 
@@ -586,4 +667,7 @@ def load_env_config(path) -> EnvironmentSpec:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if "kind" not in fields:
         raise ValueError(f"{path}: missing required key 'kind'")
-    return EnvironmentSpec(**fields)
+    try:
+        return EnvironmentSpec(**fields)
+    except ValueError as exc:   # DimensionError included, and kept as its type
+        raise type(exc)(f"{path}: {exc}") from None

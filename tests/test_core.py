@@ -9,6 +9,7 @@ from skillpipe.core import (
     Skill,
     clamp,
     decode,
+    eval_cubics,
     eval_trajectory,
 )
 from conftest import make_params
@@ -90,6 +91,35 @@ class TestEvalTrajectory:
             _, vel = eval_trajectory(traj, t)
             assert np.allclose(vel, (ang_p - ang_m) / (2 * h), atol=1e-6)
 
+    def test_array_of_times_matches_each_time(self):
+        rng = np.random.default_rng(12)
+        traj = decode(make_params(rng.uniform(-1, 1, 15)), n_joints=5, rest=rng.uniform(-1, 1, 5))
+        limits = np.tile([-0.5, 0.5], (5, 1))
+        times = np.linspace(0.0, 1.0, 11)
+        angles, vel = eval_trajectory(traj, times, joint_limits=limits)
+        assert angles.shape == vel.shape == (11, 5)
+        for k, t in enumerate(times):
+            one_angles, one_vel = eval_trajectory(traj, t, joint_limits=limits)
+            assert np.array_equal(angles[k], one_angles)
+            assert np.array_equal(vel[k], one_vel)
+
+    def test_array_of_times_out_of_range(self):
+        traj = decode(make_params(np.zeros(15)), n_joints=5)
+        with pytest.raises(ValueError):
+            eval_trajectory(traj, np.array([0.0, 0.5, 1.5]))
+
+    def test_batch_of_controllers_matches_each_controller(self):
+        rng = np.random.default_rng(13)
+        values = rng.uniform(-1, 1, (4, 15))
+        times = np.array([0.0, 0.3, 1.0])
+        angles, vel = eval_cubics(values.reshape(4, 5, 3), times)
+        assert angles.shape == vel.shape == (4, 3, 5)
+        for i, row in enumerate(values):
+            traj = decode(make_params(row), n_joints=5)
+            one_angles, one_vel = eval_trajectory(traj, times)
+            assert np.array_equal(angles[i], one_angles)
+            assert np.array_equal(vel[i], one_vel)
+
     def test_clamped_joint_zeroes_velocity(self):
         theta = np.zeros(15)
         theta[0] = 1.0  # q0(t) = t
@@ -131,6 +161,16 @@ class TestTypes:
     def test_controller_params_bounds_shape(self):
         with pytest.raises(DimensionError):
             ControllerParams(values=np.zeros(3), bounds=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("row", [[np.nan, 1.0], [-1.0, np.nan], [np.nan, np.nan]])
+    def test_controller_params_nan_bounds_rejected(self, row):
+        # lo > hi is False for NaN, so it needs its own check
+        with pytest.raises(ValueError, match="NaN"):
+            ControllerParams(values=np.zeros(2), bounds=np.array([[-1.0, 1.0], row]))
+
+    def test_controller_params_infinite_bounds_allowed(self):
+        theta = ControllerParams(values=np.zeros(2), bounds=[[-np.inf, np.inf], [0.0, np.inf]])
+        assert theta.in_bounds()
 
     def test_invalid_outcome_sentinel(self):
         out = Outcome.invalid(2)

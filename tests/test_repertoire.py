@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillpipe.core import Outcome
+from skillpipe.core import ControllerParams, Outcome, Skill
 from skillpipe.repertoire import (
     Archive,
     ArchiveFormatError,
@@ -143,6 +143,27 @@ class TestTryInsert:
 
 
 class TestQueries:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_min_pairwise_distance_matches_the_naive_form(self, data):
+        # up to 70 rows spans three blocks of the blocked scan; repeated
+        # points give a distance of 0
+        d = data.draw(st.integers(1, 3), label="d")
+        points = st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)
+        outcomes = data.draw(st.lists(points, max_size=70), label="outcomes")
+        if outcomes and data.draw(st.booleans(), label="repeat"):
+            outcomes.append(outcomes[data.draw(st.integers(0, len(outcomes) - 1))])
+        arch = fresh_archive(d=d)
+        arch.skills = [make_skill([0, 0, 0], o) for o in outcomes]
+        n = len(outcomes)
+        if n < 2:
+            assert arch.min_pairwise_distance() == math.inf
+            return
+        outs = np.array(outcomes, dtype=float)
+        naive = np.linalg.norm(outs[:, None, :] - outs[None, :, :], axis=2)
+        naive[np.diag_indices(n)] = np.inf
+        assert arch.min_pairwise_distance() == naive.min()
+
     def test_single_skill_archive(self):
         arch = fresh_archive()
         skill = make_skill([0, 0, 0], [0.3, 0.4], 1.0)
@@ -319,6 +340,21 @@ class TestPersistence:
             load(path)
         assert str(info.value).startswith(f"{path}:152: ")
         assert "line 3" in str(info.value)
+
+    def test_nan_bounds_never_reach_a_file(self, tmp_path):
+        # save used to write a skill with a NaN bound, which load then refused
+        # at line 1; such a skill can no longer be made. Infinite ends still
+        # round-trip
+        with pytest.raises(ValueError):
+            ControllerParams(values=[0.0], bounds=[[math.nan, 1.0]])
+        arch = fresh_archive(dim_params=1)
+        params = ControllerParams(values=[0.0], bounds=[[-math.inf, math.inf]])
+        arch.try_insert(Skill(params, Outcome(values=[0.1, 0.2]), 1.0))
+        path = tmp_path / "arch.jsonl"
+        save(arch, path)
+        back = load(path)
+        assert np.array_equal(back.skills[0].params.bounds, params.bounds)
+        assert np.array_equal(back.outcomes(), arch.outcomes())
 
     def test_outcomes_exactly_r_novel_apart_load(self, tmp_path):
         arch = fresh_archive(r_novel=0.05)

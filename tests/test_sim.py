@@ -1,16 +1,20 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillpipe import sim
-from skillpipe.core import DimensionError
+from skillpipe.core import DimensionError, Outcome, clamp
 from skillpipe.sim import (
     NOMINAL_GAP,
     Obstacle,
     RealityGap,
     collides,
     execute,
+    execute_batch,
     load_env_config,
     make_env,
     quality,
@@ -365,3 +369,254 @@ class TestEnvConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_env("flying")
+
+
+# ---------------------------------------------------------------------------
+# Golden oracles: the per-time-sample loops that execute, quality and
+# collides ran before the batched path, copied with the scalar kinematics
+# they called, so that they depend on nothing the batched path changed
+# ---------------------------------------------------------------------------
+
+def _oracle_joints(env, theta, t):
+    coeffs = theta.values.reshape(sim.N_JOINTS, 3)
+    a1, a2, a3 = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
+    angles = np.zeros(sim.N_JOINTS) + a1 * t + a2 * t * t + a3 * t * t * t
+    velocities = a1 + 2.0 * a2 * t + 3.0 * a3 * t * t
+    limits = env.joint_limits
+    clamped = np.clip(angles, limits[:, 0], limits[:, 1])
+    return clamped, np.where(clamped == angles, velocities, 0.0)
+
+
+def _oracle_gripper(env, gap, angles, velocities):
+    links = env.link_lengths * gap.link_scale
+    q = np.asarray(angles, dtype=float) + gap.joint_bias
+    qd = np.asarray(velocities, dtype=float)
+    yaw, yaw_d = q[0], qd[0]
+    phi = np.cumsum(q[1:])
+    phi_d = np.cumsum(qd[1:])
+    r = float(np.sum(links * np.sin(phi)))
+    z = env.base_height + float(np.sum(links * np.cos(phi)))
+    r_d = float(np.sum(links * np.cos(phi) * phi_d))
+    z_d = -float(np.sum(links * np.sin(phi) * phi_d))
+    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
+    pos = np.array([r * cos_y, r * sin_y, z])
+    vel = np.array([r_d * cos_y - r * sin_y * yaw_d, r_d * sin_y + r * cos_y * yaw_d, z_d])
+    return pos, vel
+
+
+def _oracle_arm_points(env, gap, angles):
+    links = env.link_lengths * gap.link_scale
+    q = np.asarray(angles, dtype=float) + gap.joint_bias
+    phi = np.cumsum(q[1:])
+    r = np.concatenate([[0.0], np.cumsum(links * np.sin(phi))])
+    z = env.base_height + np.concatenate([[0.0], np.cumsum(links * np.cos(phi))])
+    return r * math.cos(q[0]), z
+
+
+def _oracle_landing(pos, vel, gravity):
+    if pos[2] < 0:
+        return None
+    t_land = (vel[2] + math.sqrt(vel[2] * vel[2] + 2.0 * gravity * pos[2])) / gravity
+    return np.array([pos[0] + vel[0] * t_land, pos[1] + vel[1] * t_land]), t_land
+
+
+def _oracle_times(env):
+    return np.linspace(0.0, env.duration, int(round(env.duration / env.step)) + 1)
+
+
+def _oracle_execute(env, gap, theta):
+    if env.kind == "throw":
+        pos, vel = _oracle_gripper(env, gap, *_oracle_joints(env, theta, env.duration))
+        landing = _oracle_landing(pos, vel, env.gravity * gap.gravity_scale)
+        if landing is None:
+            return Outcome.invalid(2)
+        return Outcome(values=landing[0])
+    stick = env.joystick_pos
+    best_depth = -1.0
+    best_disp = None
+    for t in _oracle_times(env):
+        pos, _ = _oracle_gripper(env, gap, *_oracle_joints(env, theta, t))
+        depth = env.joystick_radius - float(np.linalg.norm(pos - stick))
+        if depth > best_depth and depth > 0:
+            best_depth = depth
+            best_disp = pos[:2] - stick[:2]
+    if best_disp is None:
+        return Outcome(values=np.zeros(2))
+    return Outcome(values=env.max_tilt * np.clip(env.joystick_gain * best_disp, -1.0, 1.0))
+
+
+def _oracle_quality(env, theta, outcome, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    b = theta.bounds
+    sigma = env.perturb_sigma * (b[:, 1] - b[:, 0])
+    dev = 0.0
+    for _ in range(env.perturb_count):
+        noisy = clamp(theta.with_values(theta.values + rng.normal(0.0, sigma)))
+        out = _oracle_execute(env, NOMINAL_GAP, noisy)
+        dev += float(np.linalg.norm(out.values - outcome.values))
+    return -dev / env.perturb_count
+
+
+def _oracle_collides(env, theta, wall, gap):
+    for t in _oracle_times(env):
+        xs, zs = _oracle_arm_points(env, gap, _oracle_joints(env, theta, t)[0])
+        if np.any(wall.contains(xs, zs)):
+            return True
+    pos, vel = _oracle_gripper(env, gap, *_oracle_joints(env, theta, env.duration))
+    g = env.gravity * gap.gravity_scale
+    landing = _oracle_landing(pos, vel, g)
+    if landing is None:
+        return False
+    ts = np.arange(0.0, landing[1] + env.step, env.step)
+    return bool(np.any(wall.contains(pos[0] + vel[0] * ts, pos[2] + vel[2] * ts - 0.5 * g * ts * ts)))
+
+
+# A non-nominal gap, as the adaptation benchmark uses
+GAP = RealityGap(gravity_scale=1.1, joint_bias=[0.03, -0.03, 0.04, -0.02, 0.02], link_scale=1.05)
+GAPS = (NOMINAL_GAP, GAP)
+
+# Joint 1 at its limit and joint 2 bent on: the throw release is below ground
+BELOW_GROUND = np.zeros(15)
+BELOW_GROUND[3:6] = 1.0
+BELOW_GROUND[6:9] = 0.2
+
+
+@functools.lru_cache(maxsize=None)
+def _joystick_contacts() -> np.ndarray:
+    """Uniform random joystick controllers that touch the stick (about 1.5%)."""
+    env = make_env("joystick")
+    draws = np.random.default_rng(0).uniform(-1.0, 1.0, (1000, env.dim_params))
+    outs, _ = execute_batch(env, NOMINAL_GAP, draws)
+    return draws[np.any(outs != 0.0, axis=1)]
+
+
+@st.composite
+def controllers(draw, kind):
+    """Coefficient vectors in the bounds: uniform, or near a joystick contact
+    or a throw released below ground, where the outcome changes character."""
+    values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=15)))
+    if not draw(st.booleans()):
+        return values
+    if kind == "joystick":
+        contacts = _joystick_contacts()
+        base = contacts[draw(st.integers(0, len(contacts) - 1))]
+    else:
+        base = BELOW_GROUND
+    return np.clip(base + draw(st.sampled_from([0.0, 0.02, 0.1, 0.3])) * values, -1.0, 1.0)
+
+
+def assert_outcomes_agree(got, want):
+    assert got.valid == want.valid
+    np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+
+
+class TestBatchedPathMatchesOracles:
+    def test_screen_finds_contacts(self):
+        assert len(_joystick_contacts()) >= 5
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_execute(self, data):
+        kind = data.draw(st.sampled_from(sim.SKILL_KINDS), label="kind")
+        gap = data.draw(st.sampled_from(GAPS), label="gap")
+        env = make_env(kind)
+        theta = sim.new_params(env, data.draw(controllers(kind), label="values"))
+        assert_outcomes_agree(execute(env, gap, theta), _oracle_execute(env, gap, theta))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_joystick_quality(self, data, joystick_env):
+        gap = data.draw(st.sampled_from(GAPS), label="gap")
+        theta = sim.new_params(joystick_env, data.draw(controllers("joystick"), label="values"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        out = execute(joystick_env, gap, theta)
+        got = quality(joystick_env, theta, out, seed=seed)
+        assert got == pytest.approx(_oracle_quality(joystick_env, theta, out, seed), rel=0, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_collides(self, data, throw_env):
+        gap = data.draw(st.sampled_from(GAPS), label="gap")
+        theta = sim.new_params(throw_env, data.draw(controllers("throw"), label="values"))
+        wall = Obstacle(
+            center=(data.draw(st.floats(-1.5, 1.5)), data.draw(st.floats(-0.5, 2.5))),
+            width=data.draw(st.floats(0.01, 1.0)),
+            height=data.draw(st.floats(0.01, 3.0)),
+        )
+        assert collides(throw_env, theta, wall, gap) == _oracle_collides(throw_env, theta, wall, gap)
+
+    @pytest.mark.parametrize("gap", GAPS)
+    @pytest.mark.parametrize("kind", sim.SKILL_KINDS)
+    def test_batch_row_is_execute(self, kind, gap):
+        env = make_env(kind)
+        rng = np.random.default_rng(18)
+        values = rng.uniform(-1.0, 1.0, (40, env.dim_params))
+        special = _joystick_contacts()[:5] if kind == "joystick" else np.tile(BELOW_GROUND, (3, 1))
+        values = np.concatenate([values[:20], special, values[20:]])
+        outcomes, valid = execute_batch(env, gap, values)
+        assert outcomes.shape == (len(values), 2) and valid.shape == (len(values),)
+        for row, out, ok in zip(values, outcomes, valid):
+            one = execute(env, gap, sim.new_params(env, row))
+            assert np.array_equal(out, one.values) and ok == one.valid
+        if kind == "throw":
+            assert not valid[20:23].any() and valid.sum() >= 40
+            assert np.array_equal(outcomes[20:23], np.zeros((3, 2)))
+        else:
+            assert valid.all() and np.any(outcomes[20:25] != 0.0)
+
+    def test_nan_release_is_not_reported_invalid(self, throw_env):
+        # a NaN release height is no release below ground: execute refuses
+        # the non-finite outcome, as the scalar path did
+        gap = RealityGap(link_scale=math.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            execute(throw_env, gap, sim.new_params(throw_env, np.full(15, 0.3)))
+
+    def test_empty_batch(self, joystick_env):
+        outcomes, valid = execute_batch(joystick_env, NOMINAL_GAP, np.empty((0, 15)))
+        assert outcomes.shape == (0, 2) and valid.shape == (0,)
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("bias", [[0.1], np.zeros(4), np.zeros(6), np.zeros((5, 1))])
+    def test_joint_bias_needs_one_entry_per_joint(self, bias):
+        with pytest.raises(DimensionError):
+            RealityGap(joint_bias=bias)
+
+    @pytest.mark.parametrize("kind", sim.SKILL_KINDS)
+    def test_arm_needs_four_link_lengths(self, kind):
+        with pytest.raises(DimensionError):
+            make_env(kind, link_lengths=[0.5, 0.3])
+
+    @pytest.mark.parametrize("field", ["duration", "gravity", "perturb_count"])
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_env_scalars_must_be_positive(self, field, bad):
+        # the batched path builds no JointTrajectory, which used to refuse a
+        # non-positive duration, and clamps the landing discriminant, which a
+        # non-positive gravity could make negative on a valid release
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            make_env("throw", **{field: bad})
+
+    def test_link_lengths_unused_off_the_arm(self):
+        assert make_env("reach2d", link_lengths=[0.5, 0.3]).kind == "reach2d"
+
+    def test_config_with_two_link_lengths(self, tmp_path):
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text("kind=throw\nlink_lengths=0.5,0.3\n")
+        with pytest.raises(DimensionError, match="env.cfg"):
+            load_env_config(cfg)
+
+    @pytest.mark.parametrize("shape", [(15,), (3, 14), (3, 16), (1, 3, 15)])
+    def test_execute_batch_needs_rows_of_dim_params(self, throw_env, shape):
+        with pytest.raises(DimensionError):
+            execute_batch(throw_env, NOMINAL_GAP, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_execute_batch_refuses_non_finite_values(self, joystick_env, bad):
+        values = np.zeros((3, 15))
+        values[1, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            execute_batch(joystick_env, NOMINAL_GAP, values)
+
+    def test_execute_batch_needs_a_skill_environment(self):
+        with pytest.raises(ValueError):
+            execute_batch(make_env("reach2d"), NOMINAL_GAP, np.zeros((1, 15)))
