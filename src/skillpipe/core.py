@@ -1,13 +1,14 @@
 """Shared domain types and the cubic motion-primitive encoding.
 
 A controller is a bounded real vector of polynomial coefficients, three per
-joint.  Decoding yields per-joint cubics q_j(t) = rest_j + a1*t + a2*t^2 + a3*t^3
-over a fixed duration; evaluation is analytic for both angles and velocities.
+joint, read as values.reshape(J, 3): joint-major, each row (a1, a2, a3) of
+the cubic q_j(t) = a1*t + a2*t^2 + a3*t^3, which starts at 0 with no rest
+term.  Evaluation is analytic for both angles and velocities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,9 +16,6 @@ __all__ = [
     "ControllerParams",
     "Outcome",
     "Skill",
-    "JointTrajectory",
-    "decode",
-    "eval_trajectory",
     "eval_cubics",
     "clamp",
 ]
@@ -111,66 +109,16 @@ class Skill:
             raise ValueError("a Skill requires a valid outcome")
 
 
-@dataclass(frozen=True)
-class JointTrajectory:
-    """Per-joint cubic trajectories over [0, duration].
+def eval_cubics(coeffs, t, joint_limits=None):
+    """Angles and angular velocities of cubics a1 t + a2 t^2 + a3 t^3.
 
-    rest holds the fixed constant term of each joint; coeffs has shape
-    (n_joints, 3) holding the free coefficients (a1, a2, a3).
-    """
-
-    rest: np.ndarray
-    coeffs: np.ndarray
-    duration: float = 1.0
-
-    def __post_init__(self):
-        rest = _as_array(self.rest, "rest")
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (rest.shape[0], COEFFS_PER_JOINT):
-            raise DimensionError(
-                f"coeffs shape {coeffs.shape} does not match {rest.shape[0]} joints"
-            )
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        object.__setattr__(self, "rest", rest)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def n_joints(self) -> int:
-        return self.rest.shape[0]
-
-    def flatten(self) -> np.ndarray:
-        """Free coefficients in joint-major order; inverse of :func:`decode`."""
-        return self.coeffs.reshape(-1).copy()
-
-
-def decode(theta: ControllerParams, n_joints: int, rest=None, duration: float = 1.0) -> JointTrajectory:
-    """Unpack a coefficient vector into per-joint cubics, joint-major order.
-
-    Requires len(theta) == 3 * n_joints.  rest defaults to all zeros.
-    """
-    if theta.dim != COEFFS_PER_JOINT * n_joints:
-        raise DimensionError(
-            f"need {COEFFS_PER_JOINT * n_joints} coefficients for {n_joints} joints, got {theta.dim}"
-        )
-    if rest is None:
-        rest = np.zeros(n_joints)
-    return JointTrajectory(
-        rest=rest,
-        coeffs=theta.values.reshape(n_joints, COEFFS_PER_JOINT),
-        duration=duration,
-    )
-
-
-def eval_cubics(coeffs, t, rest=None, joint_limits=None):
-    """Angles and angular velocities of cubics rest + a1 t + a2 t^2 + a3 t^3.
-
-    coeffs has shape (..., n_joints, 3) holding (a1, a2, a3) per joint, and
-    rest (n_joints,) the constant terms, zero when None.  A scalar t gives
-    angles and velocities of shape (..., n_joints); a 1-D array of T times
-    gives (..., T, n_joints), each time bit for bit as it gives alone.
-    Angles are clamped to joint_limits (shape (n_joints, 2)) when given;
-    velocities of clamped joints are zeroed so evaluation stays total.
+    coeffs has shape (..., n_joints, 3), each row (a1, a2, a3) of one joint,
+    as values.reshape(n_joints, 3) gives for a controller; every cubic
+    starts at angle 0.  A scalar t gives angles and velocities of shape
+    (..., n_joints); a 1-D array of T times gives (..., T, n_joints), each
+    time bit for bit as it gives alone.  Angles are clamped to joint_limits
+    (shape (n_joints, 2)) when given; velocities of clamped joints are
+    zeroed so evaluation stays total.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -182,8 +130,7 @@ def eval_cubics(coeffs, t, rest=None, joint_limits=None):
     a1 = coeffs[..., 0]
     a2 = coeffs[..., 1]
     a3 = coeffs[..., 2]
-    angles = a1 * t if rest is None else rest + a1 * t
-    angles = angles + a2 * t * t + a3 * t * t * t
+    angles = a1 * t + a2 * t * t + a3 * t * t * t
     velocities = a1 + 2.0 * a2 * t + 3.0 * a3 * t * t
     if joint_limits is not None:
         limits = np.asarray(joint_limits, dtype=float)
@@ -192,17 +139,6 @@ def eval_cubics(coeffs, t, rest=None, joint_limits=None):
         velocities = np.where(clamped == angles, velocities, 0.0)
         angles = clamped
     return angles, velocities
-
-
-def eval_trajectory(traj: JointTrajectory, t, joint_limits=None):
-    """Angles and angular velocities at time t, or at each of a 1-D array of times.
-
-    Shapes and clamping as in :func:`eval_cubics`: (n_joints,) for a scalar
-    t, (T, n_joints) for T times.
-    """
-    if np.any(np.less(t, 0) | np.greater(t, traj.duration)):
-        raise ValueError(f"t={t} outside [0, {traj.duration}]")
-    return eval_cubics(traj.coeffs, t, traj.rest, joint_limits)
 
 
 def clamp(theta: ControllerParams) -> ControllerParams:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "LeastSquaresFit",
     "TuckerFactors",
-    "CmaState",
     "least_squares",
     "pinv",
     "hosvd",
@@ -160,20 +159,6 @@ def reconstruct(factors: TuckerFactors, weight) -> np.ndarray:
 # CMA-ES
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CmaState:
-    """Mutable state of a (mu/mu_w, lambda) CMA-ES run."""
-
-    mean: np.ndarray
-    sigma: float
-    cov: np.ndarray
-    path_sigma: np.ndarray
-    path_cov: np.ndarray
-    lam: int
-    generation: int = 0
-    evaluations: int = 0
-
-
 def _cma_weights(lam: int):
     mu = lam // 2
     raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
@@ -207,37 +192,34 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int, lam: int | None
     c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff))
     chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
 
-    state = CmaState(
-        mean=x0.copy(),
-        sigma=float(sigma0),
-        cov=np.eye(n),
-        path_sigma=np.zeros(n),
-        path_cov=np.zeros(n),
-        lam=lam,
-    )
+    mean = x0.copy()
+    sigma = float(sigma0)
+    cov = np.eye(n)
+    path_sigma = np.zeros(n)
+    path_cov = np.zeros(n)
+    generation = 0
     rng = np.random.Generator(np.random.PCG64(seed))
 
     x_best = x0.copy()
     f_best = math.inf
     history: list[float] = []
 
-    while state.evaluations + lam <= budget:
+    while len(history) + lam <= budget:
         # keep the covariance numerically symmetric before factorizing
-        state.cov = 0.5 * (state.cov + state.cov.T)
-        eigvals, eigvecs = np.linalg.eigh(state.cov)
+        cov = 0.5 * (cov + cov.T)
+        eigvals, eigvecs = np.linalg.eigh(cov)
         eigvals = np.maximum(eigvals, 1e-20)
         d = np.sqrt(eigvals)
         inv_sqrt = eigvecs @ np.diag(1.0 / d) @ eigvecs.T
 
         z = rng.standard_normal((lam, n))
         y = z @ (eigvecs * d).T           # y_i ~ N(0, C)
-        xs = state.mean + state.sigma * y
+        xs = mean + sigma * y
 
         fs = np.empty(lam)
         for i in range(lam):
             val = f(xs[i])
             fs[i] = val if np.isfinite(val) else math.inf
-            state.evaluations += 1
             if fs[i] < f_best:
                 f_best = float(fs[i])
                 x_best = xs[i].copy()
@@ -247,33 +229,32 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int, lam: int | None
         y_sel = y[order[:mu]]
         y_w = weights @ y_sel
 
-        old_mean = state.mean
-        state.mean = old_mean + state.sigma * y_w
+        mean = mean + sigma * y_w
 
-        state.path_sigma = (1.0 - c_sigma) * state.path_sigma + math.sqrt(
+        path_sigma = (1.0 - c_sigma) * path_sigma + math.sqrt(
             c_sigma * (2.0 - c_sigma) * mu_eff
         ) * (inv_sqrt @ y_w)
-        ps_norm = float(np.linalg.norm(state.path_sigma))
+        ps_norm = float(np.linalg.norm(path_sigma))
         denom = math.sqrt(
-            1.0 - (1.0 - c_sigma) ** (2.0 * (state.generation + 1))
+            1.0 - (1.0 - c_sigma) ** (2.0 * (generation + 1))
         )
         h_sigma = 1.0 if ps_norm / denom < (1.4 + 2.0 / (n + 1.0)) * chi_n else 0.0
 
-        state.path_cov = (1.0 - c_c) * state.path_cov + h_sigma * math.sqrt(
+        path_cov = (1.0 - c_c) * path_cov + h_sigma * math.sqrt(
             c_c * (2.0 - c_c) * mu_eff
         ) * y_w
 
-        rank_one = np.outer(state.path_cov, state.path_cov)
+        rank_one = np.outer(path_cov, path_cov)
         rank_mu = (y_sel * weights[:, None]).T @ y_sel
         delta_h = (1.0 - h_sigma) * c_c * (2.0 - c_c)
-        state.cov = (
-            (1.0 - c_1 - c_mu) * state.cov
-            + c_1 * (rank_one + delta_h * state.cov)
+        cov = (
+            (1.0 - c_1 - c_mu) * cov
+            + c_1 * (rank_one + delta_h * cov)
             + c_mu * rank_mu
         )
 
-        state.sigma *= math.exp((c_sigma / d_sigma) * (ps_norm / chi_n - 1.0))
-        state.generation += 1
+        sigma *= math.exp((c_sigma / d_sigma) * (ps_norm / chi_n - 1.0))
+        generation += 1
 
     return x_best, f_best, np.asarray(history)
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
+import uuid
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,7 +178,9 @@ def save(archive: Archive, path, bounds: np.ndarray | None = None) -> None:
     """Write the archive as JSON lines (UTF-8, LF).
 
     The header carries env/D/d/r_novel/seed plus the parameter bounds so a
-    file round-trips without consulting the environment registry.
+    file round-trips without consulting the environment registry.  The lines
+    go to a new file beside path, which is flushed to disk and then renamed
+    onto path, so a save that fails leaves any previous file as it was.
     """
     if bounds is None:
         if archive.skills:
@@ -191,15 +195,24 @@ def save(archive: Archive, path, bounds: np.ndarray | None = None) -> None:
         "seed": archive.seed,
         "bounds": np.asarray(bounds).tolist(),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for skill in archive.skills:
-            record = {
-                "theta": skill.params.values.tolist(),
-                "outcome": skill.outcome.values.tolist(),
-                "quality": skill.quality,
-            }
-            fh.write(json.dumps(record) + "\n")
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(header) + "\n")
+            for skill in archive.skills:
+                record = {
+                    "theta": skill.params.values.tolist(),
+                    "outcome": skill.outcome.values.tolist(),
+                    "quality": skill.quality,
+                }
+                fh.write(json.dumps(record) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 _HEADER_KEYS = ("env", "D", "d", "r_novel", "seed")

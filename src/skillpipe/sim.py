@@ -21,16 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    COEFFS_PER_JOINT,
-    ControllerParams,
-    DimensionError,
-    JointTrajectory,
-    Outcome,
-    decode,
-    eval_cubics,
-    eval_trajectory,
-)
+from .core import COEFFS_PER_JOINT, ControllerParams, DimensionError, Outcome, eval_cubics
 
 __all__ = [
     "EnvironmentSpec",
@@ -75,7 +66,8 @@ _JOINT_LIMITS.flags.writeable = False
 class RealityGap:
     """Systematic perturbation applied at execution time.
 
-    The nominal gap (scale 1, zero bias) leaves execution unchanged.
+    The nominal gap (scale 1, zero bias) leaves execution unchanged.  Both
+    scales must be positive and finite, and joint_bias finite.
     """
 
     gravity_scale: float = 1.0
@@ -83,20 +75,16 @@ class RealityGap:
     link_scale: float = 1.0
 
     def __post_init__(self):
-        if self.gravity_scale <= 0:
-            raise ValueError("gravity_scale must be positive")
+        for name in ("gravity_scale", "link_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         bias = np.asarray(self.joint_bias, dtype=float)
         if bias.shape != (N_JOINTS,):
             raise DimensionError(f"joint_bias must have shape ({N_JOINTS},), got {bias.shape}")
+        if not np.isfinite(bias).all():
+            raise ValueError("joint_bias must be finite")
         object.__setattr__(self, "joint_bias", bias)
-
-    @property
-    def is_nominal(self) -> bool:
-        return (
-            self.gravity_scale == 1.0
-            and self.link_scale == 1.0
-            and not np.any(self.joint_bias)
-        )
 
 
 NOMINAL_GAP = RealityGap()
@@ -135,13 +123,20 @@ class ObservationFrame:
     target: np.ndarray
     reward: int
 
-    def flat(self) -> np.ndarray:
-        return self.grid.reshape(-1)
+
+# float fields of EnvironmentSpec: all must be finite, the first four positive
+_POSITIVE_FIELDS = ("gravity", "step", "duration", "joystick_radius")
+_FLOAT_FIELDS = _POSITIVE_FIELDS + ("base_height", "joystick_gain", "max_tilt", "perturb_sigma")
 
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """Immutable description of one environment instance."""
+    """Immutable description of one environment instance.
+
+    Every float field and every entry of link_lengths and joystick_pos must
+    be finite; link_lengths, gravity, step, duration and joystick_radius
+    must be positive.
+    """
 
     kind: str
     link_lengths: np.ndarray = field(
@@ -170,16 +165,18 @@ class EnvironmentSpec:
                 )
             if self.joystick_pos.shape != (3,):
                 raise DimensionError(f"joystick_pos must have shape (3,), got {self.joystick_pos.shape}")
-        if np.any(self.link_lengths <= 0):
-            raise ValueError("link lengths must be positive")
+        if not (np.isfinite(self.link_lengths).all() and np.all(self.link_lengths > 0)):
+            raise ValueError("link_lengths must be positive and finite")
+        if not np.isfinite(self.joystick_pos).all():
+            raise ValueError("joystick_pos must be finite")
         if self.perturb_count < 1:
             raise ValueError("perturb_count must be at least 1")
-        if self.step <= 0:
-            raise ValueError("integration step must be positive")
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
-        if not self.gravity > 0:
-            raise ValueError("gravity must be positive")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name in _POSITIVE_FIELDS and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     @property
     def dim_params(self) -> int:
@@ -280,12 +277,6 @@ def _gripper(env: EnvironmentSpec, gap: RealityGap, angles, velocities=None):
     return pos, vel
 
 
-def _gripper_state(env: EnvironmentSpec, gap: RealityGap, angles, velocities):
-    """Gripper position and velocity, each (..., 3), from joint states (..., J)."""
-    pos, vel = _gripper(env, gap, angles, velocities)
-    return _stack(*pos), _stack(*vel)
-
-
 def _arm_points(env: EnvironmentSpec, gap: RealityGap, angles) -> np.ndarray:
     """Joint positions, base to gripper, (..., J, 3) from angles (..., J)."""
     cos_y, sin_y, reach, rise = _links(env, gap, angles)
@@ -293,14 +284,6 @@ def _arm_points(env: EnvironmentSpec, gap: RealityGap, angles) -> np.ndarray:
     r = np.concatenate([start, reach.cumsum(axis=-1)], axis=-1)
     z = env.base_height + np.concatenate([start, rise.cumsum(axis=-1)], axis=-1)
     return _stack(r * cos_y[..., None], r * sin_y[..., None], z)
-
-
-def _trajectory(env: EnvironmentSpec, theta: ControllerParams) -> JointTrajectory:
-    if theta.dim != env.dim_params:
-        raise DimensionError(
-            f"{env.kind} expects {env.dim_params} parameters, got {theta.dim}"
-        )
-    return decode(theta, N_JOINTS, duration=env.duration)
 
 
 def _flight(pos, vel, gravity: float):
@@ -318,17 +301,25 @@ def _flight(pos, vel, gravity: float):
     return np.where(valid[..., None], landing, 0.0), t_land, valid
 
 
-def _ballistic_landing(pos, vel, gravity: float):
-    """(landing (x, y), landing time) of one projectile released at pos with
-    vel, each (3,); None when the release point is below ground."""
-    pos, vel = np.asarray(pos, dtype=float), np.asarray(vel, dtype=float)
-    landing, t_land, valid = _flight(tuple(pos), tuple(vel), gravity)
-    return (landing, float(t_land)) if valid else None
-
-
 def _sample_times(env: EnvironmentSpec) -> np.ndarray:
     n = int(round(env.duration / env.step))
     return np.linspace(0.0, env.duration, n + 1)
+
+
+def _controllers(env: EnvironmentSpec, values) -> np.ndarray:
+    """values as a float array (B, env.dim_params).
+
+    Raises DimensionError for any other shape and ValueError when it holds
+    non-finite entries.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != env.dim_params:
+        raise DimensionError(
+            f"{env.kind} expects values of shape (B, {env.dim_params}), got {values.shape}"
+        )
+    if not np.isfinite(values).all():
+        raise ValueError("values contains non-finite entries")
+    return values
 
 
 def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.ndarray, np.ndarray]:
@@ -348,13 +339,7 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
     """
     if env.kind not in SKILL_KINDS:
         raise ValueError(f"execute not defined for kind {env.kind!r}")
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != env.dim_params:
-        raise DimensionError(
-            f"{env.kind} expects values of shape (B, {env.dim_params}), got {values.shape}"
-        )
-    if not np.isfinite(values).all():
-        raise ValueError("values contains non-finite entries")
+    values = _controllers(env, values)
     if env.kind == "throw":
         pos, vel = _gripper(env, gap, *_joint_states(env, values, env.duration))
         landing, _, valid = _flight(pos, vel, env.gravity * gap.gravity_scale)
@@ -397,28 +382,30 @@ def execute(env: EnvironmentSpec, gap: RealityGap, theta: ControllerParams) -> O
 def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, gap: RealityGap = NOMINAL_GAP) -> bool:
     """True when the sampled arm sweep or ballistic path crosses the wall.
 
+    theta.values is read as values.reshape(J, 3), the joint-major (a1, a2,
+    a3) of each joint's cubic, through the kernel of :func:`execute_batch`.
     The sweep holds the J joint positions at each of the T time samples
     execute uses, a (T, J) array per coordinate tested in one
-    :meth:`Obstacle.contains` call; the flight is sampled every env.step
-    from release to landing.
+    :meth:`Obstacle.contains` call; the flight from the release state at
+    env.duration is sampled every env.step from release to landing.
+    Raises DimensionError unless theta has env.dim_params values.
     """
     if env.kind != "throw":
         raise ValueError("collision checks are defined for the throw environment")
-    traj = _trajectory(env, theta)
-    limits = env.joint_limits
-    angles, _ = eval_trajectory(traj, _sample_times(env), joint_limits=limits)
+    values = _controllers(env, theta.values[None, :])
+    angles, _ = _joint_states(env, values, _sample_times(env))
     pts = _arm_points(env, gap, angles)
     if bool(np.any(obstacle.contains(pts[..., 0], pts[..., 2]))):
         return True
-    angles, vels = eval_trajectory(traj, traj.duration, joint_limits=limits)
-    pos, vel = _gripper_state(env, gap, angles, vels)
+    pos, vel = _gripper(env, gap, *_joint_states(env, values, env.duration))
     g = env.gravity * gap.gravity_scale
-    landing = _ballistic_landing(pos, vel, g)
-    if landing is None:
+    _, t_land, valid = _flight(pos, vel, g)
+    if not valid[0]:
         return False
-    ts = np.arange(0.0, landing[1] + env.step, env.step)
-    xs = pos[0] + vel[0] * ts
-    zs = pos[2] + vel[2] * ts - 0.5 * g * ts * ts
+    (x, _, z), (vx, _, vz) = pos, vel
+    ts = np.arange(0.0, t_land[0] + env.step, env.step)
+    xs = x[0] + vx[0] * ts
+    zs = z[0] + vz[0] * ts - 0.5 * g * ts * ts
     return bool(np.any(obstacle.contains(xs, zs)))
 
 
@@ -426,34 +413,37 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
     """Quality score of a skill; higher is better, maximum 0.
 
     throw: negative integral of squared joint accelerations over the motion
-    (closed form for cubics), a kinematic stand-in for actuation effort.
+    (closed form for the cubics of values.reshape(J, 3)), a kinematic
+    stand-in for actuation effort.
     joystick: negative mean outcome deviation over env.perturb_count
     re-executions under NOMINAL_GAP with Gaussian parameter noise, drawn
     from PCG64(seed) as a (perturb_count, D) array and clipped to the
     bounds; the re-executions are one :func:`execute_batch` call.
+    Raises DimensionError unless theta has env.dim_params values.
     """
     if not outcome.valid:
         raise ValueError("quality requires a valid outcome")
+    if env.kind not in SKILL_KINDS:
+        raise ValueError(f"quality not defined for kind {env.kind!r}")
+    values = _controllers(env, theta.values[None, :])[0]
     if env.kind == "throw":
         # q''(t) = 2 a2 + 6 a3 t; integral of the square over [0, T]
-        traj = _trajectory(env, theta)
-        a2 = traj.coeffs[:, 1]
-        a3 = traj.coeffs[:, 2]
-        t = traj.duration
+        coeffs = values.reshape(N_JOINTS, COEFFS_PER_JOINT)
+        a2 = coeffs[:, 1]
+        a3 = coeffs[:, 2]
+        t = env.duration
         total = np.sum(
             4.0 * a2 * a2 * t + 12.0 * a2 * a3 * t * t + 12.0 * a3 * a3 * t**3
         )
         return -float(total)
-    if env.kind == "joystick":
-        rng = np.random.Generator(np.random.PCG64(seed))
-        b = theta.bounds
-        sigma = env.perturb_sigma * (b[:, 1] - b[:, 0])
-        noise = rng.normal(0.0, sigma, size=(env.perturb_count, theta.dim))
-        noisy = np.clip(theta.values + noise, b[:, 0], b[:, 1])
-        outs, _ = execute_batch(env, NOMINAL_GAP, noisy)
-        dev = outs - outcome.values
-        return -float(np.mean(np.sqrt(np.vecdot(dev, dev))))
-    raise ValueError(f"quality not defined for kind {env.kind!r}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    b = theta.bounds
+    sigma = env.perturb_sigma * (b[:, 1] - b[:, 0])
+    noise = rng.normal(0.0, sigma, size=(env.perturb_count, len(values)))
+    noisy = np.clip(values + noise, b[:, 0], b[:, 1])
+    outs, _ = execute_batch(env, NOMINAL_GAP, noisy)
+    dev = outs - outcome.values
+    return -float(np.mean(np.sqrt(np.vecdot(dev, dev))))
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +615,6 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
 # Config file support
 # ---------------------------------------------------------------------------
 
-_FLOAT_KEYS = {
-    "base_height", "gravity", "step", "duration", "joystick_radius",
-    "joystick_gain", "max_tilt", "perturb_sigma",
-}
 _VEC_KEYS = {"link_lengths", "joystick_pos"}
 
 
@@ -657,7 +643,7 @@ def load_env_config(path) -> EnvironmentSpec:
                     fields[key] = value
                 elif key in _VEC_KEYS:
                     fields[key] = np.array([float(v) for v in value.split(",")])
-                elif key in _FLOAT_KEYS:
+                elif key in _FLOAT_FIELDS:
                     fields[key] = float(value)
                 elif key == "perturb_count":
                     fields[key] = int(value)

@@ -4,29 +4,29 @@ import pytest
 from skillpipe.core import (
     ControllerParams,
     DimensionError,
-    JointTrajectory,
     Outcome,
     Skill,
     clamp,
-    decode,
     eval_cubics,
-    eval_trajectory,
 )
 from conftest import make_params
 
 
-class TestDecode:
-    def test_zero_theta_is_constant_rest(self):
-        traj = decode(make_params(np.zeros(15)), n_joints=5, rest=np.full(5, 0.3))
+def cubics(values):
+    """Per-joint (a1, a2, a3) rows of a 15-entry coefficient vector."""
+    return np.asarray(values, dtype=float).reshape(5, 3)
+
+
+class TestEvalCubics:
+    def test_zero_theta_is_constant_zero(self):
         for t in (0.0, 0.25, 1.0):
-            angles, _ = eval_trajectory(traj, t)
-            assert np.allclose(angles, 0.3)
+            angles, _ = eval_cubics(cubics(np.zeros(15)), t)
+            assert np.array_equal(angles, np.zeros(5))
 
     def test_single_linear_term(self):
         theta = np.zeros(15)
         theta[0] = 1.0  # a1 of joint 0
-        traj = decode(make_params(theta), n_joints=5)
-        angles, _ = eval_trajectory(traj, 1.0)
+        angles, _ = eval_cubics(cubics(theta), 1.0)
         assert angles[0] == pytest.approx(1.0)
         assert np.allclose(angles[1:], 0.0)
 
@@ -35,78 +35,50 @@ class TestDecode:
         theta = np.zeros(15)
         theta[1] = 1.0
         theta[2] = 1.0
-        traj = decode(make_params(theta), n_joints=5)
-        angles, _ = eval_trajectory(traj, 0.5)
+        angles, _ = eval_cubics(cubics(theta), 0.5)
         assert angles[0] == pytest.approx(0.25 + 0.125)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            decode(make_params(np.zeros(14)), n_joints=5)
-
-    def test_flatten_roundtrip(self):
-        rng = np.random.default_rng(3)
-        theta = make_params(rng.uniform(-1, 1, 15))
-        traj = decode(theta, n_joints=5)
-        assert np.array_equal(traj.flatten(), theta.values)
-
-
-class TestEvalTrajectory:
     def test_constant_trajectory_zero_velocity(self):
-        traj = decode(make_params(np.zeros(15)), n_joints=5, rest=np.ones(5))
         for t in (0.0, 0.7, 1.0):
-            _, vel = eval_trajectory(traj, t)
+            _, vel = eval_cubics(cubics(np.zeros(15)), t)
             assert np.allclose(vel, 0.0)
 
     def test_linear_velocity(self):
         theta = np.zeros(15)
         theta[0] = 1.0
-        traj = decode(make_params(theta), n_joints=5)
         for t in (0.0, 0.5, 1.0):
-            _, vel = eval_trajectory(traj, t)
+            _, vel = eval_cubics(cubics(theta), t)
             assert vel[0] == pytest.approx(1.0)
 
     def test_cubic_velocity_oracle(self):
         # d/dt t^3 = 3 t^2 -> 0.75 at t = 0.5
         theta = np.zeros(15)
         theta[2] = 1.0
-        traj = decode(make_params(theta), n_joints=5)
-        _, vel = eval_trajectory(traj, 0.5)
+        _, vel = eval_cubics(cubics(theta), 0.5)
         assert vel[0] == pytest.approx(0.75)
-
-    def test_t_out_of_range(self):
-        traj = decode(make_params(np.zeros(15)), n_joints=5)
-        with pytest.raises(ValueError):
-            eval_trajectory(traj, 1.5)
-        with pytest.raises(ValueError):
-            eval_trajectory(traj, -0.1)
 
     def test_velocity_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         h = 1e-6
         for _ in range(20):
-            traj = decode(make_params(rng.uniform(-1, 1, 15)), n_joints=5)
+            coeffs = cubics(rng.uniform(-1, 1, 15))
             t = rng.uniform(h, 1.0 - h)
-            ang_p, _ = eval_trajectory(traj, t + h)
-            ang_m, _ = eval_trajectory(traj, t - h)
-            _, vel = eval_trajectory(traj, t)
+            ang_p, _ = eval_cubics(coeffs, t + h)
+            ang_m, _ = eval_cubics(coeffs, t - h)
+            _, vel = eval_cubics(coeffs, t)
             assert np.allclose(vel, (ang_p - ang_m) / (2 * h), atol=1e-6)
 
     def test_array_of_times_matches_each_time(self):
         rng = np.random.default_rng(12)
-        traj = decode(make_params(rng.uniform(-1, 1, 15)), n_joints=5, rest=rng.uniform(-1, 1, 5))
+        coeffs = cubics(rng.uniform(-1, 1, 15))
         limits = np.tile([-0.5, 0.5], (5, 1))
         times = np.linspace(0.0, 1.0, 11)
-        angles, vel = eval_trajectory(traj, times, joint_limits=limits)
+        angles, vel = eval_cubics(coeffs, times, joint_limits=limits)
         assert angles.shape == vel.shape == (11, 5)
         for k, t in enumerate(times):
-            one_angles, one_vel = eval_trajectory(traj, t, joint_limits=limits)
+            one_angles, one_vel = eval_cubics(coeffs, t, joint_limits=limits)
             assert np.array_equal(angles[k], one_angles)
             assert np.array_equal(vel[k], one_vel)
-
-    def test_array_of_times_out_of_range(self):
-        traj = decode(make_params(np.zeros(15)), n_joints=5)
-        with pytest.raises(ValueError):
-            eval_trajectory(traj, np.array([0.0, 0.5, 1.5]))
 
     def test_batch_of_controllers_matches_each_controller(self):
         rng = np.random.default_rng(13)
@@ -115,17 +87,15 @@ class TestEvalTrajectory:
         angles, vel = eval_cubics(values.reshape(4, 5, 3), times)
         assert angles.shape == vel.shape == (4, 3, 5)
         for i, row in enumerate(values):
-            traj = decode(make_params(row), n_joints=5)
-            one_angles, one_vel = eval_trajectory(traj, times)
+            one_angles, one_vel = eval_cubics(cubics(row), times)
             assert np.array_equal(angles[i], one_angles)
             assert np.array_equal(vel[i], one_vel)
 
     def test_clamped_joint_zeroes_velocity(self):
         theta = np.zeros(15)
         theta[0] = 1.0  # q0(t) = t
-        traj = decode(make_params(theta), n_joints=5)
         limits = np.tile([-0.25, 0.25], (5, 1))
-        angles, vel = eval_trajectory(traj, 1.0, joint_limits=limits)
+        angles, vel = eval_cubics(cubics(theta), 1.0, joint_limits=limits)
         assert angles[0] == pytest.approx(0.25)
         assert vel[0] == 0.0
 
@@ -180,7 +150,3 @@ class TestTypes:
     def test_skill_requires_valid_outcome(self):
         with pytest.raises(ValueError):
             Skill(params=make_params([0.0]), outcome=Outcome.invalid(2), quality=0.0)
-
-    def test_trajectory_duration_positive(self):
-        with pytest.raises(ValueError):
-            JointTrajectory(rest=np.zeros(2), coeffs=np.zeros((2, 3)), duration=0.0)

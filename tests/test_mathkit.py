@@ -180,6 +180,25 @@ class TestCmaes:
         assert f < 1e-8
         assert len(hist) <= 5000
 
+    def test_sphere_10d_golden(self):
+        # golden x_best, f_best and history of one seeded run: a change to the
+        # sampling or to any update rule moves them
+        x, f, hist = cmaes_minimize(
+            lambda v: float(np.sum(v * v)), np.full(10, 2.0), 1.0, 50, seed=3
+        )
+        assert x.tolist() == [
+            -0.1617825557456885, 1.5427473599495347, 0.31693998934357914,
+            -0.15284188739152305, 0.5930635308939292, 0.4732823973775273,
+            -0.5458733743743318, 0.38904382622379685, -0.3351046778850312,
+            0.15501355070181638,
+        ]
+        assert f == 3.6914323763204573
+        best = [62.863192382889125, 37.13008202614496, 33.81999065901125,
+                24.432257187306593, 13.302706018342741, 12.8755406087211,
+                11.096122859750075, 6.479106604849892, 3.6914323763204573]
+        runs = [1, 5, 4, 9, 10, 6, 7, 3, 5]   # evaluations each best value held
+        assert hist.tolist() == np.repeat(best, runs).tolist()
+
     def test_seed_reproducibility(self):
         def obj(v):
             return float(np.sum((v - 1.5) ** 2))

@@ -42,6 +42,54 @@ def assert_rejected_at(path, line):
     assert str(info.value).startswith(f"{path}:{line}: ")
 
 
+@st.composite
+def insert_streams(draw):
+    """r_novel and a stream of skills to insert. Outcomes on a grid of
+    r_novel / k land within, at and beyond r_novel of each other, and a few
+    integer qualities make ties."""
+    r_novel = draw(st.sampled_from([0.05, 0.1, 0.3]), label="r_novel")
+    step = r_novel / draw(st.sampled_from([1, 2, 3]), label="k")
+    outcome = st.one_of(
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(lambda c: step * np.array(c, float)),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(np.array),
+    )
+    quality = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0))
+    n = draw(st.integers(0, 120), label="n")
+    pairs = draw(st.lists(st.tuples(outcome, quality), min_size=n, max_size=n), label="stream")
+    return r_novel, [make_skill([i, 0, 0], o, q) for i, (o, q) in enumerate(pairs)]
+
+
+def insert_checked(arch, skill):
+    """arch.try_insert(skill), checked against the rule in its docstring.
+
+    ADDED iff no stored outcome is within r_novel; otherwise REPLACED iff the
+    candidate's quality is strictly higher than the nearest skill's and no
+    other stored outcome is within r_novel, and then exactly the nearest
+    skill is swapped out; otherwise REJECTED, with the skills unchanged.
+    """
+    before = list(arch.skills)
+    dists = np.linalg.norm(arch.outcomes() - skill.outcome.values, axis=1)
+    within = int(np.sum(dists < arch.r_novel))
+    nearest = int(np.argmin(dists)) if before else None
+    if within == 0:
+        expected = InsertOutcome.ADDED
+    elif within == 1 and skill.quality > before[nearest].quality:
+        expected = InsertOutcome.REPLACED
+    else:
+        expected = InsertOutcome.REJECTED
+    result = arch.try_insert(skill)
+    assert result.outcome is expected
+    if expected is InsertOutcome.ADDED:
+        expect_skills = before + [skill]
+    elif expected is InsertOutcome.REPLACED:
+        assert result.replaced is before[nearest]
+        expect_skills = before[:nearest] + [skill] + before[nearest + 1:]
+    else:
+        expect_skills = before
+    assert len(arch.skills) == len(expect_skills)
+    assert all(a is b for a, b in zip(arch.skills, expect_skills))
+
+
 class TestTryInsert:
     def test_empty_archive_adds(self):
         arch = fresh_archive()
@@ -98,36 +146,33 @@ class TestTryInsert:
         assert res.outcome is InsertOutcome.REJECTED
         assert arch.min_pairwise_distance() >= 0.05
 
-    def test_pairwise_invariant_random_stream(self):
-        rng = np.random.default_rng(0)
-        arch = fresh_archive(r_novel=0.1)
-        for _ in range(2000):
-            b = rng.uniform(-1, 1, 2)
-            q = float(rng.normal())
-            arch.try_insert(make_skill(rng.uniform(-1, 1, 3), b, q))
-        assert arch.min_pairwise_distance() >= 0.1
+    @settings(max_examples=50, deadline=None)
+    @given(stream=insert_streams())
+    def test_pairwise_invariant_random_stream(self, stream):
+        r_novel, skills = stream
+        arch = fresh_archive(r_novel=r_novel)
+        for skill in skills:
+            insert_checked(arch, skill)
+            assert arch.min_pairwise_distance() >= r_novel
 
-    def test_max_quality_near_stored_outcomes_never_decreases(self):
+    @settings(max_examples=50, deadline=None)
+    @given(stream=insert_streams())
+    def test_max_quality_near_stored_outcomes_never_decreases(self, stream):
         # balls of radius r_novel centered at stored outcomes: replacement may
         # move an outcome, but only for a strictly better-quality skill that
         # stays inside the displaced skill's own ball
-        rng = np.random.default_rng(1)
-        arch = fresh_archive(r_novel=0.1)
+        r_novel, skills = stream
+        arch = fresh_archive(r_novel=r_novel)
 
-        def ball_max(center):
-            dist = np.linalg.norm(arch.outcomes() - center, axis=1)
-            sel = dist < 0.1
-            return arch.qualities()[sel].max() if sel.any() else -np.inf
+        def ball_max(centers):
+            dist = np.linalg.norm(centers[:, None, :] - arch.outcomes()[None, :, :], axis=2)
+            return np.where(dist < r_novel, arch.qualities(), -np.inf).max(axis=1, initial=-np.inf)
 
-        for _ in range(500):
-            centers = [s.outcome.values.copy() for s in arch.skills]
-            before = [ball_max(c) for c in centers]
-            arch.try_insert(
-                make_skill(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2), float(rng.normal()))
-            )
-            after = [ball_max(c) for c in centers]
-            for b, a in zip(before, after):
-                assert a >= b - 1e-12
+        for skill in skills:
+            centers = arch.outcomes().copy()
+            before = ball_max(centers)
+            insert_checked(arch, skill)
+            assert np.all(ball_max(centers) >= before)
 
     def test_non_finite_quality_raises(self):
         arch = fresh_archive()
@@ -231,6 +276,29 @@ class TestPersistence:
             assert np.array_equal(a.params.values, b.params.values)
             assert np.array_equal(a.outcome.values, b.outcome.values)
             assert a.quality == b.quality
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        arch = fresh_archive()
+        arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], 1.0))
+        path = tmp_path / "arch.jsonl"
+        save(arch, path)
+        before = path.read_bytes()
+        arch.try_insert(make_skill([1, 0, 0], [0.5, 0.0], 2.0))
+        arch.try_insert(make_skill([2, 0, 0], [1.0, 0.0], 3.0))
+        dumps = json.dumps
+        calls = []
+
+        def failing_dumps(obj, *args, **kwargs):
+            calls.append(obj)
+            if len(calls) == 3:   # the header, the first record, the second record
+                raise RuntimeError("disk full")
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", failing_dumps)
+        with pytest.raises(RuntimeError, match="disk full"):
+            save(arch, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["arch.jsonl"]
 
     def test_empty_archive_roundtrip(self, tmp_path):
         arch = fresh_archive()

@@ -30,25 +30,29 @@ def zero_theta(env):
     return sim.new_params(env, np.zeros(env.dim_params))
 
 
+def flight(pos, vel, gravity=9.81):
+    """sim._flight of one release, each coordinate a NumPy scalar."""
+    return sim._flight(tuple(np.asarray(pos, float)), tuple(np.asarray(vel, float)), gravity)
+
+
 class TestBallistics:
     def test_landing_formula_height_one(self):
         # release at 1 m with horizontal velocity 1 m/s: t* = sqrt(2/g)
-        landing, t_land = sim._ballistic_landing(
-            np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 9.81
-        )
+        landing, t_land, valid = flight([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+        assert valid
         assert t_land == pytest.approx(math.sqrt(2.0 / 9.81), abs=1e-9)
         assert landing[0] == pytest.approx(math.sqrt(2.0 / 9.81), abs=1e-9)
         assert landing[1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_below_ground_release_is_none(self):
-        assert sim._ballistic_landing(
-            np.array([0.0, 0.0, -0.1]), np.zeros(3), 9.81
-        ) is None
+    def test_below_ground_release_is_invalid(self):
+        landing, _, valid = flight([0.0, 0.0, -0.1], np.zeros(3))
+        assert not valid
+        assert np.array_equal(landing, [0.0, 0.0])
 
     def test_upward_release_lands_later(self):
-        up = sim._ballistic_landing(np.array([0, 0, 1.0]), np.array([1, 0, 2.0]), 9.81)
-        flat = sim._ballistic_landing(np.array([0, 0, 1.0]), np.array([1, 0, 0.0]), 9.81)
-        assert up[1] > flat[1]
+        _, up, _ = flight([0.0, 0.0, 1.0], [1.0, 0.0, 2.0])
+        _, flat, _ = flight([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+        assert up > flat
 
 
 class TestExecuteThrow:
@@ -65,11 +69,9 @@ class TestExecuteThrow:
             out = execute(throw_env, NOMINAL_GAP, theta)
             if not out.valid:
                 continue
-            traj = sim._trajectory(throw_env, theta)
-            angles, vels = sim.eval_trajectory(
-                traj, traj.duration, joint_limits=throw_env.joint_limits
+            pos, vel = _oracle_gripper(
+                throw_env, NOMINAL_GAP, *_oracle_joints(throw_env, theta, throw_env.duration)
             )
-            pos, vel = sim._gripper_state(throw_env, NOMINAL_GAP, angles, vels)
             g = throw_env.gravity
             t_land = (vel[2] + math.sqrt(vel[2] ** 2 + 2 * g * pos[2])) / g
             expect = pos[:2] + vel[:2] * t_land
@@ -105,9 +107,14 @@ class TestExecuteThrow:
                 moved += 1
         assert moved >= 5
 
-    def test_dimension_mismatch(self, throw_env):
+    @pytest.mark.parametrize("call", [
+        lambda env, theta: execute(env, NOMINAL_GAP, theta),
+        lambda env, theta: collides(env, theta, Obstacle(center=(50.0, 1.0), width=0.5, height=2.0)),
+        lambda env, theta: quality(env, theta, Outcome(values=np.zeros(2))),
+    ], ids=["execute", "collides", "quality"])
+    def test_dimension_mismatch(self, throw_env, call):
         with pytest.raises(DimensionError):
-            execute(throw_env, NOMINAL_GAP, make_params(np.zeros(7)))
+            call(throw_env, make_params(np.zeros(14)))
 
 
 class TestExecuteJoystick:
@@ -150,11 +157,9 @@ class TestCollides:
                 continue
             # place a tall wall halfway to the landing x, spanning the ground
             wall = Obstacle(center=(out.values[0] / 2.0, 1.5), width=0.2, height=3.0)
-            traj = sim._trajectory(throw_env, theta)
-            angles, vels = sim.eval_trajectory(
-                traj, traj.duration, joint_limits=throw_env.joint_limits
+            pos, _ = _oracle_gripper(
+                throw_env, NOMINAL_GAP, *_oracle_joints(throw_env, theta, throw_env.duration)
             )
-            pos, vel = sim._gripper_state(throw_env, NOMINAL_GAP, angles, vels)
             crosses = (pos[0] - wall.center[0]) * (out.values[0] - wall.center[0]) < 0
             if crosses:
                 assert collides(throw_env, theta, wall)
@@ -169,7 +174,7 @@ class TestCollides:
         assert not collides(throw_env, theta, wall)
 
     def test_sampled_oracle_agreement(self, throw_env):
-        # dense independent sampling of arm sweep + flight vs collides()
+        # the golden per-time-sample loop of arm sweep + flight vs collides()
         rng = np.random.default_rng(11)
         walls = [
             Obstacle(center=(0.4, 0.8), width=0.15, height=1.6),
@@ -178,27 +183,8 @@ class TestCollides:
         for _ in range(15):
             theta = sim.random_params(throw_env, rng)
             for wall in walls:
-                expect = _dense_collision_oracle(throw_env, theta, wall)
+                expect = _oracle_collides(throw_env, theta, wall, NOMINAL_GAP)
                 assert collides(throw_env, theta, wall) == expect
-
-
-def _dense_collision_oracle(env, theta, wall):
-    traj = sim._trajectory(env, theta)
-    limits = env.joint_limits
-    for t in np.linspace(0, env.duration, 101):
-        angles, _ = sim.eval_trajectory(traj, t, joint_limits=limits)
-        pts = sim._arm_points(env, NOMINAL_GAP, angles)
-        if np.any(wall.contains(pts[:, 0], pts[:, 2])):
-            return True
-    angles, vels = sim.eval_trajectory(traj, env.duration, joint_limits=limits)
-    pos, vel = sim._gripper_state(env, NOMINAL_GAP, angles, vels)
-    landing = sim._ballistic_landing(pos, vel, env.gravity)
-    if landing is None:
-        return False
-    ts = np.arange(0.0, landing[1] + env.step, env.step)
-    xs = pos[0] + vel[0] * ts
-    zs = pos[2] + vel[2] * ts - 0.5 * env.gravity * ts * ts
-    return bool(np.any(wall.contains(xs, zs)))
 
 
 class TestQuality:
@@ -564,12 +550,15 @@ class TestBatchedPathMatchesOracles:
         else:
             assert valid.all() and np.any(outcomes[20:25] != 0.0)
 
-    def test_nan_release_is_not_reported_invalid(self, throw_env):
+    def test_nan_release_is_not_reported_invalid(self):
         # a NaN release height is no release below ground: execute refuses
-        # the non-finite outcome, as the scalar path did
-        gap = RealityGap(link_scale=math.nan)
-        with pytest.raises(ValueError, match="non-finite"):
-            execute(throw_env, gap, sim.new_params(throw_env, np.full(15, 0.3)))
+        # the non-finite outcome, as the scalar path did. NaN scalars are
+        # refused on construction, so the NaN comes from links that
+        # overflow to inf and point up and down: z = inf - inf
+        env = make_env("throw", link_lengths=[1e308] * 4)
+        gap = RealityGap(link_scale=2.0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            execute(env, gap, sim.new_params(env, np.full(15, 0.3)))
 
     def test_empty_batch(self, joystick_env):
         outcomes, valid = execute_batch(joystick_env, NOMINAL_GAP, np.empty((0, 15)))
@@ -590,11 +579,51 @@ class TestShapeChecks:
     @pytest.mark.parametrize("field", ["duration", "gravity", "perturb_count"])
     @pytest.mark.parametrize("bad", [0, -1])
     def test_env_scalars_must_be_positive(self, field, bad):
-        # the batched path builds no JointTrajectory, which used to refuse a
-        # non-positive duration, and clamps the landing discriminant, which a
-        # non-positive gravity could make negative on a valid release
+        # a non-positive duration leaves no motion to sample, and the batched
+        # path clamps the landing discriminant, which a non-positive gravity
+        # could make negative on a valid release
         with pytest.raises(ValueError, match=field.split("_")[0]):
             make_env("throw", **{field: bad})
+
+    @pytest.mark.parametrize("kind, field, bad", [
+        ("joystick", "base_height", math.nan),   # would read a valid (0, 0)
+        ("throw", "base_height", math.inf),
+        ("throw", "step", math.nan),
+        ("throw", "step", math.inf),
+        ("throw", "duration", math.nan),
+        ("throw", "gravity", math.inf),
+        ("joystick", "joystick_radius", math.nan),
+        ("joystick", "joystick_radius", 0.0),
+        ("joystick", "joystick_gain", math.inf),
+        ("joystick", "max_tilt", math.nan),
+        ("joystick", "perturb_sigma", math.nan),
+        ("throw", "link_lengths", [0.4, math.nan, 0.2, 0.1]),
+        ("throw", "link_lengths", [0.4, math.inf, 0.2, 0.1]),
+        ("joystick", "joystick_pos", [0.5, math.nan, 1.1]),
+    ])
+    def test_env_fields_must_be_finite(self, kind, field, bad):
+        with pytest.raises(ValueError, match=field):
+            make_env(kind, **{field: bad})
+
+    @pytest.mark.parametrize("field, bad", [
+        ("gravity_scale", math.nan),
+        ("gravity_scale", math.inf),
+        ("link_scale", math.nan),
+        ("link_scale", math.inf),
+        ("link_scale", 0.0),
+        ("link_scale", -1.0),
+        ("joint_bias", [0.0, math.nan, 0.0, 0.0, 0.0]),
+        ("joint_bias", [0.0, 0.0, 0.0, 0.0, -math.inf]),
+    ])
+    def test_gap_fields_must_be_finite(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            RealityGap(**{field: bad})
+
+    def test_config_with_nan_scalar(self, tmp_path):
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text("kind=joystick\nbase_height=nan\n")
+        with pytest.raises(ValueError, match="env.cfg: base_height"):
+            load_env_config(cfg)
 
     def test_link_lengths_unused_off_the_arm(self):
         assert make_env("reach2d", link_lengths=[0.5, 0.3]).kind == "reach2d"
