@@ -33,8 +33,6 @@ class LeastSquaresFit:
     """Solution of min ||A X - B||^2 + ridge ||X||^2 with diagnostics."""
 
     x: np.ndarray
-    rank: int
-    singular_values: np.ndarray
     rank_deficient: bool
 
 
@@ -67,7 +65,7 @@ def least_squares(a, b, ridge: float = 0.0) -> LeastSquaresFit:
     deficient = rank < min(a.shape)
     if squeeze:
         x = x[:, 0]
-    return LeastSquaresFit(x=x, rank=rank, singular_values=s, rank_deficient=deficient)
+    return LeastSquaresFit(x=x, rank_deficient=deficient)
 
 
 def pinv(m, tol: float = 1e-12) -> np.ndarray:
@@ -97,10 +95,6 @@ class TuckerFactors:
     u1: np.ndarray
     u2: np.ndarray
     u3: np.ndarray
-
-    @property
-    def ranks(self):
-        return self.core.shape
 
 
 def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
@@ -140,16 +134,13 @@ def tucker_full(factors: TuckerFactors) -> np.ndarray:
 def reconstruct(factors: TuckerFactors, weight) -> np.ndarray:
     """One frontal slice: core x1 U1 x2 U2 x3 w^T.
 
-    weight is either an integer slice index (row of u3) or an r3-vector.
+    weight is an r3-vector; row k of u3 gives back slice k of the source.
     """
-    if np.isscalar(weight) and isinstance(weight, (int, np.integer)):
-        w = factors.u3[int(weight)]
-    else:
-        w = np.asarray(weight, dtype=float)
-        if w.shape != (factors.core.shape[2],):
-            raise ValueError(
-                f"weight length {w.shape} does not match third-mode rank {factors.core.shape[2]}"
-            )
+    w = np.asarray(weight, dtype=float)
+    if w.shape != (factors.core.shape[2],):
+        raise ValueError(
+            f"weight length {w.shape} does not match third-mode rank {factors.core.shape[2]}"
+        )
     return np.einsum(
         "abc,ia,jb,c->ij", factors.core, factors.u1, factors.u2, w, optimize=True
     )

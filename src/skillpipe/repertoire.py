@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControllerParams, Outcome, Skill
+from .core import ControllerParams, DimensionError, Outcome, Skill
 
 __all__ = [
     "Archive",
@@ -60,10 +60,14 @@ class InsertResult:
 
 
 class Archive:
-    """Ordered set of skills unique in outcome space at radius r_novel."""
+    """Ordered set of skills unique in outcome space at radius r_novel.
 
-    def __init__(self, r_novel: float, env_kind: str = "", dim_params: int = 0,
-                 dim_outcome: int = 0, seed: int = 0):
+    Every skill has dim_params controller values and dim_outcome outcome
+    values.
+    """
+
+    def __init__(self, r_novel: float, env_kind: str, dim_params: int,
+                 dim_outcome: int, seed: int = 0):
         if not (0 < r_novel < math.inf):
             raise ValueError("r_novel must be positive and finite")
         self.r_novel = float(r_novel)
@@ -98,7 +102,14 @@ class Archive:
         Added when no stored outcome is within r_novel; otherwise the nearest
         stored skill is replaced when the candidate has strictly higher
         quality and conflicts with nothing else; otherwise rejected.
+        Raises DimensionError, before anything changes, unless the skill has
+        dim_params controller values and dim_outcome outcome values.
         """
+        if (skill.params.dim, skill.outcome.dim) != (self.dim_params, self.dim_outcome):
+            raise DimensionError(
+                f"skill of dimensions (D={skill.params.dim}, d={skill.outcome.dim}) in an "
+                f"archive of (D={self.dim_params}, d={self.dim_outcome})"
+            )
         if not skill.outcome.valid:
             raise ValueError("cannot insert a skill with an invalid outcome")
         if not math.isfinite(skill.quality):

@@ -10,14 +10,17 @@ revolute joints, analytic forward kinematics):
 
 A toy observation-emitting reaching task (reach2d) renders 16x16 frames for
 representation learning, and a kinematic point-mass task family (pusherlike /
-throwerlike / strikerlike) hosts cross-task policy transfer.  All geometry is
-a desk-scale stand-in chosen for cheap, closed-form evaluation.
+throwerlike / strikerlike) hosts cross-task policy transfer.  The geometry
+and physics are fixed constants of :class:`EnvironmentSpec`, a desk-scale
+stand-in chosen for cheap, closed-form evaluation; a :class:`RealityGap`
+(gravity scale, joint bias, link scale) is the one way to perturb execution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,7 +33,6 @@ __all__ = [
     "ObservationFrame",
     "NOMINAL_GAP",
     "make_env",
-    "load_env_config",
     "theta_bounds",
     "execute",
     "execute_batch",
@@ -58,16 +60,16 @@ REACH_STEP = 0.05
 REACH_TOUCH_RADIUS = 0.1
 FRAME_SIZE = 16
 
-_JOINT_LIMITS = np.tile([-JOINT_LIMIT, JOINT_LIMIT], (N_JOINTS, 1))
-_JOINT_LIMITS.flags.writeable = False
-
 
 @dataclass(frozen=True)
 class RealityGap:
     """Systematic perturbation applied at execution time.
 
-    The nominal gap (scale 1, zero bias) leaves execution unchanged.  Both
-    scales must be positive and finite, and joint_bias finite.
+    The one way to vary the arm: gravity_scale multiplies the fixed gravity,
+    link_scale the fixed link lengths, and joint_bias is added to the joint
+    angles.  The nominal gap (scale 1, zero bias) leaves execution
+    unchanged.  Both scales must be positive and finite, and joint_bias
+    finite.
     """
 
     gravity_scale: float = 1.0
@@ -124,59 +126,36 @@ class ObservationFrame:
     reward: int
 
 
-# float fields of EnvironmentSpec: all must be finite, the first four positive
-_POSITIVE_FIELDS = ("gravity", "step", "duration", "joystick_radius")
-_FLOAT_FIELDS = _POSITIVE_FIELDS + ("base_height", "joystick_gain", "max_tilt", "perturb_sigma")
-
-
 @dataclass(frozen=True)
 class EnvironmentSpec:
     """Immutable description of one environment instance.
 
-    Every float field and every entry of link_lengths and joystick_pos must
-    be finite; link_lengths, gravity, step, duration and joystick_radius
-    must be positive.
+    Only the kind varies.  The arm geometry, the joystick and the physics are
+    class constants shared by every instance, the arrays read-only;
+    joint_limits holds the [lo, hi] angle limits of each joint, (N_JOINTS, 2).
+    A :class:`RealityGap` passed to execution is what perturbs them.
     """
 
     kind: str
-    link_lengths: np.ndarray = field(
-        default_factory=lambda: np.array([0.4, 0.3, 0.2, 0.1])
-    )
-    base_height: float = 0.8
-    joystick_pos: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.0, 1.1]))
-    joystick_radius: float = 0.15
-    joystick_gain: float = 8.0
-    max_tilt: float = math.pi / 6.0
-    gravity: float = 9.81
-    step: float = 0.01
-    duration: float = 1.0
-    perturb_sigma: float = 0.02   # joystick robustness probe, fraction of range
-    perturb_count: int = 5
+    link_lengths: ClassVar[np.ndarray] = np.array([0.4, 0.3, 0.2, 0.1])
+    base_height: ClassVar[float] = 0.8
+    joystick_pos: ClassVar[np.ndarray] = np.array([0.5, 0.0, 1.1])
+    joystick_radius: ClassVar[float] = 0.15
+    joystick_gain: ClassVar[float] = 8.0
+    max_tilt: ClassVar[float] = math.pi / 6.0
+    gravity: ClassVar[float] = 9.81
+    step: ClassVar[float] = 0.01
+    duration: ClassVar[float] = 1.0
+    perturb_sigma: ClassVar[float] = 0.02   # joystick robustness probe, fraction of range
+    perturb_count: ClassVar[int] = 5
+    joint_limits: ClassVar[np.ndarray] = np.tile([-JOINT_LIMIT, JOINT_LIMIT], (N_JOINTS, 1))
+    link_lengths.flags.writeable = False
+    joystick_pos.flags.writeable = False
+    joint_limits.flags.writeable = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown environment kind {self.kind!r}")
-        object.__setattr__(self, "link_lengths", np.asarray(self.link_lengths, dtype=float))
-        object.__setattr__(self, "joystick_pos", np.asarray(self.joystick_pos, dtype=float))
-        if self.kind in SKILL_KINDS:
-            if self.link_lengths.shape != (N_JOINTS - 1,):
-                raise DimensionError(
-                    f"link_lengths must have shape ({N_JOINTS - 1},), got {self.link_lengths.shape}"
-                )
-            if self.joystick_pos.shape != (3,):
-                raise DimensionError(f"joystick_pos must have shape (3,), got {self.joystick_pos.shape}")
-        if not (np.isfinite(self.link_lengths).all() and np.all(self.link_lengths > 0)):
-            raise ValueError("link_lengths must be positive and finite")
-        if not np.isfinite(self.joystick_pos).all():
-            raise ValueError("joystick_pos must be finite")
-        if self.perturb_count < 1:
-            raise ValueError("perturb_count must be at least 1")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if name in _POSITIVE_FIELDS and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
 
     @property
     def dim_params(self) -> int:
@@ -190,15 +169,10 @@ class EnvironmentSpec:
             return 2
         raise ValueError(f"{self.kind} has no outcome space")
 
-    @property
-    def joint_limits(self) -> np.ndarray:
-        """Per-joint [lo, hi] angle limits, (N_JOINTS, 2), read-only."""
-        return _JOINT_LIMITS
 
-
-def make_env(kind: str, **overrides) -> EnvironmentSpec:
-    """Environment with documented defaults for the given kind."""
-    return EnvironmentSpec(kind=kind, **overrides)
+def make_env(kind: str) -> EnvironmentSpec:
+    """The environment of the given kind."""
+    return EnvironmentSpec(kind=kind)
 
 
 def theta_bounds(env: EnvironmentSpec) -> np.ndarray:
@@ -540,14 +514,15 @@ def flatten_policy(layers) -> np.ndarray:
 
 def unflatten_policy(flat) -> list[np.ndarray]:
     flat = np.asarray(flat, dtype=float)
+    total = sum(rows * cols for rows, cols in policy_shapes())
+    if flat.shape != (total,):
+        raise DimensionError(f"policy vector of shape {flat.shape}, expected ({total},)")
     layers = []
     idx = 0
     for shape in policy_shapes():
         size = shape[0] * shape[1]
         layers.append(flat[idx : idx + size].reshape(shape))
         idx += size
-    if idx != flat.shape[0]:
-        raise DimensionError(f"policy vector length {flat.shape[0]}, expected {idx}")
     return layers
 
 
@@ -610,50 +585,3 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
             puck_vel *= 0.98
     return -float(np.linalg.norm(puck - goal))
 
-
-# ---------------------------------------------------------------------------
-# Config file support
-# ---------------------------------------------------------------------------
-
-_VEC_KEYS = {"link_lengths", "joystick_pos"}
-
-
-def load_env_config(path) -> EnvironmentSpec:
-    """Read an EnvironmentSpec from a key=value file.
-
-    Recognized keys: kind (required), link_lengths and joystick_pos as
-    comma-separated floats, perturb_count as int, and the scalar geometry
-    keys (base_height, gravity, step, duration, joystick_radius,
-    joystick_gain, max_tilt, perturb_sigma).  Lines starting with '#' are
-    comments.
-    """
-    fields: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            try:
-                if key == "kind":
-                    fields[key] = value
-                elif key in _VEC_KEYS:
-                    fields[key] = np.array([float(v) for v in value.split(",")])
-                elif key in _FLOAT_FIELDS:
-                    fields[key] = float(value)
-                elif key == "perturb_count":
-                    fields[key] = int(value)
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if "kind" not in fields:
-        raise ValueError(f"{path}: missing required key 'kind'")
-    try:
-        return EnvironmentSpec(**fields)
-    except ValueError as exc:   # DimensionError included, and kept as its type
-        raise type(exc)(f"{path}: {exc}") from None

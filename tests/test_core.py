@@ -99,6 +99,10 @@ class TestEvalCubics:
         assert angles[0] == pytest.approx(0.25)
         assert vel[0] == 0.0
 
+    def test_two_dimensional_times_rejected(self):
+        with pytest.raises(DimensionError, match="t must be"):
+            eval_cubics(cubics(np.zeros(15)), np.zeros((2, 3)))
+
 
 class TestClamp:
     def test_identity_in_bounds(self):
@@ -141,6 +145,14 @@ class TestTypes:
     def test_controller_params_infinite_bounds_allowed(self):
         theta = ControllerParams(values=np.zeros(2), bounds=[[-np.inf, np.inf], [0.0, np.inf]])
         assert theta.in_bounds()
+
+    @pytest.mark.parametrize("make", [
+        lambda values: ControllerParams(values=values, bounds=np.tile([-1.0, 1.0], (2, 1))),
+        lambda values: Outcome(values=values),
+    ], ids=["params", "outcome"])
+    def test_values_must_be_a_vector(self, make):
+        with pytest.raises(DimensionError, match="1-D"):
+            make(np.zeros((2, 1)))
 
     def test_invalid_outcome_sentinel(self):
         out = Outcome.invalid(2)

@@ -59,6 +59,15 @@ class TestLeastSquares:
             x_ne = np.linalg.solve(a.T @ a, a.T @ b)
             assert np.allclose(fit.x, x_ne, atol=1e-6)
 
+    @pytest.mark.parametrize("a, b, ridge, match", [
+        (np.eye(3), np.ones(3), -1e-9, "ridge"),
+        (np.ones(3), np.ones(3), 0.0, "matrix"),
+        (np.ones((3, 2)), np.ones(4), 0.0, "incompatible"),
+    ], ids=["negative-ridge", "vector-A", "row-mismatch"])
+    def test_bad_inputs_rejected(self, a, b, ridge, match):
+        with pytest.raises(ValueError, match=match):
+            least_squares(a, b, ridge=ridge)
+
 
 class TestPinv:
     def test_identity(self):
@@ -84,6 +93,10 @@ class TestPinv:
             assert np.allclose(p @ m @ p, p, atol=1e-8)
             assert np.allclose((m @ p).T, m @ p, atol=1e-8)
             assert np.allclose((p @ m).T, p @ m, atol=1e-8)
+
+    def test_empty_matrix_gives_its_transpose(self):
+        p = pinv(np.zeros((0, 4)))
+        assert p.shape == (4, 0)
 
 
 class TestHosvd:
@@ -134,6 +147,10 @@ class TestHosvd:
         with pytest.raises(ValueError):
             hosvd(t, (4, 1, 1))
 
+    def test_two_way_array_rejected(self):
+        with pytest.raises(ValueError, match="3-way"):
+            hosvd(np.eye(3), (1, 1, 1))
+
 
 class TestReconstruct:
     def test_slice_matches_source_within_truncation(self):
@@ -141,7 +158,7 @@ class TestReconstruct:
         t = rng.normal(size=(6, 5, 4))
         factors = hosvd(t, (6, 5, 4))
         for k in range(4):
-            assert np.allclose(reconstruct(factors, k), t[:, :, k], atol=1e-8)
+            assert np.allclose(reconstruct(factors, factors.u3[k]), t[:, :, k], atol=1e-8)
 
     def test_zero_weight_gives_zero_layer(self):
         rng = np.random.default_rng(11)
@@ -226,6 +243,11 @@ class TestCmaes:
         with pytest.raises(ValueError):
             cmaes_minimize(lambda v: 0.0, np.zeros(3), 1.0, 2, seed=0)
 
+    @pytest.mark.parametrize("sigma0", [0.0, -0.5])
+    def test_non_positive_sigma0_rejected(self, sigma0):
+        with pytest.raises(ValueError, match="sigma0"):
+            cmaes_minimize(lambda v: 0.0, np.zeros(3), sigma0, 100, seed=0)
+
 
 class TestPearson:
     def test_perfect_correlations(self):
@@ -249,3 +271,5 @@ class TestPearson:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             pearson([1.0], [2.0])
+        with pytest.raises(ValueError, match="equal-length"):
+            pearson([1.0, 2.0, 3.0], [1.0, 2.0])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillpipe.core import ControllerParams, Outcome, Skill
+from skillpipe.core import ControllerParams, DimensionError, Outcome, Skill
 from skillpipe.repertoire import (
     Archive,
     ArchiveFormatError,
@@ -181,6 +181,24 @@ class TestTryInsert:
                 arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], q))
         assert len(arch) == 0
 
+    @pytest.mark.parametrize("first, wrong", [
+        pytest.param([], make_skill([0, 0, 0, 0, 0], [0.5, 0.5]), id="theta-of-5-first"),
+        pytest.param([], make_skill([0, 0, 0], [0.5, 0.5, 0.5]), id="outcome-of-3-first"),
+        pytest.param([make_skill([0, 0, 0], [0.0, 0.0])], make_skill([0, 0], [0.5, 0.5]),
+                     id="theta-of-2-after-3"),
+    ])
+    def test_wrong_dimensions_raise_and_change_nothing(self, first, wrong):
+        # D=3, d=2: kept, such a skill would make save write a file load
+        # refuses, or the next knn_params fail inside NumPy
+        arch = fresh_archive()
+        for skill in first:
+            arch.try_insert(skill)
+        before = list(arch.skills)
+        with pytest.raises(DimensionError):
+            arch.try_insert(wrong)
+        assert len(arch.skills) == len(before)
+        assert all(a is b for a, b in zip(arch.skills, before))
+
     @pytest.mark.parametrize("r_novel", [0.0, -1.0, math.nan, math.inf])
     def test_r_novel_must_be_positive_and_finite(self, r_novel):
         with pytest.raises(ValueError):
@@ -247,6 +265,12 @@ class TestQueries:
             arch.nearest_outcome([0.0, 0.0])
         with pytest.raises(ValueError):
             arch.knn_params([0.0, 0.0, 0.0], 1)
+
+    def test_k_must_be_positive(self):
+        arch = fresh_archive()
+        arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], 1.0))
+        with pytest.raises(ValueError, match="k must be"):
+            arch.knn_params([0.0, 0.0, 0.0], 0)
 
     def test_tie_breaks_by_insertion_order(self):
         arch = fresh_archive(r_novel=0.01)
@@ -331,6 +355,13 @@ class TestPersistence:
         with pytest.raises(ArchiveFormatError, match=":2"):
             load(path)
 
+    def test_empty_file_names_line_1(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_bytes(b"")
+        with pytest.raises(ArchiveFormatError, match="empty archive file"):
+            load(path)
+        assert_rejected_at(path, 1)
+
     def test_missing_header_keys_all_named_in_header_order(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"env": "throw", "D": 3}\n')
@@ -340,6 +371,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("header, records", [
         pytest.param("5", [], id="header-not-object"),
+        pytest.param("{not json", [RECORD], id="header-not-json"),
         pytest.param(dict(HEADER, D="x"), [], id="D-not-int"),
         pytest.param(dict(HEADER, d="x"), [], id="d-not-int"),
         pytest.param(dict(HEADER, seed="x"), [], id="seed-not-int"),

@@ -15,7 +15,6 @@ from skillpipe.sim import (
     collides,
     execute,
     execute_batch,
-    load_env_config,
     make_env,
     quality,
     reach_reset,
@@ -186,6 +185,49 @@ class TestCollides:
                 expect = _oracle_collides(throw_env, theta, wall, NOMINAL_GAP)
                 assert collides(throw_env, theta, wall) == expect
 
+    def test_one_arm_sample_decides(self, throw_env):
+        # SWING tilts the arm at 1 rad/s, its tip moving 1 cm per time sample;
+        # a 4 mm wall round the tip at the odd sample 51 meets no other
+        # sample, and the flight leaves from the far side of the swing
+        theta = sim.new_params(throw_env, SWING)
+        times = _oracle_times(throw_env)
+
+        def arm(t):
+            return _oracle_arm_points(throw_env, NOMINAL_GAP, _oracle_joints(throw_env, theta, t)[0])
+
+        xs, zs = arm(times[51])
+        wall = Obstacle(center=(xs[-1], zs[-1]), width=0.004, height=0.004)
+        assert [t for t in times if np.any(wall.contains(*arm(t)))] == [times[51]]
+        assert collides(throw_env, theta, wall)
+
+    def test_last_flight_sample_decides(self, throw_env):
+        # the flight is sampled every step up to the first sample at or past
+        # landing; a wall round that sample meets no earlier one
+        theta = sim.new_params(throw_env, SWING)
+        pos, vel = _oracle_gripper(
+            throw_env, NOMINAL_GAP, *_oracle_joints(throw_env, theta, throw_env.duration)
+        )
+        g, step = throw_env.gravity, throw_env.step
+        _, t_land = _oracle_landing(pos, vel, g)
+        ts = np.arange(0.0, t_land + step, step)
+        assert ts[-1] >= t_land
+        xs = pos[0] + vel[0] * ts
+        zs = pos[2] + vel[2] * ts - 0.5 * g * ts * ts
+        size = math.hypot(xs[-1] - xs[-2], zs[-1] - zs[-2]) / 2
+        wall = Obstacle(center=(xs[-1], zs[-1]), width=size, height=size)
+        assert not np.any(wall.contains(xs[:-1], zs[:-1]))
+        assert collides(throw_env, theta, wall)
+
+    @pytest.mark.parametrize("width, height", [(0.0, 1.0), (1.0, -1.0)])
+    def test_obstacle_extents_must_be_positive(self, width, height):
+        with pytest.raises(ValueError, match="positive"):
+            Obstacle(center=(0.0, 0.0), width=width, height=height)
+
+    def test_only_throw_has_collisions(self, joystick_env):
+        wall = Obstacle(center=(0.5, 1.0), width=0.1, height=0.1)
+        with pytest.raises(ValueError, match="throw"):
+            collides(joystick_env, zero_theta(joystick_env), wall)
+
 
 class TestQuality:
     def test_constant_trajectory_max_quality(self, throw_env):
@@ -231,6 +273,14 @@ class TestQuality:
         assert q1 == q2
         assert q1 <= 0.0
 
+    def test_invalid_outcome_refused(self, throw_env):
+        with pytest.raises(ValueError, match="valid outcome"):
+            quality(throw_env, zero_theta(throw_env), Outcome.invalid(2))
+
+    def test_needs_a_skill_environment(self):
+        with pytest.raises(ValueError, match="reach2d"):
+            quality(make_env("reach2d"), make_params(np.zeros(15)), Outcome(values=np.zeros(2)))
+
 
 class TestReach2d:
     def test_reward_plus_one_near_target(self):
@@ -274,6 +324,11 @@ class TestReach2d:
             nxt = reach_step(frame, action)
             assert np.array_equal(nxt.gripper, frame.gripper)
 
+    @pytest.mark.parametrize("action", [-1, 6])
+    def test_action_out_of_range(self, action):
+        with pytest.raises(ValueError, match="action"):
+            reach_step(render_frame([0.4, 0.6], [0.9, 0.9]), action)
+
 
 class TestTransferTasks:
     def zero_policy(self):
@@ -311,6 +366,14 @@ class TestTransferTasks:
         for a, b in zip(layers, again):
             assert np.array_equal(a, b)
 
+    def test_unflatten_needs_128_values(self):
+        with pytest.raises(DimensionError, match="127"):
+            sim.unflatten_policy(np.zeros(127))
+
+    def test_unknown_task_rejected(self):
+        with pytest.raises(ValueError, match="reacherlike"):
+            transfer_task("reacherlike", self.zero_policy())
+
 
 def _scripted_pusher_policy():
     # steer the hand to a point slightly behind the puck, seen from the goal
@@ -324,34 +387,6 @@ def _scripted_pusher_policy():
 
 
 class TestEnvConfig:
-    def test_roundtrip(self, tmp_path):
-        cfg = tmp_path / "env.cfg"
-        cfg.write_text(
-            "# test config\nkind=throw\ngravity=9.0\nlink_lengths=0.5,0.3,0.2,0.1\n"
-        )
-        env = load_env_config(cfg)
-        assert env.kind == "throw"
-        assert env.gravity == 9.0
-        assert np.allclose(env.link_lengths, [0.5, 0.3, 0.2, 0.1])
-
-    def test_missing_kind(self, tmp_path):
-        cfg = tmp_path / "env.cfg"
-        cfg.write_text("gravity=9.0\n")
-        with pytest.raises(ValueError, match="kind"):
-            load_env_config(cfg)
-
-    def test_bad_line_reports_lineno(self, tmp_path):
-        cfg = tmp_path / "env.cfg"
-        cfg.write_text("kind=throw\nnot a kv line\n")
-        with pytest.raises(ValueError, match=":2"):
-            load_env_config(cfg)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "env.cfg"
-        cfg.write_text("kind=throw\nwarp_drive=1\n")
-        with pytest.raises(ValueError, match="warp_drive"):
-            load_env_config(cfg)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_env("flying")
@@ -461,6 +496,10 @@ def _oracle_collides(env, theta, wall, gap):
 GAP = RealityGap(gravity_scale=1.1, joint_bias=[0.03, -0.03, 0.04, -0.02, 0.02], link_scale=1.05)
 GAPS = (NOMINAL_GAP, GAP)
 
+# Joint 1 tilting the whole arm at 1 rad/s from upright: a valid throw
+SWING = np.zeros(15)
+SWING[3] = 1.0
+
 # Joint 1 at its limit and joint 2 bent on: the throw release is below ground
 BELOW_GROUND = np.zeros(15)
 BELOW_GROUND[3:6] = 1.0
@@ -551,14 +590,14 @@ class TestBatchedPathMatchesOracles:
             assert valid.all() and np.any(outcomes[20:25] != 0.0)
 
     def test_nan_release_is_not_reported_invalid(self):
-        # a NaN release height is no release below ground: execute refuses
-        # the non-finite outcome, as the scalar path did. NaN scalars are
-        # refused on construction, so the NaN comes from links that
-        # overflow to inf and point up and down: z = inf - inf
-        env = make_env("throw", link_lengths=[1e308] * 4)
-        gap = RealityGap(link_scale=2.0)
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
-            execute(env, gap, sim.new_params(env, np.full(15, 0.3)))
+        # a NaN release height is no release below ground: the landing stays
+        # valid and NaN, so execute refuses the non-finite outcome, as the
+        # scalar path did
+        landing, _, valid = flight([0.0, 0.0, math.nan], [1.0, 0.0, 0.0])
+        assert valid
+        assert np.isnan(landing).all()
+        with pytest.raises(ValueError, match="non-finite"):
+            Outcome(values=landing)
 
     def test_empty_batch(self, joystick_env):
         outcomes, valid = execute_batch(joystick_env, NOMINAL_GAP, np.empty((0, 15)))
@@ -570,40 +609,6 @@ class TestShapeChecks:
     def test_joint_bias_needs_one_entry_per_joint(self, bias):
         with pytest.raises(DimensionError):
             RealityGap(joint_bias=bias)
-
-    @pytest.mark.parametrize("kind", sim.SKILL_KINDS)
-    def test_arm_needs_four_link_lengths(self, kind):
-        with pytest.raises(DimensionError):
-            make_env(kind, link_lengths=[0.5, 0.3])
-
-    @pytest.mark.parametrize("field", ["duration", "gravity", "perturb_count"])
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_env_scalars_must_be_positive(self, field, bad):
-        # a non-positive duration leaves no motion to sample, and the batched
-        # path clamps the landing discriminant, which a non-positive gravity
-        # could make negative on a valid release
-        with pytest.raises(ValueError, match=field.split("_")[0]):
-            make_env("throw", **{field: bad})
-
-    @pytest.mark.parametrize("kind, field, bad", [
-        ("joystick", "base_height", math.nan),   # would read a valid (0, 0)
-        ("throw", "base_height", math.inf),
-        ("throw", "step", math.nan),
-        ("throw", "step", math.inf),
-        ("throw", "duration", math.nan),
-        ("throw", "gravity", math.inf),
-        ("joystick", "joystick_radius", math.nan),
-        ("joystick", "joystick_radius", 0.0),
-        ("joystick", "joystick_gain", math.inf),
-        ("joystick", "max_tilt", math.nan),
-        ("joystick", "perturb_sigma", math.nan),
-        ("throw", "link_lengths", [0.4, math.nan, 0.2, 0.1]),
-        ("throw", "link_lengths", [0.4, math.inf, 0.2, 0.1]),
-        ("joystick", "joystick_pos", [0.5, math.nan, 1.1]),
-    ])
-    def test_env_fields_must_be_finite(self, kind, field, bad):
-        with pytest.raises(ValueError, match=field):
-            make_env(kind, **{field: bad})
 
     @pytest.mark.parametrize("field, bad", [
         ("gravity_scale", math.nan),
@@ -618,21 +623,6 @@ class TestShapeChecks:
     def test_gap_fields_must_be_finite(self, field, bad):
         with pytest.raises(ValueError, match=field):
             RealityGap(**{field: bad})
-
-    def test_config_with_nan_scalar(self, tmp_path):
-        cfg = tmp_path / "env.cfg"
-        cfg.write_text("kind=joystick\nbase_height=nan\n")
-        with pytest.raises(ValueError, match="env.cfg: base_height"):
-            load_env_config(cfg)
-
-    def test_link_lengths_unused_off_the_arm(self):
-        assert make_env("reach2d", link_lengths=[0.5, 0.3]).kind == "reach2d"
-
-    def test_config_with_two_link_lengths(self, tmp_path):
-        cfg = tmp_path / "env.cfg"
-        cfg.write_text("kind=throw\nlink_lengths=0.5,0.3\n")
-        with pytest.raises(DimensionError, match="env.cfg"):
-            load_env_config(cfg)
 
     @pytest.mark.parametrize("shape", [(15,), (3, 14), (3, 16), (1, 3, 15)])
     def test_execute_batch_needs_rows_of_dim_params(self, throw_env, shape):
@@ -649,3 +639,12 @@ class TestShapeChecks:
     def test_execute_batch_needs_a_skill_environment(self):
         with pytest.raises(ValueError):
             execute_batch(make_env("reach2d"), NOMINAL_GAP, np.zeros((1, 15)))
+
+    def test_execute_needs_a_skill_environment(self):
+        with pytest.raises(ValueError, match="reach2d"):
+            execute(make_env("reach2d"), NOMINAL_GAP, make_params(np.zeros(15)))
+
+    @pytest.mark.parametrize("dim", ["dim_params", "dim_outcome"])
+    def test_reach2d_has_no_skill_dimensions(self, dim):
+        with pytest.raises(ValueError, match="reach2d"):
+            getattr(make_env("reach2d"), dim)
