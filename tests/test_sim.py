@@ -610,6 +610,33 @@ class TestShapeChecks:
         with pytest.raises(DimensionError):
             RealityGap(joint_bias=bias)
 
+    @pytest.mark.parametrize("kind", sim.SKILL_KINDS)
+    def test_arm_needs_four_link_lengths(self, kind):
+        # the geometry is fixed: four read-only link lengths, and neither
+        # make_env nor the instance takes another
+        env = make_env(kind)
+        assert env.link_lengths.shape == (sim.N_JOINTS - 1,)
+        with pytest.raises(ValueError, match="read-only"):
+            env.link_lengths[0] = 0.5
+        with pytest.raises(TypeError):
+            make_env(kind, link_lengths=[0.5, 0.3])
+        with pytest.raises(AttributeError):
+            env.link_lengths = np.array([0.5, 0.3])
+
+    @pytest.mark.parametrize("field", ["duration", "gravity", "perturb_count"])
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_env_scalars_must_be_positive(self, field, bad):
+        # a non-positive duration leaves no motion to sample, and the batched
+        # path clamps the landing discriminant, which a non-positive gravity
+        # could make negative on a valid release
+        env = make_env("throw")
+        assert getattr(env, field) > 0
+        with pytest.raises(TypeError):
+            make_env("throw", **{field: bad})
+        with pytest.raises(AttributeError):
+            setattr(env, field, bad)
+        assert getattr(env, field) > 0
+
     @pytest.mark.parametrize("field, bad", [
         ("gravity_scale", math.nan),
         ("gravity_scale", math.inf),
