@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DimensionError",
     "ControllerParams",
     "Outcome",
     "Skill",
@@ -62,12 +63,6 @@ class ControllerParams:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    def in_bounds(self, atol: float = 0.0) -> bool:
-        return bool(
-            np.all(self.values >= self.bounds[:, 0] - atol)
-            and np.all(self.values <= self.bounds[:, 1] + atol)
-        )
 
     def with_values(self, values) -> "ControllerParams":
         return ControllerParams(values=values, bounds=self.bounds)

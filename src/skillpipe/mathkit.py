@@ -20,12 +20,19 @@ __all__ = [
     "least_squares",
     "pinv",
     "hosvd",
+    "tucker_full",
     "reconstruct",
     "cmaes_minimize",
     "pearson",
 ]
 
 _RANK_TOL = 1e-12
+
+
+def _inverse_singular_values(s: np.ndarray) -> np.ndarray:
+    """1/s for singular values s (descending) above _RANK_TOL * s[0], else 0."""
+    keep = s > _RANK_TOL * (s[0] if s.size else 0.0)
+    return np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -55,9 +62,8 @@ def least_squares(a, b, ridge: float = 0.0) -> LeastSquaresFit:
         raise ValueError(f"incompatible shapes {a.shape} vs {b.shape}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if ridge == 0.0:
-        cutoff = _RANK_TOL * (s[0] if s.size else 0.0)
-        inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-        rank = int(np.sum(s > cutoff))
+        inv = _inverse_singular_values(s)
+        rank = int(np.count_nonzero(inv))
     else:
         inv = s / (s * s + ridge)
         rank = int(np.sum(s > 0))
@@ -68,15 +74,10 @@ def least_squares(a, b, ridge: float = 0.0) -> LeastSquaresFit:
     return LeastSquaresFit(x=x, rank_deficient=deficient)
 
 
-def pinv(m, tol: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse; singular values below tol * sigma_max are zeroed."""
-    m = np.asarray(m, dtype=float)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0:
-        return m.T.copy()
-    cutoff = tol * s[0]
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return vt.T @ (inv[:, None] * u.T)
+def pinv(m) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse; singular values up to _RANK_TOL * sigma_max are zeroed."""
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=float), full_matrices=False)
+    return vt.T @ (_inverse_singular_values(s)[:, None] * u.T)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +159,11 @@ def _cma_weights(lam: int):
     return mu, weights, mu_eff
 
 
-def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int, lam: int | None = None):
+def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int):
     """Minimize f with CMA-ES (rank-one plus rank-mu covariance updates).
 
-    Runs whole generations while they fit in the evaluation budget.  Candidates
+    Runs whole generations of 4 + floor(3 ln n) candidates (6 for n = 1)
+    while they fit in the evaluation budget.  Candidates
     with non-finite objective values are ranked worst and the run continues.
     Returns (x_best, f_best, history) where history[i] is the best objective
     value seen after evaluation i+1 (monotone non-increasing).
@@ -170,8 +172,7 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int, lam: int | None
     n = x0.shape[0]
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
-    if lam is None:
-        lam = 4 + int(3 * math.log(n)) if n > 1 else 6
+    lam = 4 + int(3 * math.log(n)) if n > 1 else 6
     if budget < lam:
         raise ValueError(f"budget {budget} smaller than population size {lam}")
     mu, weights, mu_eff = _cma_weights(lam)

@@ -54,10 +54,6 @@ class InsertResult:
     outcome: InsertOutcome
     replaced: Skill | None = None
 
-    @property
-    def accepted(self) -> bool:
-        return self.outcome is not InsertOutcome.REJECTED
-
 
 class Archive:
     """Ordered set of skills unique in outcome space at radius r_novel.
@@ -78,9 +74,6 @@ class Archive:
         self.skills: list[Skill] = []
         self._outcomes: np.ndarray | None = None
         self._params: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.skills)
 
     def _matrices(self):
         if self._outcomes is None:
@@ -185,26 +178,22 @@ class Archive:
 # Persistence: one JSON header line, then one JSON object per skill
 # ---------------------------------------------------------------------------
 
-def save(archive: Archive, path, bounds: np.ndarray | None = None) -> None:
+def save(archive: Archive, path) -> None:
     """Write the archive as JSON lines (UTF-8, LF).
 
-    The header carries env/D/d/r_novel/seed plus the parameter bounds so a
-    file round-trips without consulting the environment registry.  The lines
-    go to a new file beside path, which is flushed to disk and then renamed
-    onto path, so a save that fails leaves any previous file as it was.
+    The header carries env/D/d/r_novel/seed plus the parameter bounds of the
+    first skill (none for an empty archive) so a file round-trips without
+    consulting the environment registry.  The lines go to a new file beside
+    path, which is flushed to disk and then renamed onto path, so a save that
+    fails leaves any previous file as it was.
     """
-    if bounds is None:
-        if archive.skills:
-            bounds = archive.skills[0].params.bounds
-        else:
-            bounds = np.empty((0, 2))
     header = {
         "env": archive.env_kind,
         "D": archive.dim_params,
         "d": archive.dim_outcome,
         "r_novel": archive.r_novel,
         "seed": archive.seed,
-        "bounds": np.asarray(bounds).tolist(),
+        "bounds": archive.skills[0].params.bounds.tolist() if archive.skills else [],
     }
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:

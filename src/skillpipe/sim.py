@@ -8,7 +8,7 @@ revolute joints, analytic forward kinematics):
 * joystick -- the gripper sweep may deflect a stick; outcome = (pitch, roll)
               in rad from a clipped linear response to the deepest penetration.
 
-A toy observation-emitting reaching task (reach2d) renders 16x16 frames for
+:func:`render_frame` draws a gripper and a target as a 16x16 frame for
 representation learning, and a kinematic point-mass task family (pusherlike /
 throwerlike / strikerlike) hosts cross-task policy transfer.  The geometry
 and physics are fixed constants of :class:`EnvironmentSpec`, a desk-scale
@@ -30,7 +30,6 @@ __all__ = [
     "EnvironmentSpec",
     "RealityGap",
     "Obstacle",
-    "ObservationFrame",
     "NOMINAL_GAP",
     "make_env",
     "theta_bounds",
@@ -38,26 +37,20 @@ __all__ = [
     "execute_batch",
     "collides",
     "quality",
-    "reach_reset",
-    "reach_step",
     "render_frame",
     "transfer_task",
     "policy_shapes",
     "unflatten_policy",
-    "flatten_policy",
 ]
 
 SKILL_KINDS = ("throw", "joystick")
 TRANSFER_KINDS = ("pusherlike", "throwerlike", "strikerlike")
-KINDS = SKILL_KINDS + ("reach2d",) + TRANSFER_KINDS
+KINDS = SKILL_KINDS + TRANSFER_KINDS
 
 N_JOINTS = 5
 COEFF_BOUND = 1.0
 JOINT_LIMIT = 2.5  # rad, symmetric per joint
 
-REACH_ACTIONS = 6          # +x, -x, +y, -y, +z-noop, -z-noop
-REACH_STEP = 0.05
-REACH_TOUCH_RADIUS = 0.1
 FRAME_SIZE = 16
 
 
@@ -97,7 +90,8 @@ class Obstacle:
     """Axis-aligned rectangular wall in the vertical (x, z) plane.
 
     The wall extends infinitely along y; a point collides when its (x, z)
-    coordinates fall inside the rectangle.
+    coordinates fall inside the rectangle.  Both extents must be positive
+    and finite, and the center finite.
     """
 
     center: tuple[float, float]
@@ -105,8 +99,12 @@ class Obstacle:
     height: float
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("obstacle extents must be positive")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"center must be finite, got {self.center}")
 
     def contains(self, x, z) -> np.ndarray:
         cx, cz = self.center
@@ -114,16 +112,6 @@ class Obstacle:
             (np.abs(np.asarray(x) - cx) <= self.width / 2.0)
             & (np.abs(np.asarray(z) - cz) <= self.height / 2.0)
         )
-
-
-@dataclass(frozen=True)
-class ObservationFrame:
-    """16x16 grayscale frame plus the ground truth used only for evaluation."""
-
-    grid: np.ndarray
-    gripper: np.ndarray
-    target: np.ndarray
-    reward: int
 
 
 @dataclass(frozen=True)
@@ -181,15 +169,6 @@ def theta_bounds(env: EnvironmentSpec) -> np.ndarray:
     b[:, 0] = -COEFF_BOUND
     b[:, 1] = COEFF_BOUND
     return b
-
-
-def new_params(env: EnvironmentSpec, values) -> ControllerParams:
-    return ControllerParams(values=values, bounds=theta_bounds(env))
-
-
-def random_params(env: EnvironmentSpec, rng: np.random.Generator) -> ControllerParams:
-    b = theta_bounds(env)
-    return ControllerParams(values=rng.uniform(b[:, 0], b[:, 1]), bounds=b)
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +400,15 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
 
 
 # ---------------------------------------------------------------------------
-# reach2d: toy observation-emitting reaching task
+# Observation frames
 # ---------------------------------------------------------------------------
 
-def render_frame(gripper, target, reward: int = 0) -> ObservationFrame:
-    """Render both blobs on a 16x16 grid by bilinear splatting.
+def render_frame(gripper, target) -> np.ndarray:
+    """The (16, 16) grayscale grid showing both blobs, by bilinear splatting.
 
     Gripper mass 1.0 and target mass 0.5 are each spread over the four cells
-    around the continuous position; overlaps keep the brighter value.
+    around the continuous position, clipped to the unit square; overlaps
+    keep the brighter value.
     """
     grid = np.zeros((FRAME_SIZE, FRAME_SIZE))
     for pos, intensity in ((target, 0.5), (gripper, 1.0)):
@@ -441,51 +421,7 @@ def render_frame(gripper, target, reward: int = 0) -> ObservationFrame:
                 x, y = ix + dx, iy + dy
                 if x < FRAME_SIZE and y < FRAME_SIZE:
                     grid[y, x] = max(grid[y, x], intensity * wx * wy)
-    return ObservationFrame(
-        grid=grid,
-        gripper=np.asarray(gripper, dtype=float).copy(),
-        target=np.asarray(target, dtype=float).copy(),
-        reward=reward,
-    )
-
-
-def reach_reset(rng: np.random.Generator) -> ObservationFrame:
-    """Fresh episode: random gripper anywhere, target away from the border."""
-    gripper = rng.uniform(0.0, 1.0, size=2)
-    target = rng.uniform(0.15, 0.85, size=2)
-    return render_frame(gripper, target, reward=0)
-
-
-_REACH_MOVES = np.array(
-    [
-        [REACH_STEP, 0.0],
-        [-REACH_STEP, 0.0],
-        [0.0, REACH_STEP],
-        [0.0, -REACH_STEP],
-        [0.0, 0.0],   # +z: out-of-plane, no planar effect
-        [0.0, 0.0],   # -z
-    ]
-)
-
-
-def reach_step(state: ObservationFrame, action: int) -> ObservationFrame:
-    """Apply one elementary move and render the next frame.
-
-    Reward: -1 when the move leaves the unit square (the gripper is then
-    clamped back), +1 when within the touch radius of the target, else 0.
-    """
-    if not 0 <= action < REACH_ACTIONS:
-        raise ValueError(f"action must be in [0, {REACH_ACTIONS})")
-    moved = state.gripper + _REACH_MOVES[action]
-    out_of_bounds = bool(np.any(moved < 0.0) or np.any(moved > 1.0))
-    clamped = np.clip(moved, 0.0, 1.0)
-    if out_of_bounds:
-        reward = -1
-    elif np.linalg.norm(moved - state.target) < REACH_TOUCH_RADIUS:
-        reward = 1
-    else:
-        reward = 0
-    return render_frame(clamped, state.target, reward=reward)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +442,6 @@ def policy_shapes():
         (TRANSFER_STATE_DIM, TRANSFER_HIDDEN),
         (TRANSFER_HIDDEN, TRANSFER_ACTION_DIM),
     ]
-
-
-def flatten_policy(layers) -> np.ndarray:
-    return np.concatenate([np.asarray(w, dtype=float).reshape(-1) for w in layers])
 
 
 def unflatten_policy(flat) -> list[np.ndarray]:

@@ -11,6 +11,15 @@ def make_params(values, lo=-1.0, hi=1.0):
     return ControllerParams(values=values, bounds=bounds)
 
 
+def new_params(env, values):
+    return ControllerParams(values=values, bounds=sim.theta_bounds(env))
+
+
+def random_params(env, rng):
+    b = sim.theta_bounds(env)
+    return ControllerParams(values=rng.uniform(b[:, 0], b[:, 1]), bounds=b)
+
+
 def make_skill(theta, outcome, quality=0.0, lo=-1.0, hi=1.0):
     return Skill(
         params=make_params(theta, lo=lo, hi=hi),

@@ -95,7 +95,7 @@ class TestTryInsert:
         arch = fresh_archive()
         res = arch.try_insert(make_skill([0.1, 0.2, 0.3], [0.0, 0.0], 1.0))
         assert res.outcome is InsertOutcome.ADDED
-        assert len(arch) == 1
+        assert len(arch.skills) == 1
 
     def test_better_quality_replaces_close_neighbor(self):
         arch = fresh_archive()
@@ -103,7 +103,7 @@ class TestTryInsert:
         res = arch.try_insert(make_skill([0.1, 0, 0], [0.01, 0.0], 2.0))
         assert res.outcome is InsertOutcome.REPLACED
         assert res.replaced.quality == 1.0
-        assert len(arch) == 1
+        assert len(arch.skills) == 1
         assert arch.skills[0].quality == 2.0
 
     def test_worse_quality_rejected(self):
@@ -124,7 +124,7 @@ class TestTryInsert:
         arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], 1.0))
         res = arch.try_insert(make_skill([0.1, 0, 0], [1.0, 0.0], 0.1))
         assert res.outcome is InsertOutcome.ADDED
-        assert len(arch) == 2
+        assert len(arch.skills) == 2
 
     def test_invalid_outcome_raises(self):
         arch = fresh_archive()
@@ -179,7 +179,7 @@ class TestTryInsert:
         for q in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], q))
-        assert len(arch) == 0
+        assert len(arch.skills) == 0
 
     @pytest.mark.parametrize("first, wrong", [
         pytest.param([], make_skill([0, 0, 0, 0, 0], [0.5, 0.5]), id="theta-of-5-first"),
@@ -295,7 +295,7 @@ class TestPersistence:
         assert back.r_novel == arch.r_novel
         assert back.env_kind == arch.env_kind
         assert back.seed == arch.seed
-        assert len(back) == len(arch)
+        assert len(back.skills) == len(arch.skills)
         for a, b in zip(arch.skills, back.skills):
             assert np.array_equal(a.params.values, b.params.values)
             assert np.array_equal(a.outcome.values, b.outcome.values)
@@ -328,7 +328,7 @@ class TestPersistence:
         arch = fresh_archive()
         path = tmp_path / "empty.jsonl"
         save(arch, path)
-        assert len(load(path)) == 0
+        assert len(load(path).skills) == 0
 
     def test_wrong_outcome_arity_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -458,11 +458,11 @@ class TestPersistence:
 
     def test_outcomes_exactly_r_novel_apart_load(self, tmp_path):
         arch = fresh_archive(r_novel=0.05)
-        assert arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], 1.0)).accepted
-        assert arch.try_insert(make_skill([0, 0, 0], [0.05, 0.0], 1.0)).accepted
+        assert arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], 1.0)).outcome is InsertOutcome.ADDED
+        assert arch.try_insert(make_skill([0, 0, 0], [0.05, 0.0], 1.0)).outcome is InsertOutcome.ADDED
         path = tmp_path / "arch.jsonl"
         save(arch, path)
-        assert len(load(path)) == 2
+        assert len(load(path).skills) == 2
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -488,7 +488,7 @@ class TestPersistence:
         with tempfile.TemporaryDirectory() as tmp:
             path = write_archive(Path(tmp), header, records)
             if expected is None:
-                assert len(load(path)) == len(records)
+                assert len(load(path).skills) == len(records)
             else:
                 assert_rejected_at(path, expected)
 
@@ -516,7 +516,7 @@ class TestPersistence:
             back = load(path)
         assert (back.r_novel, back.env_kind, back.dim_params, back.dim_outcome, back.seed) == (
             arch.r_novel, arch.env_kind, arch.dim_params, arch.dim_outcome, arch.seed)
-        assert len(back) == len(arch)
+        assert len(back.skills) == len(arch.skills)
         for a, b in zip(arch.skills, back.skills):
             assert np.array_equal(a.params.values, b.params.values)
             assert np.array_equal(a.outcome.values, b.outcome.values)

@@ -17,16 +17,14 @@ from skillpipe.sim import (
     execute_batch,
     make_env,
     quality,
-    reach_reset,
-    reach_step,
     render_frame,
     transfer_task,
 )
-from conftest import make_params
+from conftest import make_params, new_params, random_params
 
 
 def zero_theta(env):
-    return sim.new_params(env, np.zeros(env.dim_params))
+    return new_params(env, np.zeros(env.dim_params))
 
 
 def flight(pos, vel, gravity=9.81):
@@ -64,7 +62,7 @@ class TestExecuteThrow:
         rng = np.random.default_rng(2)
         checked = 0
         for _ in range(30):
-            theta = sim.random_params(throw_env, rng)
+            theta = random_params(throw_env, rng)
             out = execute(throw_env, NOMINAL_GAP, theta)
             if not out.valid:
                 continue
@@ -80,7 +78,7 @@ class TestExecuteThrow:
 
     def test_pure_function_bit_identical(self, throw_env):
         rng = np.random.default_rng(3)
-        theta = sim.random_params(throw_env, rng)
+        theta = random_params(throw_env, rng)
         gap = RealityGap(gravity_scale=1.1, joint_bias=np.full(5, 0.05))
         a = execute(throw_env, gap, theta)
         b = execute(throw_env, gap, theta)
@@ -89,7 +87,7 @@ class TestExecuteThrow:
     def test_nominal_gap_is_identity(self, throw_env):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            theta = sim.random_params(throw_env, rng)
+            theta = random_params(throw_env, rng)
             a = execute(throw_env, NOMINAL_GAP, theta)
             b = execute(throw_env, RealityGap(1.0, np.zeros(5), 1.0), theta)
             assert np.array_equal(a.values, b.values)
@@ -99,7 +97,7 @@ class TestExecuteThrow:
         gap = RealityGap(gravity_scale=1.1, joint_bias=np.full(5, 0.05))
         moved = 0
         for _ in range(10):
-            theta = sim.random_params(throw_env, rng)
+            theta = random_params(throw_env, rng)
             a = execute(throw_env, NOMINAL_GAP, theta)
             b = execute(throw_env, gap, theta)
             if a.valid and b.valid and not np.allclose(a.values, b.values):
@@ -126,7 +124,7 @@ class TestExecuteJoystick:
         rng = np.random.default_rng(6)
         touched = 0
         for _ in range(200):
-            out = execute(joystick_env, NOMINAL_GAP, sim.random_params(joystick_env, rng))
+            out = execute(joystick_env, NOMINAL_GAP, random_params(joystick_env, rng))
             if np.any(out.values != 0.0):
                 touched += 1
         assert touched > 0
@@ -134,7 +132,7 @@ class TestExecuteJoystick:
     def test_outcome_within_tilt_limits(self, joystick_env):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            out = execute(joystick_env, NOMINAL_GAP, sim.random_params(joystick_env, rng))
+            out = execute(joystick_env, NOMINAL_GAP, random_params(joystick_env, rng))
             assert np.all(np.abs(out.values) <= joystick_env.max_tilt + 1e-12)
 
 
@@ -143,14 +141,14 @@ class TestCollides:
         wall = Obstacle(center=(50.0, 1.0), width=0.5, height=2.0)
         rng = np.random.default_rng(8)
         for _ in range(20):
-            theta = sim.random_params(throw_env, rng)
+            theta = random_params(throw_env, rng)
             assert not collides(throw_env, theta, wall)
 
     def test_wall_on_flight_path_detected(self, throw_env):
         rng = np.random.default_rng(9)
         tested = 0
         for _ in range(50):
-            theta = sim.random_params(throw_env, rng)
+            theta = random_params(throw_env, rng)
             out = execute(throw_env, NOMINAL_GAP, theta)
             if not out.valid or abs(out.values[0]) < 0.5:
                 continue
@@ -167,7 +165,7 @@ class TestCollides:
 
     def test_translated_wall_misses(self, throw_env):
         rng = np.random.default_rng(10)
-        theta = sim.random_params(throw_env, rng)
+        theta = random_params(throw_env, rng)
         out = execute(throw_env, NOMINAL_GAP, theta)
         wall = Obstacle(center=(out.values[0] / 2.0, 11.5), width=0.2, height=3.0)
         assert not collides(throw_env, theta, wall)
@@ -180,7 +178,7 @@ class TestCollides:
             Obstacle(center=(-0.6, 0.5), width=0.3, height=1.0),
         ]
         for _ in range(15):
-            theta = sim.random_params(throw_env, rng)
+            theta = random_params(throw_env, rng)
             for wall in walls:
                 expect = _oracle_collides(throw_env, theta, wall, NOMINAL_GAP)
                 assert collides(throw_env, theta, wall) == expect
@@ -189,7 +187,7 @@ class TestCollides:
         # SWING tilts the arm at 1 rad/s, its tip moving 1 cm per time sample;
         # a 4 mm wall round the tip at the odd sample 51 meets no other
         # sample, and the flight leaves from the far side of the swing
-        theta = sim.new_params(throw_env, SWING)
+        theta = new_params(throw_env, SWING)
         times = _oracle_times(throw_env)
 
         def arm(t):
@@ -203,7 +201,7 @@ class TestCollides:
     def test_last_flight_sample_decides(self, throw_env):
         # the flight is sampled every step up to the first sample at or past
         # landing; a wall round that sample meets no earlier one
-        theta = sim.new_params(throw_env, SWING)
+        theta = new_params(throw_env, SWING)
         pos, vel = _oracle_gripper(
             throw_env, NOMINAL_GAP, *_oracle_joints(throw_env, theta, throw_env.duration)
         )
@@ -223,6 +221,17 @@ class TestCollides:
         with pytest.raises(ValueError, match="positive"):
             Obstacle(center=(0.0, 0.0), width=width, height=height)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("width", math.nan),
+        ("height", math.nan),
+        ("center", (math.nan, 1.0)),
+    ], ids=["width", "height", "center"])
+    def test_obstacle_fields_must_be_finite(self, field, bad):
+        # a NaN field fails every comparison in contains, so such a wall
+        # would report no hit for any controller
+        with pytest.raises(ValueError, match=field):
+            Obstacle(**{"center": (0.0, 1.0), "width": 0.5, "height": 3.0, field: bad})
+
     def test_only_throw_has_collisions(self, joystick_env):
         wall = Obstacle(center=(0.5, 1.0), width=0.1, height=0.1)
         with pytest.raises(ValueError, match="throw"):
@@ -238,7 +247,7 @@ class TestQuality:
     def test_linear_trajectory_zero_acceleration(self, throw_env):
         values = np.zeros(15)
         values[0] = 0.5
-        theta = sim.new_params(throw_env, values)
+        theta = new_params(throw_env, values)
         out = execute(throw_env, NOMINAL_GAP, theta)
         assert quality(throw_env, theta, out) == 0.0
 
@@ -246,14 +255,14 @@ class TestQuality:
         # q(t) = t^2 on one joint: integral of (2)^2 over [0,1] = 4
         values = np.zeros(15)
         values[1] = 1.0
-        theta = sim.new_params(throw_env, values)
+        theta = new_params(throw_env, values)
         out = execute(throw_env, NOMINAL_GAP, theta)
         assert quality(throw_env, theta, out) == pytest.approx(-4.0)
 
     def test_matches_numeric_quadrature(self, throw_env):
         rng = np.random.default_rng(12)
         for _ in range(10):
-            theta = sim.random_params(throw_env, rng)
+            theta = random_params(throw_env, rng)
             out = execute(throw_env, NOMINAL_GAP, theta)
             if not out.valid:
                 continue
@@ -266,7 +275,7 @@ class TestQuality:
 
     def test_joystick_quality_seeded(self, joystick_env):
         rng = np.random.default_rng(13)
-        theta = sim.random_params(joystick_env, rng)
+        theta = random_params(joystick_env, rng)
         out = execute(joystick_env, NOMINAL_GAP, theta)
         q1 = quality(joystick_env, theta, out, seed=5)
         q2 = quality(joystick_env, theta, out, seed=5)
@@ -278,56 +287,19 @@ class TestQuality:
             quality(throw_env, zero_theta(throw_env), Outcome.invalid(2))
 
     def test_needs_a_skill_environment(self):
-        with pytest.raises(ValueError, match="reach2d"):
-            quality(make_env("reach2d"), make_params(np.zeros(15)), Outcome(values=np.zeros(2)))
+        with pytest.raises(ValueError, match="pusherlike"):
+            quality(make_env("pusherlike"), make_params(np.zeros(15)), Outcome(values=np.zeros(2)))
 
 
 class TestReach2d:
-    def test_reward_plus_one_near_target(self):
-        frame = render_frame([0.5, 0.5], [0.52, 0.5])
-        nxt = reach_step(frame, 4)  # z-noop keeps the gripper within radius
-        assert nxt.reward == 1
-
-    def test_reward_minus_one_out_of_bounds(self):
-        frame = render_frame([0.0, 0.0], [0.8, 0.8])
-        nxt = reach_step(frame, 1)  # -x from the corner
-        assert nxt.reward == -1
-        assert np.all(nxt.gripper >= 0.0)
-
-    def test_reward_zero_otherwise(self):
-        frame = render_frame([0.3, 0.3], [0.8, 0.8])
-        nxt = reach_step(frame, 0)
-        assert nxt.reward == 0
-
-    def test_reward_partition_exhaustive(self):
-        rng = np.random.default_rng(14)
-        seen = set()
-        frame = reach_reset(rng)
-        for _ in range(4000):
-            frame = reach_step(frame, int(rng.integers(6)))
-            assert frame.reward in (-1, 0, 1)
-            seen.add(frame.reward)
-        assert seen == {-1, 0, 1}
-
     def test_frame_invariants(self):
         rng = np.random.default_rng(15)
         for _ in range(50):
-            frame = reach_reset(rng)
-            assert frame.grid.shape == (16, 16)
-            assert frame.grid.min() >= 0.0 and frame.grid.max() <= 1.0
+            grid = render_frame(rng.uniform(0.0, 1.0, 2), rng.uniform(0.15, 0.85, 2))
+            assert grid.shape == (16, 16)
+            assert grid.min() >= 0.0 and grid.max() <= 1.0
             # gripper blob is the brightest content
-            assert frame.grid.max() > 0.25
-
-    def test_z_noop_does_not_move(self):
-        frame = render_frame([0.4, 0.6], [0.9, 0.9])
-        for action in (4, 5):
-            nxt = reach_step(frame, action)
-            assert np.array_equal(nxt.gripper, frame.gripper)
-
-    @pytest.mark.parametrize("action", [-1, 6])
-    def test_action_out_of_range(self, action):
-        with pytest.raises(ValueError, match="action"):
-            reach_step(render_frame([0.4, 0.6], [0.9, 0.9]), action)
+            assert grid.max() > 0.25
 
 
 class TestTransferTasks:
@@ -362,7 +334,7 @@ class TestTransferTasks:
     def test_flatten_roundtrip(self):
         rng = np.random.default_rng(17)
         layers = [rng.normal(size=s) for s in sim.policy_shapes()]
-        again = sim.unflatten_policy(sim.flatten_policy(layers))
+        again = sim.unflatten_policy(np.concatenate([w.ravel() for w in layers]))
         for a, b in zip(layers, again):
             assert np.array_equal(a, b)
 
@@ -388,8 +360,9 @@ def _scripted_pusher_policy():
 
 class TestEnvConfig:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_env("flying")
+        for kind in ("flying", "reach2d"):
+            with pytest.raises(ValueError, match=kind):
+                make_env(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +518,14 @@ class TestBatchedPathMatchesOracles:
         kind = data.draw(st.sampled_from(sim.SKILL_KINDS), label="kind")
         gap = data.draw(st.sampled_from(GAPS), label="gap")
         env = make_env(kind)
-        theta = sim.new_params(env, data.draw(controllers(kind), label="values"))
+        theta = new_params(env, data.draw(controllers(kind), label="values"))
         assert_outcomes_agree(execute(env, gap, theta), _oracle_execute(env, gap, theta))
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_joystick_quality(self, data, joystick_env):
         gap = data.draw(st.sampled_from(GAPS), label="gap")
-        theta = sim.new_params(joystick_env, data.draw(controllers("joystick"), label="values"))
+        theta = new_params(joystick_env, data.draw(controllers("joystick"), label="values"))
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         out = execute(joystick_env, gap, theta)
         got = quality(joystick_env, theta, out, seed=seed)
@@ -562,7 +535,7 @@ class TestBatchedPathMatchesOracles:
     @given(data=st.data())
     def test_collides(self, data, throw_env):
         gap = data.draw(st.sampled_from(GAPS), label="gap")
-        theta = sim.new_params(throw_env, data.draw(controllers("throw"), label="values"))
+        theta = new_params(throw_env, data.draw(controllers("throw"), label="values"))
         wall = Obstacle(
             center=(data.draw(st.floats(-1.5, 1.5)), data.draw(st.floats(-0.5, 2.5))),
             width=data.draw(st.floats(0.01, 1.0)),
@@ -581,7 +554,7 @@ class TestBatchedPathMatchesOracles:
         outcomes, valid = execute_batch(env, gap, values)
         assert outcomes.shape == (len(values), 2) and valid.shape == (len(values),)
         for row, out, ok in zip(values, outcomes, valid):
-            one = execute(env, gap, sim.new_params(env, row))
+            one = execute(env, gap, new_params(env, row))
             assert np.array_equal(out, one.values) and ok == one.valid
         if kind == "throw":
             assert not valid[20:23].any() and valid.sum() >= 40
@@ -665,13 +638,13 @@ class TestShapeChecks:
 
     def test_execute_batch_needs_a_skill_environment(self):
         with pytest.raises(ValueError):
-            execute_batch(make_env("reach2d"), NOMINAL_GAP, np.zeros((1, 15)))
+            execute_batch(make_env("pusherlike"), NOMINAL_GAP, np.zeros((1, 15)))
 
     def test_execute_needs_a_skill_environment(self):
-        with pytest.raises(ValueError, match="reach2d"):
-            execute(make_env("reach2d"), NOMINAL_GAP, make_params(np.zeros(15)))
+        with pytest.raises(ValueError, match="pusherlike"):
+            execute(make_env("pusherlike"), NOMINAL_GAP, make_params(np.zeros(15)))
 
     @pytest.mark.parametrize("dim", ["dim_params", "dim_outcome"])
-    def test_reach2d_has_no_skill_dimensions(self, dim):
-        with pytest.raises(ValueError, match="reach2d"):
-            getattr(make_env("reach2d"), dim)
+    def test_transfer_kind_has_no_skill_dimensions(self, dim):
+        with pytest.raises(ValueError, match="pusherlike"):
+            getattr(make_env("pusherlike"), dim)
