@@ -408,8 +408,12 @@ def render_frame(gripper, target) -> np.ndarray:
 
     Gripper mass 1.0 and target mass 0.5 are each spread over the four cells
     around the continuous position, clipped to the unit square; overlaps
-    keep the brighter value.
+    keep the brighter value.  Raises ValueError naming the argument whose
+    position is not finite.
     """
+    for name, pos in (("gripper", gripper), ("target", target)):
+        if not (math.isfinite(pos[0]) and math.isfinite(pos[1])):
+            raise ValueError(f"{name} position must be finite, got ({pos[0]}, {pos[1]})")
     grid = np.zeros((FRAME_SIZE, FRAME_SIZE))
     for pos, intensity in ((target, 0.5), (gripper, 1.0)):
         gx = float(np.clip(pos[0], 0.0, 1.0)) * (FRAME_SIZE - 1)
@@ -458,9 +462,14 @@ def unflatten_policy(flat) -> list[np.ndarray]:
     return layers
 
 
-def _policy_action(layers, state) -> np.ndarray:
-    h = np.tanh(state @ layers[0])
-    return np.tanh(h @ layers[1])
+def _clip_unit(x: float) -> float:
+    """np.clip(x, 0.0, 1.0) for a float: NaN and -0.0 pass through unchanged,
+    as they do through np.clip."""
+    if x < 0.0:
+        return 0.0
+    if x > 1.0:
+        return 1.0
+    return x
 
 
 def _transfer_init(kind: str, rng: np.random.Generator):
@@ -482,6 +491,15 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     throwerlike: the transfer accelerates a sliding puck (drag 0.9).
     strikerlike: a single contact imparts an amplified impulse (drag 0.98);
     afterwards the hand can no longer affect the puck.
+
+    Raises ValueError for an unknown kind or non-finite weights, and
+    DimensionError unless the layers have the shapes of :func:`policy_shapes`.
+
+    Hand, puck, goal and puck velocity are Python floats.  NumPy computes
+    only the two tanh layers, the hand-puck distance and the push projection
+    (2-vector dots) and the final miss distance: the BLAS dot may fuse
+    multiply and add, so writing a dot out as a*a + b*b would change the
+    low bits of the return.
     """
     if kind not in TRANSFER_KINDS:
         raise ValueError(f"unknown transfer task {kind!r}")
@@ -489,31 +507,38 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     expected = policy_shapes()
     if [w.shape for w in layers] != expected:
         raise DimensionError(f"policy shapes {[w.shape for w in layers]} != {expected}")
+    if not all(np.isfinite(w).all() for w in layers):
+        raise ValueError("policy weights contain non-finite entries")
+    w_in, w_out = layers
     rng = np.random.Generator(np.random.PCG64(seed))
     hand, puck, goal = _transfer_init(kind, rng)
-    puck_vel = np.zeros(2)
+    (hx, hy), (px, py), (gx, gy) = hand.tolist(), puck.tolist(), goal.tolist()
+    vx = vy = 0.0
     struck = False
+    state = np.empty(TRANSFER_STATE_DIM)
+    gap = np.empty(2)
     for _ in range(TRANSFER_STEPS):
-        state = np.concatenate([puck - hand, goal - puck, hand])
-        step = _policy_action(layers, state) * _HAND_STEP
-        hand = np.clip(hand + step, 0.0, 1.0)
-        gap_vec = puck - hand
-        gap_norm = float(np.linalg.norm(gap_vec))
-        push = np.zeros(2)
+        state[:] = (px - hx, py - hy, gx - px, gy - py, hx, hy)
+        step = np.tanh(np.tanh(state @ w_in) @ w_out) * _HAND_STEP
+        sx, sy = step.tolist()
+        hx, hy = _clip_unit(hx + sx), _clip_unit(hy + sy)
+        gap[:] = (px - hx, py - hy)
+        gap_norm = math.sqrt(gap.dot(gap))   # what np.linalg.norm computes
+        push_x = push_y = 0.0
         if 0.0 < gap_norm < _CONTACT_RADIUS:
-            direction = gap_vec / gap_norm
-            push = max(0.0, float(step @ direction)) * direction
+            direction = gap / gap_norm
+            push = max(0.0, float(step @ direction))
+            push_x, push_y = (push * direction).tolist()
         if kind == "pusherlike":
-            puck = np.clip(puck + push, 0.0, 1.0)
+            px, py = _clip_unit(px + push_x), _clip_unit(py + push_y)
         elif kind == "throwerlike":
-            puck_vel = puck_vel + 0.7 * push
-            puck = np.clip(puck + puck_vel, 0.0, 1.0)
-            puck_vel *= 0.9
+            vx, vy = vx + 0.7 * push_x, vy + 0.7 * push_y
+            px, py = _clip_unit(px + vx), _clip_unit(py + vy)
+            vx, vy = vx * 0.9, vy * 0.9
         else:  # strikerlike
-            if not struck and np.any(push != 0.0):
-                puck_vel = 4.0 * push
+            if not struck and (push_x != 0.0 or push_y != 0.0):
+                vx, vy = 4.0 * push_x, 4.0 * push_y
                 struck = True
-            puck = np.clip(puck + puck_vel, 0.0, 1.0)
-            puck_vel *= 0.98
-    return -float(np.linalg.norm(puck - goal))
-
+            px, py = _clip_unit(px + vx), _clip_unit(py + vy)
+            vx, vy = vx * 0.98, vy * 0.98
+    return -float(np.linalg.norm([px - gx, py - gy]))

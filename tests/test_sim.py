@@ -1,5 +1,7 @@
 import functools
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,7 +293,7 @@ class TestQuality:
             quality(make_env("pusherlike"), make_params(np.zeros(15)), Outcome(values=np.zeros(2)))
 
 
-class TestReach2d:
+class TestRenderFrame:
     def test_frame_invariants(self):
         rng = np.random.default_rng(15)
         for _ in range(50):
@@ -300,6 +302,14 @@ class TestReach2d:
             assert grid.min() >= 0.0 and grid.max() <= 1.0
             # gripper blob is the brightest content
             assert grid.max() > 0.25
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["gripper", "target"])
+    def test_non_finite_position_refused(self, name, bad):
+        positions = {"gripper": [0.5, 0.5], "target": np.array([0.3, 0.7])}
+        positions[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} position must be finite"):
+            render_frame(**positions)
 
 
 class TestTransferTasks:
@@ -345,6 +355,16 @@ class TestTransferTasks:
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError, match="reacherlike"):
             transfer_task("reacherlike", self.zero_policy())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_non_finite_weights_refused(self, layer, bad):
+        # a NaN weight would make the hand NaN and leave the puck untouched,
+        # so the rollout would return the zero policy's return
+        layers = _scripted_pusher_policy()
+        layers[layer][1, 1] = bad
+        with pytest.raises(ValueError, match="policy weights contain non-finite entries"):
+            transfer_task("strikerlike", layers, seed=1)
 
 
 def _scripted_pusher_policy():
@@ -575,6 +595,125 @@ class TestBatchedPathMatchesOracles:
     def test_empty_batch(self, joystick_env):
         outcomes, valid = execute_batch(joystick_env, NOMINAL_GAP, np.empty((0, 15)))
         assert outcomes.shape == (0, 2) and valid.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# Golden oracle of the transfer rollout: the NumPy loop transfer_task ran
+# before it moved to Python floats, copied with its own _policy_action
+# ---------------------------------------------------------------------------
+
+TRANSFER_STEPS, _HAND_STEP, _CONTACT_RADIUS = sim.TRANSFER_STEPS, sim._HAND_STEP, sim._CONTACT_RADIUS
+
+
+def _policy_action(layers, state) -> np.ndarray:
+    h = np.tanh(state @ layers[0])
+    return np.tanh(h @ layers[1])
+
+
+def _oracle_transfer_task(kind, policy_layers, seed=0):
+    layers = [np.asarray(w, dtype=float) for w in policy_layers]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    hand, puck, goal = sim._transfer_init(kind, rng)
+    puck_vel = np.zeros(2)
+    struck = False
+    for _ in range(TRANSFER_STEPS):
+        state = np.concatenate([puck - hand, goal - puck, hand])
+        step = _policy_action(layers, state) * _HAND_STEP
+        hand = np.clip(hand + step, 0.0, 1.0)
+        gap_vec = puck - hand
+        gap_norm = float(np.linalg.norm(gap_vec))
+        push = np.zeros(2)
+        if 0.0 < gap_norm < _CONTACT_RADIUS:
+            direction = gap_vec / gap_norm
+            push = max(0.0, float(step @ direction)) * direction
+        if kind == "pusherlike":
+            puck = np.clip(puck + push, 0.0, 1.0)
+        elif kind == "throwerlike":
+            puck_vel = puck_vel + 0.7 * push
+            puck = np.clip(puck + puck_vel, 0.0, 1.0)
+            puck_vel *= 0.9
+        else:  # strikerlike
+            if not struck and np.any(push != 0.0):
+                puck_vel = 4.0 * push
+                struck = True
+            puck = np.clip(puck + puck_vel, 0.0, 1.0)
+            puck_vel *= 0.98
+    return -float(np.linalg.norm(puck - goal))
+
+
+def _oracle_states(kind, layers, seed) -> np.ndarray:
+    """The (TRANSFER_STEPS, 6) states (puck - hand, goal - puck, hand) the
+    oracle's policy sees, one row per step."""
+    with mock.patch.object(sys.modules[__name__], "_policy_action", wraps=_policy_action) as spy:
+        _oracle_transfer_task(kind, layers, seed)
+    return np.array([call.args[1] for call in spy.call_args_list])
+
+
+def _random_policy(rng, scale):
+    return [scale * rng.normal(size=shape) for shape in sim.policy_shapes()]
+
+
+def _noisy_pusher(rng, noise):
+    return [w + noise * rng.normal(size=w.shape) for w in _scripted_pusher_policy()]
+
+
+@functools.lru_cache(maxsize=None)
+def _transfer_screen():
+    """Rollouts (kind, layers, seed, states) that move the puck, screened
+    from random policies, of which about 5-10% touch it, and the scripted
+    pusher with noise.  The goal is fixed, so the puck has moved when
+    goal - puck changes between steps."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for kind in sim.TRANSFER_KINDS:
+        for i in range(60):
+            if i % 3:
+                layers = _noisy_pusher(rng, rng.choice([0.05, 0.2, 0.5, 1.0]))
+            else:
+                layers = _random_policy(rng, 10.0 ** rng.uniform(-1.0, 1.7))
+            seed = int(rng.integers(2**32))
+            states = _oracle_states(kind, layers, seed)
+            if np.any(states[:, 2:4] != states[0, 2:4]):
+                cases.append((kind, layers, seed, states))
+    return cases
+
+
+@st.composite
+def transfer_cases(draw):
+    """(kind, layers, seed): a random policy at a weight scale of 0.05-50,
+    the scripted pusher with noise, or a case of the screen."""
+    source = draw(st.sampled_from(["random", "scripted", "screen"]))
+    if source == "screen":
+        kind, layers, seed, _ = draw(st.sampled_from(_transfer_screen()))
+        return kind, layers, seed
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if source == "random":
+        layers = _random_policy(rng, draw(st.floats(0.05, 50.0)))
+    else:
+        layers = _noisy_pusher(rng, draw(st.sampled_from([0.0, 0.01, 0.1, 0.5])))
+    return draw(st.sampled_from(sim.TRANSFER_KINDS)), layers, draw(st.integers(0, 2**32 - 1))
+
+
+class TestTransferRolloutMatchesOracle:
+    def test_screen_finds_contacts_strikes_and_clipped_hands(self):
+        cases = _transfer_screen()
+        # a strikerlike puck moves only when struck
+        kinds = [kind for kind, _, _, _ in cases]
+        assert all(kinds.count(kind) >= 5 for kind in sim.TRANSFER_KINDS)
+        hands = np.concatenate([states[:, 4:6] for _, _, _, states in cases])
+        assert np.any(hands == 0.0) and np.any(hands == 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=transfer_cases())
+    def test_transfer_task(self, case):
+        got, want = transfer_task(*case), _oracle_transfer_task(*case)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @given(x=st.floats(allow_nan=True, allow_infinity=True))
+    def test_clip_unit_is_np_clip(self, x):
+        got, want = sim._clip_unit(x), float(np.clip(x, 0.0, 1.0))
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 class TestShapeChecks:
