@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _as_array
+
 __all__ = [
     "LeastSquaresFit",
     "TuckerFactors",
@@ -51,8 +53,8 @@ def least_squares(a, b, ridge: float = 0.0) -> LeastSquaresFit:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
+    if not (0 <= ridge < math.inf):
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
     if a.ndim != 2:
         raise ValueError("A must be a matrix")
     squeeze = b.ndim == 1
@@ -113,8 +115,8 @@ def hosvd(tensor, ranks) -> TuckerFactors:
         raise ValueError("hosvd expects a 3-way tensor")
     r1, r2, r3 = ranks
     for r, dim in zip((r1, r2, r3), t.shape):
-        if not (1 <= r <= dim):
-            raise ValueError(f"rank {r} outside [1, {dim}]")
+        if not (isinstance(r, (int, np.integer)) and 1 <= r <= dim):
+            raise ValueError(f"ranks must be integers in [1, {dim}], got {r!r}")
     factors = []
     for mode, r in enumerate((r1, r2, r3)):
         u, _, _ = np.linalg.svd(_unfold(t, mode), full_matrices=False)
@@ -168,10 +170,10 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int):
     Returns (x_best, f_best, history) where history[i] is the best objective
     value seen after evaluation i+1 (monotone non-increasing).
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _as_array(x0, "x0")
     n = x0.shape[0]
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
+    if not (0 < sigma0 < math.inf):
+        raise ValueError(f"sigma0 must be positive and finite, got {sigma0!r}")
     lam = 4 + int(3 * math.log(n)) if n > 1 else 6
     if budget < lam:
         raise ValueError(f"budget {budget} smaller than population size {lam}")

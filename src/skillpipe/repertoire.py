@@ -3,8 +3,12 @@
 Stored outcomes keep pairwise Euclidean distance >= r_novel.  A candidate
 closer than that to existing skills may replace its nearest neighbor when it
 has strictly higher quality, but only if removing that neighbor restores the
-spacing; otherwise it is rejected.  Nearest-neighbor queries are linear scans
-over cached coordinate arrays, plenty at desk scale.
+spacing; otherwise it is rejected.
+
+An archive's one state is its list of skills.  Callers may append to it or
+reassign it; entries are replaced only through try_insert.  The outcome and
+parameter matrices that the nearest-neighbor queries scan linearly, plenty at
+desk scale, are derived from the list, by its identity and length.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControllerParams, DimensionError, Outcome, Skill
+from .core import ControllerParams, DimensionError, Outcome, Skill, _as_array
 
 __all__ = [
     "Archive",
@@ -32,6 +36,19 @@ __all__ = [
 
 
 _BLOCK = 32   # rows per block of the pairwise distance scans
+
+
+def _is_count(value) -> bool:
+    """True for a non-negative int (bool is not one), the rule for D and d."""
+    return type(value) is int and value >= 0
+
+
+def _query(values, name: str, size: int) -> np.ndarray:
+    """values as a vector of size finite floats; DimensionError or ValueError if not."""
+    query = _as_array(values, name)
+    if query.shape != (size,):
+        raise DimensionError(f"{name} must have {size} values, got {query.shape[0]}")
+    return query
 
 
 class ArchiveFormatError(ValueError):
@@ -59,31 +76,47 @@ class Archive:
     """Ordered set of skills unique in outcome space at radius r_novel.
 
     Every skill has dim_params controller values and dim_outcome outcome
-    values.
+    values.  skills is the archive's one state: the outcome and parameter
+    matrices the queries scan follow the list by its identity and length, so
+    callers may append to it or reassign it.  Entries are replaced only
+    through try_insert; an edit in place that keeps the length, such as
+    assigning to an entry, goes unseen.
     """
 
     def __init__(self, r_novel: float, env_kind: str, dim_params: int,
                  dim_outcome: int, seed: int = 0):
         if not (0 < r_novel < math.inf):
             raise ValueError("r_novel must be positive and finite")
+        for name, value in (("dim_params", dim_params), ("dim_outcome", dim_outcome)):
+            if not _is_count(value):
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r:.40}")
         self.r_novel = float(r_novel)
         self.env_kind = env_kind
         self.dim_params = dim_params
         self.dim_outcome = dim_outcome
         self.seed = seed
         self.skills: list[Skill] = []
-        self._outcomes: np.ndarray | None = None
-        self._params: np.ndarray | None = None
+        self._source = self.skills   # the list the matrices were built from
+        self._outcomes = np.empty((0, dim_outcome))
+        self._params = np.empty((0, dim_params))
 
-    def _matrices(self):
-        if self._outcomes is None:
-            self._outcomes = np.array([s.outcome.values for s in self.skills])
-            self._params = np.array([s.params.values for s in self.skills])
+    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Outcome and parameter values of skills, one row per skill.
+
+        Rebuilt when skills is another list than they were built from or their
+        row count differs from its length; the stale rows go first, so that
+        old and new never take memory together.
+        """
+        n = len(self.skills)
+        if self._source is not self.skills or len(self._outcomes) != n:
+            self._source = self.skills
+            self._outcomes = np.empty((0, self.dim_outcome))
+            self._params = np.empty((0, self.dim_params))
+            self._outcomes = np.array([s.outcome.values for s in self.skills]).reshape(n, self.dim_outcome)
+            self._params = np.array([s.params.values for s in self.skills]).reshape(n, self.dim_params)
         return self._outcomes, self._params
 
     def outcomes(self) -> np.ndarray:
-        if not self.skills:
-            return np.empty((0, self.dim_outcome))
         return self._matrices()[0]
 
     def qualities(self) -> np.ndarray:
@@ -96,7 +129,8 @@ class Archive:
         stored skill is replaced when the candidate has strictly higher
         quality and conflicts with nothing else; otherwise rejected.
         Raises DimensionError, before anything changes, unless the skill has
-        dim_params controller values and dim_outcome outcome values.
+        dim_params controller values and dim_outcome outcome values, and
+        ValueError unless its parameter bounds equal the stored skills'.
         """
         if (skill.params.dim, skill.outcome.dim) != (self.dim_params, self.dim_outcome):
             raise DimensionError(
@@ -107,50 +141,54 @@ class Archive:
             raise ValueError("cannot insert a skill with an invalid outcome")
         if not math.isfinite(skill.quality):
             raise ValueError("cannot insert a skill with a non-finite quality")
-        if not self.skills:
-            self._append(skill)
-            return InsertResult(InsertOutcome.ADDED)
-        outs, _ = self._matrices()
+        if self.skills:   # save writes one parameter box for the whole archive
+            box, bounds = self.skills[0].params.bounds, skill.params.bounds
+            if bounds is not box and not np.array_equal(bounds, box):
+                raise ValueError("cannot insert a skill whose parameter bounds differ from "
+                                 "the stored skills'")
+        outs, params = self._matrices()
         dists = np.linalg.norm(outs - skill.outcome.values, axis=1)
-        nearest = int(np.argmin(dists))
-        if dists[nearest] >= self.r_novel:
-            self._append(skill)
+        if dists.min(initial=np.inf) >= self.r_novel:
+            self.skills.append(skill)
             return InsertResult(InsertOutcome.ADDED)
-        if skill.quality > self.skills[nearest].quality:
-            others = np.delete(dists, nearest)
-            if others.size == 0 or np.min(others) >= self.r_novel:
-                old = self.skills[nearest]
-                self.skills[nearest] = skill
-                self._outcomes[nearest] = skill.outcome.values
-                self._params[nearest] = skill.params.values
-                return InsertResult(InsertOutcome.REPLACED, replaced=old)
+        nearest = int(np.argmin(dists))
+        old = self.skills[nearest]
+        if skill.quality > old.quality and np.count_nonzero(dists < self.r_novel) == 1:
+            self.skills[nearest] = skill
+            outs[nearest] = skill.outcome.values
+            params[nearest] = skill.params.values
+            return InsertResult(InsertOutcome.REPLACED, replaced=old)
         return InsertResult(InsertOutcome.REJECTED)
-
-    def _append(self, skill: Skill):
-        self.skills.append(skill)
-        self._outcomes = None
-        self._params = None
 
     def nearest_outcome(self, target) -> Skill:
         """Skill whose outcome is Euclidean-nearest to target; ties keep the
-        earliest-inserted skill."""
+        earliest-inserted skill.
+
+        Raises DimensionError unless target has dim_outcome values, and
+        ValueError if one is not finite or the archive is empty.
+        """
+        target = _query(target, "target", self.dim_outcome)
         if not self.skills:
             raise ValueError("archive is empty")
         outs, _ = self._matrices()
-        dists = np.linalg.norm(outs - np.asarray(target, dtype=float), axis=1)
+        dists = np.linalg.norm(outs - target, axis=1)
         return self.skills[int(np.argmin(dists))]
 
     def knn_params(self, theta_c, k: int) -> list[Skill]:
         """k skills nearest in parameter space; ties break by insertion order.
 
-        Asking for more neighbors than stored returns everything.
+        Asking for more neighbors than stored returns everything.  Raises
+        DimensionError unless theta_c has dim_params values, and ValueError
+        if one is not finite, k < 1 or the archive is empty.
         """
+        if isinstance(theta_c, ControllerParams):
+            theta_c = theta_c.values
+        query = _query(theta_c, "theta_c", self.dim_params)
         if not self.skills:
             raise ValueError("archive is empty")
         if k < 1:
             raise ValueError("k must be >= 1")
         _, params = self._matrices()
-        query = theta_c.values if isinstance(theta_c, ControllerParams) else np.asarray(theta_c, dtype=float)
         dists = np.linalg.norm(params - query, axis=1)
         order = np.argsort(dists, kind="stable")
         return [self.skills[i] for i in order[: min(k, len(self.skills))]]
@@ -181,11 +219,11 @@ class Archive:
 def save(archive: Archive, path) -> None:
     """Write the archive as JSON lines (UTF-8, LF).
 
-    The header carries env/D/d/r_novel/seed plus the parameter bounds of the
-    first skill (none for an empty archive) so a file round-trips without
-    consulting the environment registry.  The lines go to a new file beside
-    path, which is flushed to disk and then renamed onto path, so a save that
-    fails leaves any previous file as it was.
+    The header carries env/D/d/r_novel/seed plus the parameter bounds that
+    try_insert makes all skills share (none for an empty archive), so a file
+    round-trips without consulting the environment registry.  The lines go to
+    a new file beside path, which is flushed to disk and then renamed onto
+    path, so a save that fails leaves any previous file as it was.
     """
     header = {
         "env": archive.env_kind,
@@ -260,7 +298,7 @@ def _header(raw: str) -> tuple[Archive, np.ndarray]:
         faults.append(f"env must be a string, got {header['env']!r:.40}")
     for key in ("D", "d"):
         value = header.get(key, 0)
-        if type(value) is not int or value < 0:
+        if not _is_count(value):
             faults.append(f"{key} must be a non-negative integer, got {value!r:.40}")
     if type(header.get("seed", 0)) is not int:
         faults.append(f"seed must be an integer, got {header['seed']!r:.40}")
@@ -269,7 +307,7 @@ def _header(raw: str) -> tuple[Archive, np.ndarray]:
         faults.append(f"r_novel must be a positive finite number, got {r_novel!r:.40}")
     dim = header.get("D")
     bounds = header.get("bounds", [])
-    if type(dim) is int and dim >= 0 and bounds != []:
+    if _is_count(dim) and bounds != []:
         if not (
             isinstance(bounds, list)
             and len(bounds) == dim
@@ -296,8 +334,8 @@ def _header(raw: str) -> tuple[Archive, np.ndarray]:
     return archive, np.array(bounds, dtype=float)
 
 
-def _record(raw: str, dim_params: int, dim_outcome: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(theta, outcome, quality) from one skill line; ValueError says what is wrong."""
+def _record(raw: str, bounds: np.ndarray, dim_outcome: int) -> Skill:
+    """Skill from one line, given the archive's parameter bounds; ValueError says what is wrong."""
     try:
         rec = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -308,11 +346,11 @@ def _record(raw: str, dim_params: int, dim_outcome: int) -> tuple[np.ndarray, np
         theta, outcome, quality = rec["theta"], rec["outcome"], rec["quality"]
     except KeyError:
         raise ValueError(f"record {_missing(rec, _RECORD_KEYS)}") from None
-    theta = _vector(theta, "theta", dim_params)
+    theta = _vector(theta, "theta", len(bounds))
     outcome = _vector(outcome, "outcome", dim_outcome)
     if not _finite(quality):
         raise ValueError(f"quality must be a finite number, got {quality!r:.40}")
-    return theta, outcome, float(quality)
+    return Skill(ControllerParams(theta, bounds), Outcome(outcome), float(quality))
 
 
 def _crowded_pair(outcomes: np.ndarray, r_novel: float) -> tuple[int, int] | None:
@@ -361,7 +399,7 @@ def load(path) -> Archive:
     UTF-8, raises :class:`ArchiveFormatError` starting ``<path>:<line>:``.
     """
     archive = None
-    linenos, thetas, outcomes, qualities = [], [], [], []
+    skills, linenos = [], []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -369,26 +407,18 @@ def load(path) -> Archive:
                 if archive is None:
                     archive, bounds = _header(line)
                 elif line.strip():
-                    theta, outcome, quality = _record(line, archive.dim_params, archive.dim_outcome)
+                    skills.append(_record(line, bounds, archive.dim_outcome))
                     linenos.append(lineno)
-                    thetas.append(theta)
-                    outcomes.append(outcome)
-                    qualities.append(quality)
             except ValueError as exc:   # UnicodeDecodeError included
                 raise ArchiveFormatError(f"{path}:{lineno}: {exc}") from None
     if archive is None:
         raise ArchiveFormatError(f"{path}:1: empty archive file")
-    outs = np.array(outcomes).reshape(len(outcomes), archive.dim_outcome)
-    crowded = _crowded_pair(outs, archive.r_novel)
+    archive.skills = skills
+    crowded = _crowded_pair(archive.outcomes(), archive.r_novel)
     if crowded is not None:
         later, earlier = crowded
         raise ArchiveFormatError(
             f"{path}:{linenos[later]}: outcome closer than r_novel={archive.r_novel} "
             f"to the outcome on line {linenos[earlier]}"
         )
-    archive.skills = [
-        Skill(params=ControllerParams(values=t, bounds=bounds), outcome=Outcome(values=o),
-              quality=q)
-        for t, o, q in zip(thetas, outcomes, qualities)
-    ]
     return archive

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,10 @@ class TestLeastSquares:
         (np.eye(3), np.ones(3), -1e-9, "ridge"),
         (np.ones(3), np.ones(3), 0.0, "matrix"),
         (np.ones((3, 2)), np.ones(4), 0.0, "incompatible"),
-    ], ids=["negative-ridge", "vector-A", "row-mismatch"])
+        # NaN used to give an all-NaN x flagged full rank, and inf all zeros
+        (np.eye(3), np.ones(3), math.nan, "ridge"),
+        (np.eye(3), np.ones(3), math.inf, "ridge"),
+    ], ids=["negative-ridge", "vector-A", "row-mismatch", "nan-ridge", "inf-ridge"])
     def test_bad_inputs_rejected(self, a, b, ridge, match):
         with pytest.raises(ValueError, match=match):
             least_squares(a, b, ridge=ridge)
@@ -146,6 +151,12 @@ class TestHosvd:
         t = np.zeros((3, 3, 3))
         with pytest.raises(ValueError):
             hosvd(t, (4, 1, 1))
+
+    @pytest.mark.parametrize("ranks", [(1.5, 1, 1), (1, 2.0, 1), (1, 1, "1")],
+                             ids=["float", "integral-float", "string"])
+    def test_non_integer_ranks_rejected(self, ranks):
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            hosvd(np.ones((3, 3, 3)), ranks)
 
     def test_two_way_array_rejected(self):
         with pytest.raises(ValueError, match="3-way"):
@@ -243,10 +254,18 @@ class TestCmaes:
         with pytest.raises(ValueError):
             cmaes_minimize(lambda v: 0.0, np.zeros(3), 1.0, 2, seed=0)
 
-    @pytest.mark.parametrize("sigma0", [0.0, -0.5])
+    @pytest.mark.parametrize("sigma0", [0.0, -0.5, math.nan, math.inf])
     def test_non_positive_sigma0_rejected(self, sigma0):
         with pytest.raises(ValueError, match="sigma0"):
             cmaes_minimize(lambda v: 0.0, np.zeros(3), sigma0, 100, seed=0)
+
+    @pytest.mark.parametrize("x0", [[0.0, math.nan, 0.0], [0.0, 0.0, -math.inf]],
+                             ids=["nan", "inf"])
+    def test_non_finite_x0_rejected(self, x0):
+        # such a run, like one from a NaN or infinite sigma0, used to spend its
+        # budget on non-finite candidates and return x0 with f_best = inf
+        with pytest.raises(ValueError, match="x0"):
+            cmaes_minimize(lambda v: float(v @ v), x0, 1.0, 100, seed=0)
 
 
 class TestPearson:

@@ -204,6 +204,28 @@ class TestTryInsert:
         with pytest.raises(ValueError):
             fresh_archive(r_novel=r_novel)
 
+    @pytest.mark.parametrize("field", ["dim_params", "dim_outcome"])
+    @pytest.mark.parametrize("value", [-1, 2.5, True, "2"])
+    def test_dimensions_must_be_non_negative_integers(self, field, value):
+        dims = {"dim_params": 3, "dim_outcome": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a non-negative integer"):
+            Archive(0.1, "throw", **dims)
+
+    def test_other_parameter_bounds_raise_and_change_nothing(self):
+        # save writes one box for the archive: kept, this skill would reload
+        # with bounds [-1, 1] around a value of 5
+        arch = fresh_archive(dim_params=2)
+        arch.try_insert(make_skill([0, 0], [0.0, 0.0]))
+        before = list(arch.skills)
+        wide = Skill(ControllerParams(values=[5.0, 0.0], bounds=[[-10, 10], [-1, 1]]),
+                     Outcome(values=[1.0, 0.0]), 1.0)
+        with pytest.raises(ValueError, match="bounds differ"):
+            arch.try_insert(wide)
+        assert len(arch.skills) == 1 and arch.skills[0] is before[0]
+        assert np.array_equal(arch.outcomes(), [[0.0, 0.0]])
+        # equal bounds in another array are the same box
+        assert arch.try_insert(make_skill([0.5, 0], [1.0, 0.0])).outcome is InsertOutcome.ADDED
+
 
 class TestQueries:
     @settings(max_examples=100, deadline=None)
@@ -279,6 +301,85 @@ class TestQueries:
         # both thetas equidistant from the origin query
         got = arch.knn_params([0.0, 0.0, 0.0], 1)
         assert got[0] is arch.skills[0]
+
+    @pytest.mark.parametrize("query, error", [
+        pytest.param(lambda a: a.nearest_outcome([0.9]), DimensionError, id="target-of-1"),
+        pytest.param(lambda a: a.nearest_outcome([0.9, 0, 0]), DimensionError, id="target-of-3"),
+        pytest.param(lambda a: a.nearest_outcome([[0.9, 0]]), DimensionError, id="target-2-d"),
+        pytest.param(lambda a: a.nearest_outcome([math.nan, 0.9]), ValueError, id="target-nan"),
+        pytest.param(lambda a: a.nearest_outcome([0.9, math.inf]), ValueError, id="target-inf"),
+        pytest.param(lambda a: a.knn_params([0.9], 1), DimensionError, id="theta-of-1"),
+        pytest.param(lambda a: a.knn_params([0.9, 0, 0, 0], 1), DimensionError, id="theta-of-4"),
+        pytest.param(lambda a: a.knn_params([math.nan, 0, 0], 2), ValueError, id="theta-nan"),
+    ])
+    def test_malformed_queries_raise_and_change_nothing(self, query, error):
+        # a query of the wrong length used to broadcast, and a NaN one to
+        # answer with the first-inserted skills
+        arch = fresh_archive()
+        arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0]))
+        arch.try_insert(make_skill([1, 0, 0], [1.0, 0.0]))
+        before = list(arch.skills)
+        with pytest.raises(ValueError) as info:
+            query(arch)
+        assert type(info.value) is error
+        assert all(a is b for a, b in zip(arch.skills, before)) and len(arch.skills) == 2
+        assert np.array_equal(arch.outcomes(), [[0.0, 0.0], [1.0, 0.0]])
+
+
+class TestOneState:
+    """skills is the archive's one state: the matrices follow the list by identity and length."""
+
+    def two_apart(self):
+        arch = fresh_archive(r_novel=0.1)
+        arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], 1.0))
+        arch.try_insert(make_skill([1, 0, 0], [1.0, 0.0], 1.0))
+        arch.outcomes()   # builds the matrices
+        return arch
+
+    def test_direct_append_is_seen(self):
+        arch = self.two_apart()
+        crowded = make_skill([0.5, 0, 0], [0.05, 0.0], 1.0)
+        arch.skills.append(crowded)
+        assert np.array_equal(arch.outcomes(), [[0.0, 0.0], [1.0, 0.0], [0.05, 0.0]])
+        assert arch.min_pairwise_distance() == 0.05
+        assert arch.nearest_outcome([0.05, 0.0]) is crowded
+        assert arch.knn_params([0.5, 0.0, 0.0], 1)[0] is crowded
+
+    def test_clear_empties_the_matrices(self):
+        arch = self.two_apart()
+        arch.skills.clear()
+        assert arch.outcomes().shape == (0, 2)
+        assert arch.min_pairwise_distance() == math.inf
+        with pytest.raises(ValueError, match="empty"):
+            arch.nearest_outcome([0.0, 0.0])
+        skill = make_skill([0, 0, 0], [0.0, 0.0], 0.5)
+        assert arch.try_insert(skill).outcome is InsertOutcome.ADDED
+        assert arch.skills == [skill]
+
+    def test_reassigned_skills_are_seen(self):
+        arch = self.two_apart()
+        moved = [make_skill([0, 0, 0], [5.0, 5.0]), make_skill([1, 0, 0], [6.0, 6.0])]
+        arch.skills = list(moved)   # as many skills as before
+        assert np.array_equal(arch.outcomes(), [[5.0, 5.0], [6.0, 6.0]])
+        assert arch.nearest_outcome([5.0, 5.0]) is moved[0]
+        far = make_skill([0, 1, 0], [3.0, 0.0], 1.0)
+        arch.skills = [far]
+        assert np.array_equal(arch.outcomes(), [[3.0, 0.0]])
+        assert arch.nearest_outcome([0.0, 0.0]) is far
+        assert arch.knn_params([0.0, 0.0, 0.0], 5) == [far]
+        res = arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], 1.0))
+        assert res.outcome is InsertOutcome.ADDED and len(arch.skills) == 2
+
+    def test_replaced_insert_after_direct_append(self):
+        arch = self.two_apart()
+        appended = make_skill([0, 0, 1], [2.0, 0.0], 1.0)
+        arch.skills.append(appended)
+        better = make_skill([0, 0, 0.5], [2.05, 0.0], 2.0)
+        res = arch.try_insert(better)
+        assert res.outcome is InsertOutcome.REPLACED and res.replaced is appended
+        assert arch.skills[2] is better and len(arch.skills) == 3
+        assert np.array_equal(arch.outcomes(), [[0.0, 0.0], [1.0, 0.0], [2.05, 0.0]])
+        assert arch.knn_params([0.0, 0.0, 0.5], 1)[0] is better
 
 
 class TestPersistence:
