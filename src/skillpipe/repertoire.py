@@ -43,6 +43,26 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
+# what each field of a header must hold, so that save writes only what load
+# reads: (test, phrase) by the field's kind
+_FIELD_RULES = {
+    "env": (lambda value: isinstance(value, str), "a string"),
+    "count": (_is_count, "a non-negative integer"),
+    "seed": (lambda value: type(value) is int, "an integer"),   # bool is no int
+}
+
+
+def _field_faults(fields) -> list[str]:
+    """One phrase for each (name, kind, value) whose value breaks the rule of
+    its kind in _FIELD_RULES; Archive and load both check by it."""
+    faults = []
+    for name, kind, value in fields:
+        test, phrase = _FIELD_RULES[kind]
+        if not test(value):
+            faults.append(f"{name} must be {phrase}, got {value!r:.40}")
+    return faults
+
+
 def _query(values, name: str, size: int) -> np.ndarray:
     """values as a vector of size finite floats; DimensionError or ValueError if not."""
     query = _as_array(values, name)
@@ -81,15 +101,24 @@ class Archive:
     callers may append to it or reassign it.  Entries are replaced only
     through try_insert; an edit in place that keeps the length, such as
     assigning to an entry, goes unseen.
+
+    The constructor raises ValueError, naming each field, for what load
+    would refuse in a saved header: an env_kind that is not a str, a
+    dim_params or dim_outcome that is not a non-negative int and a seed
+    that is not an int (a bool is neither).
     """
 
     def __init__(self, r_novel: float, env_kind: str, dim_params: int,
                  dim_outcome: int, seed: int = 0):
         if not (0 < r_novel < math.inf):
             raise ValueError("r_novel must be positive and finite")
-        for name, value in (("dim_params", dim_params), ("dim_outcome", dim_outcome)):
-            if not _is_count(value):
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r:.40}")
+        if faults := _field_faults((
+            ("env_kind", "env", env_kind),
+            ("dim_params", "count", dim_params),
+            ("dim_outcome", "count", dim_outcome),
+            ("seed", "seed", seed),
+        )):
+            raise ValueError("; ".join(faults))
         self.r_novel = float(r_novel)
         self.env_kind = env_kind
         self.dim_params = dim_params
@@ -179,15 +208,16 @@ class Archive:
 
         Asking for more neighbors than stored returns everything.  Raises
         DimensionError unless theta_c has dim_params values, and ValueError
-        if one is not finite, k < 1 or the archive is empty.
+        if one is not finite, k is not an integer >= 1 (a NumPy integer is
+        one, a bool is not) or the archive is empty.
         """
         if isinstance(theta_c, ControllerParams):
             theta_c = theta_c.values
         query = _query(theta_c, "theta_c", self.dim_params)
         if not self.skills:
             raise ValueError("archive is empty")
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r:.40}")
         _, params = self._matrices()
         dists = np.linalg.norm(params - query, axis=1)
         order = np.argsort(dists, kind="stable")
@@ -294,14 +324,12 @@ def _header(raw: str) -> tuple[Archive, np.ndarray]:
     faults = []
     if missing := _missing(header, _HEADER_KEYS):
         faults.append(f"header {missing}")
-    if not isinstance(header.get("env", ""), str):
-        faults.append(f"env must be a string, got {header['env']!r:.40}")
-    for key in ("D", "d"):
-        value = header.get(key, 0)
-        if not _is_count(value):
-            faults.append(f"{key} must be a non-negative integer, got {value!r:.40}")
-    if type(header.get("seed", 0)) is not int:
-        faults.append(f"seed must be an integer, got {header['seed']!r:.40}")
+    faults += _field_faults((
+        ("env", "env", header.get("env", "")),
+        ("D", "count", header.get("D", 0)),
+        ("d", "count", header.get("d", 0)),
+        ("seed", "seed", header.get("seed", 0)),
+    ))
     r_novel = header.get("r_novel", 1.0)
     if not (_finite(r_novel) and r_novel > 0):
         faults.append(f"r_novel must be a positive finite number, got {r_novel!r:.40}")

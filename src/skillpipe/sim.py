@@ -438,6 +438,8 @@ TRANSFER_HIDDEN = 16
 TRANSFER_STEPS = 100
 _HAND_STEP = 0.03
 _CONTACT_RADIUS = 0.08
+# Squared hand-puck distance beyond which no rounding gives a contact.
+_NEAR_SQ = (1.001 * _CONTACT_RADIUS) ** 2
 
 
 def policy_shapes():
@@ -495,11 +497,20 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     Raises ValueError for an unknown kind or non-finite weights, and
     DimensionError unless the layers have the shapes of :func:`policy_shapes`.
 
+    The rollout ends at the first step that leaves hand, puck and puck
+    velocity as they were: every later step would start from the same state
+    and repeat it, so the return is unchanged.  Every other step runs the
+    policy, also after a strike, so that a rollout's cost does not depend on
+    when its puck is struck.
+
     Hand, puck, goal and puck velocity are Python floats.  NumPy computes
     only the two tanh layers, the hand-puck distance and the push projection
     (2-vector dots) and the final miss distance: the BLAS dot may fuse
     multiply and add, so writing a dot out as a*a + b*b would change the
-    low bits of the return.
+    low bits of the return.  Such a sum only screens out the hands well
+    beyond the contact radius, which no rounding brings into contact.  The
+    layers use ``ndarray.dot``, the BLAS call of ``@`` at less overhead, and
+    the hand step is scaled in Python, one rounded multiply either way.
     """
     if kind not in TRANSFER_KINDS:
         raise ValueError(f"unknown transfer task {kind!r}")
@@ -516,19 +527,21 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     vx = vy = 0.0
     struck = False
     state = np.empty(TRANSFER_STATE_DIM)
-    gap = np.empty(2)
     for _ in range(TRANSFER_STEPS):
+        before = (hx, hy, px, py, vx, vy)
         state[:] = (px - hx, py - hy, gx - px, gy - py, hx, hy)
-        step = np.tanh(np.tanh(state @ w_in) @ w_out) * _HAND_STEP
-        sx, sy = step.tolist()
+        sx, sy = np.tanh(np.tanh(state.dot(w_in)).dot(w_out)).tolist()
+        sx, sy = sx * _HAND_STEP, sy * _HAND_STEP
         hx, hy = _clip_unit(hx + sx), _clip_unit(hy + sy)
-        gap[:] = (px - hx, py - hy)
-        gap_norm = math.sqrt(gap.dot(gap))   # what np.linalg.norm computes
         push_x = push_y = 0.0
-        if 0.0 < gap_norm < _CONTACT_RADIUS:
-            direction = gap / gap_norm
-            push = max(0.0, float(step @ direction))
-            push_x, push_y = (push * direction).tolist()
+        dx, dy = px - hx, py - hy
+        if dx * dx + dy * dy < _NEAR_SQ:
+            gap = np.array((dx, dy))
+            gap_norm = math.sqrt(gap.dot(gap))   # what np.linalg.norm computes
+            if 0.0 < gap_norm < _CONTACT_RADIUS:
+                direction = gap / gap_norm
+                push = max(0.0, float(np.array((sx, sy)) @ direction))
+                push_x, push_y = (push * direction).tolist()
         if kind == "pusherlike":
             px, py = _clip_unit(px + push_x), _clip_unit(py + push_y)
         elif kind == "throwerlike":
@@ -541,4 +554,6 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
                 struck = True
             px, py = _clip_unit(px + vx), _clip_unit(py + vy)
             vx, vy = vx * 0.98, vy * 0.98
+        if (hx, hy, px, py, vx, vy) == before:
+            break   # every later step would repeat this one
     return -float(np.linalg.norm([px - gx, py - gy]))

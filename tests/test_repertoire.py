@@ -211,6 +211,17 @@ class TestTryInsert:
         with pytest.raises(ValueError, match=f"{field} must be a non-negative integer"):
             Archive(0.1, "throw", **dims)
 
+    @pytest.mark.parametrize("field, value", [
+        ("env_kind", 7), ("env_kind", None), ("env_kind", b"throw"),
+        ("seed", 1.5), ("seed", True), ("seed", "1"), ("seed", np.int64(1)),
+    ], ids=["env_kind-int", "env_kind-None", "env_kind-bytes",
+            "seed-float", "seed-bool", "seed-str", "seed-int64"])
+    def test_header_fields_load_would_refuse_are_refused(self, field, value):
+        # save used to write these, and load then refused the file at line 1
+        fields = {"env_kind": "throw", "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an? (string|integer), got "):
+            Archive(0.1, dim_params=3, dim_outcome=2, **fields)
+
     def test_other_parameter_bounds_raise_and_change_nothing(self):
         # save writes one box for the archive: kept, this skill would reload
         # with bounds [-1, 1] around a value of 5
@@ -293,6 +304,27 @@ class TestQueries:
         arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], 1.0))
         with pytest.raises(ValueError, match="k must be"):
             arch.knn_params([0.0, 0.0, 0.0], 0)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, False, "2", None, np.float64(2.0), 0, -1, np.int64(0)],
+                             ids=["2.5", "2.0", "True", "False", "str", "None", "float64", "0", "-1", "int64-0"])
+    def test_k_must_be_an_integer_of_at_least_one(self, k):
+        # 2.5 used to fail inside the slicing, and True to return one skill
+        arch = fresh_archive()
+        for i in range(5):
+            arch.try_insert(make_skill([i, 0, 0], [i, 0.0]))
+        before = list(arch.skills)
+        with pytest.raises(ValueError, match="^k must be an integer >= 1, got "):
+            arch.knn_params([0.0, 0.0, 0.0], k)
+        assert len(arch.skills) == 5 and all(a is b for a, b in zip(arch.skills, before))
+        assert np.array_equal(arch.outcomes(), [[i, 0.0] for i in range(5)])
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)], ids=["int64", "int32", "uint8"])
+    def test_numpy_integer_k_is_accepted(self, k):
+        arch = fresh_archive()
+        for i in range(5):
+            arch.try_insert(make_skill([i, 0, 0], [i, 0.0]))
+        got = arch.knn_params([0.0, 0.0, 0.0], k)
+        assert len(got) == 2 and all(a is b for a, b in zip(got, arch.skills))
 
     def test_tie_breaks_by_insertion_order(self):
         arch = fresh_archive(r_novel=0.01)
@@ -401,6 +433,17 @@ class TestPersistence:
             assert np.array_equal(a.params.values, b.params.values)
             assert np.array_equal(a.outcome.values, b.outcome.values)
             assert a.quality == b.quality
+
+    @settings(max_examples=60, deadline=None)
+    @given(env_kind=st.text(max_size=12), seed=st.integers(), dims=st.tuples(
+        st.integers(0, 4), st.integers(0, 4)))
+    def test_accepted_header_fields_survive_save_and_load(self, env_kind, seed, dims):
+        arch = Archive(0.1, env_kind, *dims, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "arch.jsonl"
+            save(arch, path)
+            back = load(path)
+        assert (back.env_kind, back.dim_params, back.dim_outcome, back.seed) == (env_kind, *dims, seed)
 
     def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
         arch = fresh_archive()

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import sys
 from unittest import mock
@@ -657,12 +658,68 @@ def _noisy_pusher(rng, noise):
     return [w + noise * rng.normal(size=w.shape) for w in _scripted_pusher_policy()]
 
 
+def _drive_up_policy():
+    # steps the hand at the far wall (+y), where the clip holds it
+    w1, w2 = np.zeros((6, 16)), np.zeros((16, 2))
+    w1[5, 0], w2[0, 1] = 1.0, 10.0
+    return [w1, w2]
+
+
+def _static_return(kind, seed):
+    """The return of a rollout that never moves the puck."""
+    _, puck, goal = sim._transfer_init(kind, np.random.Generator(np.random.PCG64(seed)))
+    return -float(np.linalg.norm(puck - goal))
+
+
+def _strike_step(kind, layers, seed, states):
+    """The step on which a strikerlike rollout strikes the puck, TRANSFER_STEPS
+    if it never does.  The states show a strike on any step but the last,
+    the return one on the last."""
+    moved = np.flatnonzero(np.any(states[1:, 2:4] != states[:-1, 2:4], axis=1))
+    if len(moved):
+        return int(moved[0])
+    if _oracle_transfer_task(kind, layers, seed) != _static_return(kind, seed):
+        return TRANSFER_STEPS - 1
+    return TRANSFER_STEPS
+
+
+def _is_fixed(kind, states):
+    """True when a pusherlike rollout reaches a state no later step changes:
+    its puck has no velocity, so two equal states in a row are one."""
+    return kind == "pusherlike" and bool(np.any(np.all(states[1:] == states[:-1], axis=1)))
+
+
+def _last_step_strike(seed):
+    """(layers, states) of the scripted pusher slowed until its strikerlike
+    strike comes on the last step, found by bisecting the scale of its
+    output layer; None if no scale gives one."""
+    w1, w2 = _scripted_pusher_policy()
+    slow, fast = 0.0, 1.0   # scales that strike never and before the last step
+    for _ in range(30):
+        mid = (slow + fast) / 2
+        layers = [w1, mid * w2]
+        states = _oracle_states("strikerlike", layers, seed)
+        step = _strike_step("strikerlike", layers, seed, states)
+        if step == TRANSFER_STEPS - 1:
+            return layers, states
+        if step == TRANSFER_STEPS:
+            slow = mid
+        else:
+            fast = mid
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def _transfer_screen():
     """Rollouts (kind, layers, seed, states) that move the puck, screened
     from random policies, of which about 5-10% touch it, and the scripted
     pusher with noise.  The goal is fixed, so the puck has moved when
-    goal - puck changes between steps."""
+    goal - puck changes between steps.
+
+    Cases that exercise strikes and the exit of transfer_task are added:
+    the hand driven at the far wall mostly strikes within the first 10
+    steps, and on pusherlike reaches a fixed state, mostly after pushing the
+    puck; the slowed scripted pusher strikes on the last step."""
     rng = np.random.default_rng(19)
     cases = []
     for kind in sim.TRANSFER_KINDS:
@@ -675,7 +732,44 @@ def _transfer_screen():
             states = _oracle_states(kind, layers, seed)
             if np.any(states[:, 2:4] != states[0, 2:4]):
                 cases.append((kind, layers, seed, states))
+    for seed in range(8):
+        for kind in sim.TRANSFER_KINDS:
+            layers = _drive_up_policy()
+            cases.append((kind, layers, seed, _oracle_states(kind, layers, seed)))
+        if found := _last_step_strike(seed):
+            layers, states = found
+            cases.append(("strikerlike", layers, seed, states))
     return cases
+
+
+def _golden_transfer_cases():
+    """(kind, layers, seed), 100 per kind from a fixed seed, a quarter each:
+    random policies at weight scales of 0.05-50, the scripted pusher with
+    noise, the scripted pusher with its output layer scaled by 0.25-8,
+    which strikes anywhere from the first steps to never, and the hand
+    driven at the far wall."""
+    rng = np.random.default_rng(2005)
+    cases = []
+    for kind in sim.TRANSFER_KINDS:
+        for i in range(100):
+            if i % 4 == 0:
+                layers = _random_policy(rng, 0.05 * 1000.0 ** rng.uniform())
+            elif i % 4 == 1:
+                layers = _noisy_pusher(rng, rng.choice([0.0, 0.01, 0.1, 0.5]))
+            elif i % 4 == 2:
+                w1, w2 = _scripted_pusher_policy()
+                layers = [w1, 2.0 ** rng.uniform(-2.0, 3.0) * w2]
+            else:
+                layers = _drive_up_policy()
+            cases.append((kind, layers, int(rng.integers(2**32))))
+    return cases
+
+
+# sha256 of the returns of _golden_transfer_cases as little-endian doubles,
+# recorded while transfer_task still ran every step of every rollout.  It pins
+# the low bits, so a NumPy or BLAS build that moves them needs a new digest,
+# checked first against the oracle property.
+GOLDEN_RETURNS_SHA256 = "3b5a123b84bcb8d79a6031d7db754f3525de2d55cce4cf1bb102326d0764d172"
 
 
 @st.composite
@@ -714,6 +808,34 @@ class TestTransferRolloutMatchesOracle:
         got, want = sim._clip_unit(x), float(np.clip(x, 0.0, 1.0))
         assert got == want or (math.isnan(got) and math.isnan(want))
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestTransferExits:
+    """transfer_task stops the rollout at a fixed state, which must leave
+    the return bit for bit, and nowhere else: the policy runs on every step
+    before it, also after a strike, so that a rollout's cost does not depend
+    on when its puck is struck."""
+
+    def test_screen_holds_early_and_last_step_strikes_and_fixed_states(self):
+        cases = _transfer_screen()
+        strikes = [_strike_step(*case) for case in cases if case[0] == "strikerlike"]
+        assert sum(step < 10 for step in strikes) >= 5
+        assert strikes.count(TRANSFER_STEPS - 1) >= 5
+        assert sum(_is_fixed(kind, states) for kind, _, _, states in cases) >= 5
+
+    def test_policy_runs_on_every_step_after_a_strike(self):
+        cases = [case for case in _transfer_screen() if case[0] == "strikerlike"]
+        struck = [case for case in cases if _strike_step(*case) < 10]
+        assert struck
+        for kind, layers, seed, states in struck:
+            with mock.patch.object(sim.np, "tanh", wraps=np.tanh) as tanh:
+                transfer_task(kind, layers, seed)
+            # a struck puck slides, so the rollout never reaches a fixed state
+            assert tanh.call_count == 2 * TRANSFER_STEPS
+
+    def test_returns_match_the_golden_digest(self):
+        returns = np.array([transfer_task(*case) for case in _golden_transfer_cases()], dtype="<f8")
+        assert hashlib.sha256(returns.tobytes()).hexdigest() == GOLDEN_RETURNS_SHA256
 
 
 class TestShapeChecks:
