@@ -113,7 +113,10 @@ def hosvd(tensor, ranks) -> TuckerFactors:
     t = np.asarray(tensor, dtype=float)
     if t.ndim != 3:
         raise ValueError("hosvd expects a 3-way tensor")
-    r1, r2, r3 = ranks
+    try:
+        r1, r2, r3 = ranks
+    except (TypeError, ValueError):
+        raise ValueError(f"ranks must be 3 integers, got {ranks!r:.40}") from None
     for r, dim in zip((r1, r2, r3), t.shape):
         if not (isinstance(r, (int, np.integer)) and 1 <= r <= dim):
             raise ValueError(f"ranks must be integers in [1, {dim}], got {r!r}")
@@ -261,10 +264,12 @@ def pearson(x, y) -> float:
     """Sample Pearson correlation in [-1, 1].
 
     Zero variance in either input yields 0.0 with a warning instead of NaN.
+    Raises DimensionError unless x and y are 1-D, and ValueError, naming the
+    argument, if one holds a non-finite value.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
+    x = _as_array(x, "x")
+    y = _as_array(y, "y")
+    if x.shape != y.shape:
         raise ValueError("pearson expects two equal-length vectors")
     if x.shape[0] < 2:
         raise ValueError("pearson needs at least 2 samples")

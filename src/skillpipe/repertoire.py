@@ -3,7 +3,8 @@
 Stored outcomes keep pairwise Euclidean distance >= r_novel.  A candidate
 closer than that to existing skills may replace its nearest neighbor when it
 has strictly higher quality, but only if removing that neighbor restores the
-spacing; otherwise it is rejected.
+spacing; otherwise it is rejected.  One function measures every distance,
+so load refuses exactly the files try_insert could not have written.
 
 An archive's one state is its list of skills.  Callers may append to it or
 reassign it; entries are replaced only through try_insert.  The outcome and
@@ -35,7 +36,41 @@ __all__ = [
 ]
 
 
-_BLOCK = 32   # rows per block of the pairwise distance scans
+_BLOCK = 32   # rows per block of the nearest-earlier scan
+
+
+def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Euclidean distances [m, n] from points[m, d] to rows[n, d].
+
+    The squared differences are summed one coordinate at a time, in order;
+    for d < 8 that gives the bits of np.linalg.norm, which sums in pairs
+    from d = 8 on.
+    """
+    total = np.zeros((len(points), len(rows)))
+    square = np.empty_like(total)
+    for column, row_column in zip(points.T, rows.T):
+        np.subtract.outer(column, row_column, out=square)
+        square *= square
+        total += square
+    return np.sqrt(total, out=total)
+
+
+def _nearest_earlier(outs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of outs[n, d], the distance to its nearest earlier row
+    (inf for the first) and that row's index, the earliest of equals.
+
+    Measured _BLOCK rows at a time, in memory O(_BLOCK * n).
+    """
+    n = len(outs)
+    dist, index = np.full(n, np.inf), np.zeros(n, dtype=int)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        block = _distances(outs[start:stop], outs[:stop])
+        block[np.triu_indices(stop - start, k=start, m=stop)] = np.inf   # itself and later rows
+        index[start:stop] = block.argmin(axis=1)
+        dist[start:stop] = block[np.arange(stop - start), index[start:stop]]
+        del block   # before the next block's buffers are made
+    return dist, index
 
 
 def _is_count(value) -> bool:
@@ -176,7 +211,7 @@ class Archive:
                 raise ValueError("cannot insert a skill whose parameter bounds differ from "
                                  "the stored skills'")
         outs, params = self._matrices()
-        dists = np.linalg.norm(outs - skill.outcome.values, axis=1)
+        dists = _distances(skill.outcome.values[None, :], outs)[0]
         if dists.min(initial=np.inf) >= self.r_novel:
             self.skills.append(skill)
             return InsertResult(InsertOutcome.ADDED)
@@ -200,7 +235,7 @@ class Archive:
         if not self.skills:
             raise ValueError("archive is empty")
         outs, _ = self._matrices()
-        dists = np.linalg.norm(outs - target, axis=1)
+        dists = _distances(target[None, :], outs)[0]
         return self.skills[int(np.argmin(dists))]
 
     def knn_params(self, theta_c, k: int) -> list[Skill]:
@@ -219,27 +254,14 @@ class Archive:
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"k must be an integer >= 1, got {k!r:.40}")
         _, params = self._matrices()
-        dists = np.linalg.norm(params - query, axis=1)
+        dists = _distances(query[None, :], params)[0]
         order = np.argsort(dists, kind="stable")
         return [self.skills[i] for i in order[: min(k, len(self.skills))]]
 
     def min_pairwise_distance(self) -> float:
-        """Smallest outcome-space distance between stored skills (inf if < 2).
-
-        Measured _BLOCK rows at a time against the later rows, in memory
-        O(_BLOCK * n * d).
-        """
-        n = len(self.skills)
-        if n < 2:
-            return float("inf")
+        """Smallest outcome-space distance between stored skills (inf if < 2)."""
         outs, _ = self._matrices()
-        best = np.inf
-        for start in range(0, n - 1, _BLOCK):
-            rows = outs[start:start + _BLOCK]
-            d = np.linalg.norm(rows[:, None, :] - outs[None, start:, :], axis=2)
-            d[np.tril_indices(len(rows), m=n - start)] = np.inf   # each pair once
-            best = min(best, d.min())
-        return float(best)
+        return float(_nearest_earlier(outs)[0].min(initial=np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -381,37 +403,6 @@ def _record(raw: str, bounds: np.ndarray, dim_outcome: int) -> Skill:
     return Skill(ControllerParams(theta, bounds), Outcome(outcome), float(quality))
 
 
-def _crowded_pair(outcomes: np.ndarray, r_novel: float) -> tuple[int, int] | None:
-    """First row closer than r_novel to an earlier row, with that row, or None.
-
-    Squared distances from Gram blocks of 32 rows (memory O(32 n)) screen for
-    candidate pairs, with a slack that covers their rounding; each
-    candidate is then measured with the same norm :meth:`Archive.try_insert`
-    uses, so every file written from a try_insert-built archive passes.
-    """
-    n, d = outcomes.shape
-    # scale by a power of two (exact) so that squared norms cannot overflow
-    exponent = np.frexp(np.abs(outcomes).max(initial=0.0))[1]
-    x = np.ldexp(outcomes, -exponent)
-    sq = np.einsum("ij,ij->i", x, x)
-    r2 = np.ldexp(r_novel, -exponent) ** 2
-    # |a|^2 + |b|^2 - 2 a.b errs by about (d + 2) eps max|x|^2; the margin is wide
-    limit = r2 + 16 * (d + 2) * np.finfo(float).eps * (2 * sq.max(initial=0.0) + r2)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        d2 = x[start:stop] @ x[:stop].T
-        d2 *= -2.0
-        d2 += sq[:stop]
-        d2 += sq[start:stop, None]
-        near = np.tril(d2 < limit, k=start - 1)   # earlier rows only
-        for i in np.flatnonzero(near.any(axis=1)):
-            earlier = np.flatnonzero(near[i])
-            dists = np.linalg.norm(outcomes[earlier] - outcomes[start + i], axis=1)
-            if dists.min() < r_novel:
-                return start + int(i), int(earlier[np.argmin(dists)])
-    return None
-
-
 def load(path) -> Archive:
     """Read an archive written by :func:`save`, validating every line.
 
@@ -422,9 +413,10 @@ def load(path) -> Archive:
     further non-blank line must be a JSON object whose ``theta`` is D finite
     numbers, whose ``outcome`` is d finite numbers and whose ``quality`` is a
     finite number. Stored outcomes must keep the pairwise spacing
-    ``>= r_novel`` that :meth:`Archive.try_insert` keeps; the later line of a
-    pair that breaks it is named. Any failure, including bytes that are not
-    UTF-8, raises :class:`ArchiveFormatError` starting ``<path>:<line>:``.
+    ``>= r_novel`` that :meth:`Archive.try_insert` keeps, measured as it
+    measures; the first line that breaks it is named, with its nearest earlier
+    line. Any failure, including bytes that are not UTF-8, raises
+    :class:`ArchiveFormatError` starting ``<path>:<line>:``.
     """
     archive = None
     skills, linenos = [], []
@@ -442,11 +434,12 @@ def load(path) -> Archive:
     if archive is None:
         raise ArchiveFormatError(f"{path}:1: empty archive file")
     archive.skills = skills
-    crowded = _crowded_pair(archive.outcomes(), archive.r_novel)
-    if crowded is not None:
-        later, earlier = crowded
+    dist, index = _nearest_earlier(archive.outcomes())
+    crowded = np.flatnonzero(dist < archive.r_novel)
+    if crowded.size:
+        later = crowded[0]
         raise ArchiveFormatError(
             f"{path}:{linenos[later]}: outcome closer than r_novel={archive.r_novel} "
-            f"to the outcome on line {linenos[earlier]}"
+            f"to the outcome on line {linenos[index[later]]}"
         )
     return archive

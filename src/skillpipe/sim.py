@@ -91,7 +91,7 @@ class Obstacle:
 
     The wall extends infinitely along y; a point collides when its (x, z)
     coordinates fall inside the rectangle.  Both extents must be positive
-    and finite, and the center finite.
+    and finite, and the center two finite values.
     """
 
     center: tuple[float, float]
@@ -99,6 +99,8 @@ class Obstacle:
     height: float
 
     def __post_init__(self):
+        if np.shape(self.center) != (2,):
+            raise DimensionError(f"center must have 2 values, got shape {np.shape(self.center)}")
         for name in ("width", "height"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -346,11 +348,12 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     if env.kind != "throw":
         raise ValueError("collision checks are defined for the throw environment")
     values = _controllers(env, theta.values[None, :])
-    angles, _ = _joint_states(env, values, _sample_times(env))
+    angles, velocities = _joint_states(env, values, _sample_times(env))
     pts = _arm_points(env, gap, angles)
     if bool(np.any(obstacle.contains(pts[..., 0], pts[..., 2]))):
         return True
-    pos, vel = _gripper(env, gap, *_joint_states(env, values, env.duration))
+    # the last sample is env.duration, bit for bit as eval_cubics gives it alone
+    pos, vel = _gripper(env, gap, angles[:, -1], velocities[:, -1])
     g = env.gravity * gap.gravity_scale
     _, t_land, valid = _flight(pos, vel, g)
     if not valid[0]:

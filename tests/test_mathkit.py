@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from skillpipe import mathkit
+from skillpipe.core import DimensionError
 from skillpipe.mathkit import (
     cmaes_minimize,
     hosvd,
@@ -162,6 +163,13 @@ class TestHosvd:
         with pytest.raises(ValueError, match="3-way"):
             hosvd(np.eye(3), (1, 1, 1))
 
+    @pytest.mark.parametrize("ranks", [(1, 1), (1, 1, 1, 1), 2, None],
+                             ids=["two", "four", "int", "None"])
+    def test_ranks_must_be_three(self, ranks):
+        # (1, 1) used to fail with a bare unpacking error, 2 with a TypeError
+        with pytest.raises(ValueError, match="^ranks must be 3 integers, got "):
+            hosvd(np.ones((3, 3, 3)), ranks)
+
 
 class TestReconstruct:
     def test_slice_matches_source_within_truncation(self):
@@ -292,3 +300,22 @@ class TestPearson:
             pearson([1.0], [2.0])
         with pytest.raises(ValueError, match="equal-length"):
             pearson([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("x, y, name", [
+        ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0], "x"),
+        ([math.inf, 1.0, 2.0], [1.0, 2.0, 3.0], "x"),
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0], "y"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, -math.inf], "y"),
+    ], ids=["x-nan", "x-inf", "y-nan", "y-minus-inf"])
+    def test_non_finite_input_refused(self, x, y, name):
+        # min(1.0, nan) is 1.0, so the first two used to return a perfect correlation
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+            pearson(x, y)
+
+    @pytest.mark.parametrize("x, y, name", [
+        ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], "x"),
+        ([1.0, 2.0], 3.0, "y"),
+    ], ids=["x-2-d", "y-scalar"])
+    def test_non_vector_input_refused(self, x, y, name):
+        with pytest.raises(DimensionError, match=f"^{name} must be a 1-D vector"):
+            pearson(x, y)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tempfile
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skillpipe import repertoire, sim
 from skillpipe.core import ControllerParams, DimensionError, Outcome, Skill
 from skillpipe.repertoire import (
     Archive,
@@ -358,6 +360,30 @@ class TestQueries:
         assert np.array_equal(arch.outcomes(), [[0.0, 0.0], [1.0, 0.0]])
 
 
+def sequential_distance(p, r) -> float:
+    """Euclidean distance with the squares summed in coordinate order, in Python floats."""
+    total = 0.0
+    for a, b in zip(p.tolist(), r.tolist()):
+        total += (a - b) * (a - b)
+    return math.sqrt(total)
+
+
+class TestDistances:
+    """_distances, the one measure of every distance the archive takes."""
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_squares_are_summed_in_coordinate_order(self, d):
+        # and below d = 8 that is np.linalg.norm, which the spacing
+        # properties above use as their reference
+        rng = np.random.default_rng(d)
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            points, rows = rng.normal(0.0, scale, (4, d)), rng.normal(0.0, scale, (30, d))
+            got = repertoire._distances(points, rows)
+            assert got.tolist() == [[sequential_distance(p, r) for r in rows] for p in points]
+            if d < 8:
+                assert np.array_equal(got, [np.linalg.norm(rows - p, axis=1) for p in points])
+
+
 class TestOneState:
     """skills is the archive's one state: the matrices follow the list by identity and length."""
 
@@ -608,6 +634,31 @@ class TestPersistence:
         save(arch, path)
         assert len(load(path).skills) == 2
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_a_pair_r_novel_apart_loads_and_an_ulp_closer_does_not(self, d, tmp_path):
+        # r_novel is the archive's own distance between two outcomes: the
+        # pair is kept and loads, and at the next float up both refuse it.
+        # From d = 8 on np.linalg.norm often differs in the last bit, so a
+        # spacing check that measured by it would fail here
+        rng = np.random.default_rng(d)
+        path = tmp_path / "pair.jsonl"
+        for scale in (1e-3, 1.0, 1e3) * 10:
+            a, b = (make_skill([0, 0, 0], rng.normal(0.0, scale, d), q) for q in (1.0, 0.0))
+            probe = fresh_archive(d=d)
+            probe.skills = [a, b]
+            apart = probe.min_pairwise_distance()
+            for r_novel, kept in ((apart, True), (np.nextafter(apart, np.inf), False)):
+                arch = fresh_archive(r_novel=r_novel, d=d)
+                arch.try_insert(a)
+                expected = InsertOutcome.ADDED if kept else InsertOutcome.REJECTED
+                assert arch.try_insert(b).outcome is expected
+                arch.skills = [a, b]
+                save(arch, path)
+                if kept:
+                    assert len(load(path).skills) == 2
+                else:
+                    assert_rejected_at(path, 3)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_spacing_check_matches_a_per_line_scan(self, data):
@@ -640,10 +691,11 @@ class TestPersistence:
     @given(data=st.data())
     def test_try_insert_archives_roundtrip(self, data):
         # outcomes on a grid of r_novel / step put many pairs at or within a
-        # rounding error of r_novel; an offset far above r_novel makes the
-        # screen's squared distances cancel badly. A screen that disagreed with
-        # try_insert's norm there would reject a file save wrote
-        d = data.draw(st.integers(1, 3), label="d")
+        # rounding error of r_novel, and an offset far above r_novel leaves
+        # their differences few bits. A spacing check that measured otherwise
+        # than try_insert would reject a file save wrote; from d = 8 on,
+        # np.linalg.norm sums the squares in another order than the archive
+        d = data.draw(st.integers(1, 10), label="d")
         r_novel = data.draw(st.floats(1e-3, 10.0), label="r_novel")
         step = r_novel / data.draw(st.sampled_from([1, 2, 3, 4]), label="step")
         offset = r_novel * data.draw(st.sampled_from([0.0, 1e3, 1e8]), label="offset")
@@ -673,3 +725,61 @@ class TestPersistence:
             assert arch.try_insert(skill).outcome is back.try_insert(skill).outcome
         assert np.array_equal(back.outcomes(), arch.outcomes())
 
+
+def _golden_throw_fill():
+    """A seeded throw fill of 3,000 evaluations, with its insert results.
+
+    Ten generations of 300 controllers: uniform draws first, then Gaussian
+    mutations (sigma 0.1) of uniformly drawn archive members, each
+    generation executed in one batch and inserted in order at r_novel 0.02,
+    as the benchmark's throw fill spaces its archive.
+    """
+    env = sim.make_env("throw")
+    bounds = sim.theta_bounds(env)
+    rng = np.random.default_rng(2020)
+    arch = Archive(0.02, "throw", env.dim_params, env.dim_outcome, seed=2020)
+    results = []
+    for generation in range(10):
+        if generation == 0:
+            values = rng.uniform(bounds[:, 0], bounds[:, 1], size=(300, env.dim_params))
+        else:
+            parents = [arch.skills[i].params.values for i in rng.integers(len(arch.skills), size=300)]
+            values = np.clip(parents + rng.normal(0.0, 0.1, (300, env.dim_params)),
+                             bounds[:, 0], bounds[:, 1])
+        outcomes, valid = sim.execute_batch(env, sim.NOMINAL_GAP, values)
+        for theta, outcome, ok in zip(values, outcomes, valid):
+            if not ok:
+                results.append("invalid")
+                continue
+            params, outcome = ControllerParams(theta, bounds), Outcome(outcome.copy())
+            skill = Skill(params, outcome, sim.quality(env, params, outcome))
+            results.append(arch.try_insert(skill).outcome.value)
+    return arch, results, rng
+
+
+# sha256 of _golden_throw_fill's insert results, outcome matrix, smallest
+# pairwise distance, nearest skill to 200 seeded targets and 8 parameter
+# neighbours for 50 seeded queries, recorded before the archive measured
+# every distance with one function.  It pins the low bits of the distances
+# through the ties and thresholds they decide.
+GOLDEN_FILL_SHA256 = "88e5d96b21f54bd8d269aeb6adf3422688b576824135b97a87ec0efaafad7fd8"
+
+
+class TestGoldenFill:
+    def test_throw_fill_matches_the_golden_digest(self):
+        arch, results, rng = _golden_throw_fill()
+        counts = {r: results.count(r) for r in ("added", "replaced", "rejected", "invalid")}
+        assert counts == {"added": 2128, "replaced": 374, "rejected": 497, "invalid": 1}
+        index = {id(skill): i for i, skill in enumerate(arch.skills)}
+        # targets within r_novel of stored outcomes, where the nearest is close-run
+        outs = arch.outcomes()
+        targets = outs[rng.integers(len(outs), size=200)] + rng.normal(0.0, 0.02, (200, 2))
+        nearest = [index[id(arch.nearest_outcome(t))] for t in targets]
+        queries = rng.uniform(-1.0, 1.0, size=(50, arch.dim_params))
+        neighbours = [[index[id(s)] for s in arch.knn_params(q, 8)] for q in queries]
+        digest = hashlib.sha256()
+        digest.update(" ".join(results).encode())
+        digest.update(arch.outcomes().astype("<f8").tobytes())
+        digest.update(arch.min_pairwise_distance().hex().encode())
+        digest.update(np.array(nearest + sum(neighbours, []), dtype="<i8").tobytes())
+        assert digest.hexdigest() == GOLDEN_FILL_SHA256

@@ -235,6 +235,13 @@ class TestCollides:
         with pytest.raises(ValueError, match=field):
             Obstacle(**{"center": (0.0, 1.0), "width": 0.5, "height": 3.0, field: bad})
 
+    @pytest.mark.parametrize("center", [(0.5,), (0.5, 1.0, 2.0), (), 0.5, ((0.5, 1.0),)],
+                             ids=["one", "three", "empty", "scalar", "nested"])
+    def test_obstacle_center_must_have_two_values(self, center):
+        # one or three values used to fail only inside contains, unpacking
+        with pytest.raises(DimensionError, match="^center must have 2 values"):
+            Obstacle(center=center, width=0.5, height=3.0)
+
     def test_only_throw_has_collisions(self, joystick_env):
         wall = Obstacle(center=(0.5, 1.0), width=0.1, height=0.1)
         with pytest.raises(ValueError, match="throw"):
