@@ -4,10 +4,19 @@ A controller is a bounded real vector of polynomial coefficients, three per
 joint, read as values.reshape(J, 3): joint-major, each row (a1, a2, a3) of
 the cubic q_j(t) = a1*t + a2*t^2 + a3*t^3, which starts at 0 with no rest
 term.  Evaluation is analytic for both angles and velocities.
+
+The public API refuses a malformed argument by its kind, each kind checked
+by one function here: an integer >= lo (:func:`_integer`), an int or NumPy
+integer; a number (:func:`_number`), a finite int, float or NumPy number,
+and a positive one (:func:`_positive`); a finite array of ndim dimensions
+(:func:`_as_array`) and a vector of n finite values (:func:`_as_vector`).
+A bool is neither an integer nor a number.  A refusal is a ValueError, or
+its subclass DimensionError for a wrong shape, naming the argument.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +37,39 @@ class DimensionError(ValueError):
     """Raised when a vector or matrix has the wrong arity for an operation."""
 
 
-def _as_array(values, name: str) -> np.ndarray:
+def _integer(value, name: str, lo: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r:.40}")
+
+
+def _number(value, name: str) -> None:
+    # the comparison is exact for an int beyond the float range, and False for NaN
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r:.40}")
+
+
+def _positive(value, name: str) -> None:
+    _number(value, name)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r:.40}")
+
+
+def _as_array(values, name: str, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise DimensionError(f"{name} must be a {ndim}-D {'vector' if ndim == 1 else 'matrix'}, "
+                             f"got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _as_vector(values, name: str, size: int) -> np.ndarray:
+    vector = np.asarray(values, dtype=float)
+    if vector.shape != (size,):
+        raise DimensionError(f"{name} must have {size} values, got shape {vector.shape}")
+    return _as_array(vector, name)
 
 
 @dataclass(frozen=True)
@@ -64,9 +99,6 @@ class ControllerParams:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def with_values(self, values) -> "ControllerParams":
-        return ControllerParams(values=values, bounds=self.bounds)
-
 
 @dataclass(frozen=True)
 class Outcome:
@@ -93,7 +125,7 @@ class Outcome:
 
 @dataclass(frozen=True)
 class Skill:
-    """Archive element: controller, its outcome, and a quality score (higher is better)."""
+    """Archive element: controller, its valid outcome, and a quality number (higher is better)."""
 
     params: ControllerParams
     outcome: Outcome
@@ -102,6 +134,7 @@ class Skill:
     def __post_init__(self):
         if not self.outcome.valid:
             raise ValueError("a Skill requires a valid outcome")
+        _number(self.quality, "quality")
 
 
 def eval_cubics(coeffs, t, joint_limits=None):
@@ -139,4 +172,4 @@ def eval_cubics(coeffs, t, joint_limits=None):
 def clamp(theta: ControllerParams) -> ControllerParams:
     """Project every value into its [lo, hi] interval; idempotent."""
     clipped = np.clip(theta.values, theta.bounds[:, 0], theta.bounds[:, 1])
-    return theta.with_values(clipped)
+    return ControllerParams(clipped, theta.bounds)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_array
+from .core import DimensionError, _as_array, _as_vector, _integer, _number, _positive
 
 __all__ = [
     "LeastSquaresFit",
@@ -49,19 +49,19 @@ def least_squares(a, b, ridge: float = 0.0) -> LeastSquaresFit:
     """Solve A X = B in the (ridge) least-squares sense via SVD.
 
     With ridge == 0 and rank-deficient A, the minimum-norm solution is
-    returned and flagged.
+    returned and flagged.  a is a finite matrix, b a finite vector or matrix
+    of as many rows and ridge a number >= 0 (the kinds of :mod:`core`).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (0 <= ridge < math.inf):
-        raise ValueError(f"ridge must be finite and >= 0, got {ridge!r}")
-    if a.ndim != 2:
-        raise ValueError("A must be a matrix")
-    squeeze = b.ndim == 1
+    a = _as_array(a, "a", 2)
+    squeeze = np.ndim(b) == 1
+    b = _as_array(b, "b", 1 if squeeze else 2)
+    _number(ridge, "ridge")
+    if ridge < 0:
+        raise ValueError(f"ridge must be >= 0, got {ridge!r}")
     if squeeze:
         b = b[:, None]
     if b.shape[0] != a.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} vs {b.shape}")
+        raise DimensionError(f"b of shape {b.shape} is incompatible with a of shape {a.shape}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if ridge == 0.0:
         inv = _inverse_singular_values(s)
@@ -77,8 +77,8 @@ def least_squares(a, b, ridge: float = 0.0) -> LeastSquaresFit:
 
 
 def pinv(m) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse; singular values up to _RANK_TOL * sigma_max are zeroed."""
-    u, s, vt = np.linalg.svd(np.asarray(m, dtype=float), full_matrices=False)
+    """Moore-Penrose pseudo-inverse of a finite matrix; singular values up to _RANK_TOL * sigma_max are zeroed."""
+    u, s, vt = np.linalg.svd(_as_array(m, "m", 2), full_matrices=False)
     return vt.T @ (_inverse_singular_values(s)[:, None] * u.T)
 
 
@@ -108,7 +108,8 @@ def hosvd(tensor, ranks) -> TuckerFactors:
     """Truncated higher-order SVD of a 3-way tensor.
 
     Factors are the leading left singular vectors of each unfolding; the core
-    is the tensor contracted with the factor transposes.
+    is the tensor contracted with the factor transposes.  ranks holds three
+    integers >= 1, none above its mode's size.
     """
     t = np.asarray(tensor, dtype=float)
     if t.ndim != 3:
@@ -118,8 +119,9 @@ def hosvd(tensor, ranks) -> TuckerFactors:
     except (TypeError, ValueError):
         raise ValueError(f"ranks must be 3 integers, got {ranks!r:.40}") from None
     for r, dim in zip((r1, r2, r3), t.shape):
-        if not (isinstance(r, (int, np.integer)) and 1 <= r <= dim):
-            raise ValueError(f"ranks must be integers in [1, {dim}], got {r!r}")
+        _integer(r, "ranks", 1)
+        if r > dim:
+            raise ValueError(f"ranks must not exceed the tensor shape {t.shape}, got {ranks!r}")
     factors = []
     for mode, r in enumerate((r1, r2, r3)):
         u, _, _ = np.linalg.svd(_unfold(t, mode), full_matrices=False)
@@ -140,13 +142,9 @@ def tucker_full(factors: TuckerFactors) -> np.ndarray:
 def reconstruct(factors: TuckerFactors, weight) -> np.ndarray:
     """One frontal slice: core x1 U1 x2 U2 x3 w^T.
 
-    weight is an r3-vector; row k of u3 gives back slice k of the source.
+    weight is a finite r3-vector; row k of u3 gives back slice k of the source.
     """
-    w = np.asarray(weight, dtype=float)
-    if w.shape != (factors.core.shape[2],):
-        raise ValueError(
-            f"weight length {w.shape} does not match third-mode rank {factors.core.shape[2]}"
-        )
+    w = _as_vector(weight, "weight", factors.core.shape[2])
     return np.einsum(
         "abc,ia,jb,c->ij", factors.core, factors.u1, factors.u2, w, optimize=True
     )
@@ -171,15 +169,15 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int):
     while they fit in the evaluation budget.  Candidates
     with non-finite objective values are ranked worst and the run continues.
     Returns (x_best, f_best, history) where history[i] is the best objective
-    value seen after evaluation i+1 (monotone non-increasing).
+    value seen after evaluation i+1 (monotone non-increasing).  x0 is a finite
+    vector, sigma0 a positive number, seed an integer >= 0 and budget >= lam.
     """
     x0 = _as_array(x0, "x0")
     n = x0.shape[0]
-    if not (0 < sigma0 < math.inf):
-        raise ValueError(f"sigma0 must be positive and finite, got {sigma0!r}")
+    _positive(sigma0, "sigma0")
+    _integer(seed, "seed", 0)
     lam = 4 + int(3 * math.log(n)) if n > 1 else 6
-    if budget < lam:
-        raise ValueError(f"budget {budget} smaller than population size {lam}")
+    _integer(budget, "budget", lam)
     mu, weights, mu_eff = _cma_weights(lam)
 
     c_sigma = (mu_eff + 2.0) / (n + mu_eff + 5.0)
@@ -264,8 +262,7 @@ def pearson(x, y) -> float:
     """Sample Pearson correlation in [-1, 1].
 
     Zero variance in either input yields 0.0 with a warning instead of NaN.
-    Raises DimensionError unless x and y are 1-D, and ValueError, naming the
-    argument, if one holds a non-finite value.
+    x and y are finite vectors (the kind of :mod:`core`).
     """
     x = _as_array(x, "x")
     y = _as_array(y, "y")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControllerParams, DimensionError, Outcome, Skill, _as_array
+from .core import ControllerParams, DimensionError, Outcome, Skill, _as_vector, _integer, _positive
 
 __all__ = [
     "Archive",
@@ -98,14 +98,6 @@ def _field_faults(fields) -> list[str]:
     return faults
 
 
-def _query(values, name: str, size: int) -> np.ndarray:
-    """values as a vector of size finite floats; DimensionError or ValueError if not."""
-    query = _as_array(values, name)
-    if query.shape != (size,):
-        raise DimensionError(f"{name} must have {size} values, got {query.shape[0]}")
-    return query
-
-
 class ArchiveFormatError(ValueError):
     """Malformed archive file.
 
@@ -137,7 +129,8 @@ class Archive:
     through try_insert; an edit in place that keeps the length, such as
     assigning to an entry, goes unseen.
 
-    The constructor raises ValueError, naming each field, for what load
+    The constructor raises ValueError for an r_novel that is not a positive
+    number (the kind of :mod:`core`) and, naming each field, for what load
     would refuse in a saved header: an env_kind that is not a str, a
     dim_params or dim_outcome that is not a non-negative int and a seed
     that is not an int (a bool is neither).
@@ -145,8 +138,7 @@ class Archive:
 
     def __init__(self, r_novel: float, env_kind: str, dim_params: int,
                  dim_outcome: int, seed: int = 0):
-        if not (0 < r_novel < math.inf):
-            raise ValueError("r_novel must be positive and finite")
+        _positive(r_novel, "r_novel")
         if faults := _field_faults((
             ("env_kind", "env", env_kind),
             ("dim_params", "count", dim_params),
@@ -201,10 +193,6 @@ class Archive:
                 f"skill of dimensions (D={skill.params.dim}, d={skill.outcome.dim}) in an "
                 f"archive of (D={self.dim_params}, d={self.dim_outcome})"
             )
-        if not skill.outcome.valid:
-            raise ValueError("cannot insert a skill with an invalid outcome")
-        if not math.isfinite(skill.quality):
-            raise ValueError("cannot insert a skill with a non-finite quality")
         if self.skills:   # save writes one parameter box for the whole archive
             box, bounds = self.skills[0].params.bounds, skill.params.bounds
             if bounds is not box and not np.array_equal(bounds, box):
@@ -231,7 +219,7 @@ class Archive:
         Raises DimensionError unless target has dim_outcome values, and
         ValueError if one is not finite or the archive is empty.
         """
-        target = _query(target, "target", self.dim_outcome)
+        target = _as_vector(target, "target", self.dim_outcome)
         if not self.skills:
             raise ValueError("archive is empty")
         outs, _ = self._matrices()
@@ -243,16 +231,15 @@ class Archive:
 
         Asking for more neighbors than stored returns everything.  Raises
         DimensionError unless theta_c has dim_params values, and ValueError
-        if one is not finite, k is not an integer >= 1 (a NumPy integer is
-        one, a bool is not) or the archive is empty.
+        if one is not finite, k is not an integer >= 1 (the kind of
+        :mod:`core`) or the archive is empty.
         """
         if isinstance(theta_c, ControllerParams):
             theta_c = theta_c.values
-        query = _query(theta_c, "theta_c", self.dim_params)
+        query = _as_vector(theta_c, "theta_c", self.dim_params)
         if not self.skills:
             raise ValueError("archive is empty")
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {k!r:.40}")
+        _integer(k, "k", 1)
         _, params = self._matrices()
         dists = _distances(query[None, :], params)[0]
         order = np.argsort(dists, kind="stable")
@@ -398,9 +385,7 @@ def _record(raw: str, bounds: np.ndarray, dim_outcome: int) -> Skill:
         raise ValueError(f"record {_missing(rec, _RECORD_KEYS)}") from None
     theta = _vector(theta, "theta", len(bounds))
     outcome = _vector(outcome, "outcome", dim_outcome)
-    if not _finite(quality):
-        raise ValueError(f"quality must be a finite number, got {quality!r:.40}")
-    return Skill(ControllerParams(theta, bounds), Outcome(outcome), float(quality))
+    return Skill(ControllerParams(theta, bounds), Outcome(outcome), quality)
 
 
 def load(path) -> Archive:

@@ -24,7 +24,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import COEFFS_PER_JOINT, ControllerParams, DimensionError, Outcome, eval_cubics
+from .core import (COEFFS_PER_JOINT, ControllerParams, DimensionError, Outcome, _as_array,
+                   _as_vector, _integer, _positive, eval_cubics)
 
 __all__ = [
     "EnvironmentSpec",
@@ -39,7 +40,6 @@ __all__ = [
     "quality",
     "render_frame",
     "transfer_task",
-    "policy_shapes",
     "unflatten_policy",
 ]
 
@@ -61,8 +61,8 @@ class RealityGap:
     The one way to vary the arm: gravity_scale multiplies the fixed gravity,
     link_scale the fixed link lengths, and joint_bias is added to the joint
     angles.  The nominal gap (scale 1, zero bias) leaves execution
-    unchanged.  Both scales must be positive and finite, and joint_bias
-    finite.
+    unchanged.  Both scales are positive numbers and joint_bias a vector of
+    N_JOINTS values (the kinds of :mod:`core`).
     """
 
     gravity_scale: float = 1.0
@@ -70,16 +70,9 @@ class RealityGap:
     link_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("gravity_scale", "link_scale"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        bias = np.asarray(self.joint_bias, dtype=float)
-        if bias.shape != (N_JOINTS,):
-            raise DimensionError(f"joint_bias must have shape ({N_JOINTS},), got {bias.shape}")
-        if not np.isfinite(bias).all():
-            raise ValueError("joint_bias must be finite")
-        object.__setattr__(self, "joint_bias", bias)
+        _positive(self.gravity_scale, "gravity_scale")
+        _positive(self.link_scale, "link_scale")
+        object.__setattr__(self, "joint_bias", _as_vector(self.joint_bias, "joint_bias", N_JOINTS))
 
 
 NOMINAL_GAP = RealityGap()
@@ -90,8 +83,8 @@ class Obstacle:
     """Axis-aligned rectangular wall in the vertical (x, z) plane.
 
     The wall extends infinitely along y; a point collides when its (x, z)
-    coordinates fall inside the rectangle.  Both extents must be positive
-    and finite, and the center two finite values.
+    coordinates fall inside the rectangle.  Both extents are positive
+    numbers and the center a vector of 2 values (the kinds of :mod:`core`).
     """
 
     center: tuple[float, float]
@@ -99,14 +92,9 @@ class Obstacle:
     height: float
 
     def __post_init__(self):
-        if np.shape(self.center) != (2,):
-            raise DimensionError(f"center must have 2 values, got shape {np.shape(self.center)}")
-        for name in ("width", "height"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not all(map(math.isfinite, self.center)):
-            raise ValueError(f"center must be finite, got {self.center}")
+        _as_vector(self.center, "center", 2)
+        _positive(self.width, "width")
+        _positive(self.height, "height")
 
     def contains(self, x, z) -> np.ndarray:
         cx, cz = self.center
@@ -165,8 +153,15 @@ def make_env(kind: str) -> EnvironmentSpec:
     return EnvironmentSpec(kind=kind)
 
 
+def _skill_env(env: EnvironmentSpec, kinds=SKILL_KINDS) -> None:
+    """Refuse env, naming it and its kind, unless its kind is one of kinds."""
+    if env.kind not in kinds:
+        raise ValueError(f"env must be of kind {' or '.join(kinds)}, got {env.kind!r}")
+
+
 def theta_bounds(env: EnvironmentSpec) -> np.ndarray:
-    """Per-dimension [lo, hi] for controller coefficients."""
+    """Per-dimension [lo, hi] for controller coefficients of a skill env."""
+    _skill_env(env)
     b = np.empty((env.dim_params, 2))
     b[:, 0] = -COEFF_BOUND
     b[:, 1] = COEFF_BOUND
@@ -267,13 +262,11 @@ def _controllers(env: EnvironmentSpec, values) -> np.ndarray:
     Raises DimensionError for any other shape and ValueError when it holds
     non-finite entries.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != env.dim_params:
+    values = _as_array(values, "values", 2)
+    if values.shape[1] != env.dim_params:
         raise DimensionError(
             f"{env.kind} expects values of shape (B, {env.dim_params}), got {values.shape}"
         )
-    if not np.isfinite(values).all():
-        raise ValueError("values contains non-finite entries")
     return values
 
 
@@ -292,8 +285,7 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
     of the stick region over T, the first sample when several are equally
     deep, and reads (0, 0) without contact.  Every joystick row is valid.
     """
-    if env.kind not in SKILL_KINDS:
-        raise ValueError(f"execute not defined for kind {env.kind!r}")
+    _skill_env(env)
     values = _controllers(env, values)
     if env.kind == "throw":
         pos, vel = _gripper(env, gap, *_joint_states(env, values, env.duration))
@@ -327,8 +319,7 @@ def execute(env: EnvironmentSpec, gap: RealityGap, theta: ControllerParams) -> O
     A call of :func:`execute_batch` with B = 1: theta.values of shape (D,)
     gives an outcome of dimension d.
     """
-    if env.kind not in SKILL_KINDS:   # checked before theta is read
-        raise ValueError(f"execute not defined for kind {env.kind!r}")
+    _skill_env(env)   # checked before theta is read
     outcomes, valid = execute_batch(env, gap, theta.values[None, :])
     # a copy, so that a kept Outcome does not hold the batch array as well
     return Outcome(values=outcomes[0].copy(), valid=bool(valid[0]))
@@ -345,8 +336,7 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     env.duration is sampled every env.step from release to landing.
     Raises DimensionError unless theta has env.dim_params values.
     """
-    if env.kind != "throw":
-        raise ValueError("collision checks are defined for the throw environment")
+    _skill_env(env, ("throw",))
     values = _controllers(env, theta.values[None, :])
     angles, velocities = _joint_states(env, values, _sample_times(env))
     pts = _arm_points(env, gap, angles)
@@ -375,12 +365,15 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
     re-executions under NOMINAL_GAP with Gaussian parameter noise, drawn
     from PCG64(seed) as a (perturb_count, D) array and clipped to the
     bounds; the re-executions are one :func:`execute_batch` call.
-    Raises DimensionError unless theta has env.dim_params values.
+    Raises DimensionError unless theta has env.dim_params values and outcome
+    env.dim_outcome, and ValueError unless outcome is valid and seed an integer >= 0.
     """
     if not outcome.valid:
         raise ValueError("quality requires a valid outcome")
-    if env.kind not in SKILL_KINDS:
-        raise ValueError(f"quality not defined for kind {env.kind!r}")
+    _skill_env(env)
+    _integer(seed, "seed", 0)
+    if outcome.dim != env.dim_outcome:   # a valid Outcome is a finite vector already
+        raise DimensionError(f"outcome must have {env.dim_outcome} values, got {outcome.dim}")
     values = _controllers(env, theta.values[None, :])[0]
     if env.kind == "throw":
         # q''(t) = 2 a2 + 6 a3 t; integral of the square over [0, T]
@@ -411,12 +404,11 @@ def render_frame(gripper, target) -> np.ndarray:
 
     Gripper mass 1.0 and target mass 0.5 are each spread over the four cells
     around the continuous position, clipped to the unit square; overlaps
-    keep the brighter value.  Raises ValueError naming the argument whose
-    position is not finite.
+    keep the brighter value.  Each position is a vector of 2 values (the
+    kind of :mod:`core`).
     """
-    for name, pos in (("gripper", gripper), ("target", target)):
-        if not (math.isfinite(pos[0]) and math.isfinite(pos[1])):
-            raise ValueError(f"{name} position must be finite, got ({pos[0]}, {pos[1]})")
+    gripper = _as_vector(gripper, "gripper", 2)
+    target = _as_vector(target, "target", 2)
     grid = np.zeros((FRAME_SIZE, FRAME_SIZE))
     for pos, intensity in ((target, 0.5), (gripper, 1.0)):
         gx = float(np.clip(pos[0], 0.0, 1.0)) * (FRAME_SIZE - 1)
@@ -445,22 +437,16 @@ _CONTACT_RADIUS = 0.08
 _NEAR_SQ = (1.001 * _CONTACT_RADIUS) ** 2
 
 
-def policy_shapes():
-    """Layer shapes of the shared transfer-task policy (6 -> 16 -> 2, tanh)."""
-    return [
-        (TRANSFER_STATE_DIM, TRANSFER_HIDDEN),
-        (TRANSFER_HIDDEN, TRANSFER_ACTION_DIM),
-    ]
+# Layer shapes of the shared transfer-task policy (6 -> 16 -> 2, tanh)
+_POLICY_SHAPES = ((TRANSFER_STATE_DIM, TRANSFER_HIDDEN), (TRANSFER_HIDDEN, TRANSFER_ACTION_DIM))
 
 
 def unflatten_policy(flat) -> list[np.ndarray]:
-    flat = np.asarray(flat, dtype=float)
-    total = sum(rows * cols for rows, cols in policy_shapes())
-    if flat.shape != (total,):
-        raise DimensionError(f"policy vector of shape {flat.shape}, expected ({total},)")
+    """The policy layers of a vector of 128 values, the kind of :mod:`core`."""
+    flat = _as_vector(flat, "flat", sum(rows * cols for rows, cols in _POLICY_SHAPES))
     layers = []
     idx = 0
-    for shape in policy_shapes():
+    for shape in _POLICY_SHAPES:
         size = shape[0] * shape[1]
         layers.append(flat[idx : idx + size].reshape(shape))
         idx += size
@@ -497,8 +483,8 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     strikerlike: a single contact imparts an amplified impulse (drag 0.98);
     afterwards the hand can no longer affect the puck.
 
-    Raises ValueError for an unknown kind or non-finite weights, and
-    DimensionError unless the layers have the shapes of :func:`policy_shapes`.
+    Raises ValueError for an unknown kind, non-finite weights or a seed not an
+    integer >= 0, and DimensionError unless the layers fit the 6 -> 16 -> 2 policy.
 
     The rollout ends at the first step that leaves hand, puck and puck
     velocity as they were: every later step would start from the same state
@@ -516,13 +502,11 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     the hand step is scaled in Python, one rounded multiply either way.
     """
     if kind not in TRANSFER_KINDS:
-        raise ValueError(f"unknown transfer task {kind!r}")
-    layers = [np.asarray(w, dtype=float) for w in policy_layers]
-    expected = policy_shapes()
-    if [w.shape for w in layers] != expected:
-        raise DimensionError(f"policy shapes {[w.shape for w in layers]} != {expected}")
-    if not all(np.isfinite(w).all() for w in layers):
-        raise ValueError("policy weights contain non-finite entries")
+        raise ValueError(f"unknown transfer kind {kind!r}")
+    _integer(seed, "seed", 0)
+    layers = tuple(_as_array(w, "policy_layers", 2) for w in policy_layers)
+    if (shapes := tuple(w.shape for w in layers)) != _POLICY_SHAPES:
+        raise DimensionError(f"policy_layers must have shapes {_POLICY_SHAPES}, got {shapes}")
     w_in, w_out = layers
     rng = np.random.Generator(np.random.PCG64(seed))
     hand, puck, goal = _transfer_init(kind, rng)

@@ -5,7 +5,6 @@ from skillpipe.core import (
     ControllerParams,
     DimensionError,
     Outcome,
-    Skill,
     clamp,
     eval_cubics,
 )
@@ -159,7 +158,3 @@ class TestTypes:
         out = Outcome.invalid(2)
         assert not out.valid
         assert np.array_equal(out.values, np.zeros(2))
-
-    def test_skill_requires_valid_outcome(self):
-        with pytest.raises(ValueError):
-            Skill(params=make_params([0.0]), outcome=Outcome.invalid(2), quality=0.0)

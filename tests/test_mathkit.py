@@ -156,7 +156,7 @@ class TestHosvd:
     @pytest.mark.parametrize("ranks", [(1.5, 1, 1), (1, 2.0, 1), (1, 1, "1")],
                              ids=["float", "integral-float", "string"])
     def test_non_integer_ranks_rejected(self, ranks):
-        with pytest.raises(ValueError, match="ranks must be integers"):
+        with pytest.raises(ValueError, match="^ranks must be an integer >= 1, got "):
             hosvd(np.ones((3, 3, 3)), ranks)
 
     def test_two_way_array_rejected(self):
@@ -257,10 +257,6 @@ class TestCmaes:
 
         x, f, _ = cmaes_minimize(nasty, np.array([-1.0, 0.5]), 0.4, 300, seed=5)
         assert np.isfinite(f)
-
-    def test_budget_below_population_rejected(self):
-        with pytest.raises(ValueError):
-            cmaes_minimize(lambda v: 0.0, np.zeros(3), 1.0, 2, seed=0)
 
     @pytest.mark.parametrize("sigma0", [0.0, -0.5, math.nan, math.inf])
     def test_non_positive_sigma0_rejected(self, sigma0):

@@ -1,10 +1,17 @@
 import importlib
 import inspect
+import math
 import pkgutil
+import re
 
+import numpy as np
 import pytest
 
 import skillpipe
+from skillpipe import mathkit, sim
+from skillpipe.core import ControllerParams, Outcome, Skill, eval_cubics
+from skillpipe.repertoire import Archive
+from conftest import make_skill
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(skillpipe.__path__))
 
@@ -32,3 +39,163 @@ def test_every_public_definition_is_exported(name):
         and obj.__module__ == module.__name__
     ]
     assert sorted(set(defined) - set(module.__all__)) == []
+
+
+# ---------------------------------------------------------------------------
+# The refusal table: the bad values of each argument kind that core's
+# docstring names, and for each public callable the kind of each argument
+# ---------------------------------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+NUMBER = [NAN, INF, -INF, True, "1", None, 10**400]
+POSITIVE = NUMBER + [0, 0.0, -1.0]
+
+
+def integer(lo=None):
+    """Bad values of an integer >= lo; any integer when lo is None."""
+    return [True, False, 1.5, 2.0, NAN, INF, "1", None] + ([] if lo is None else [lo - 1])
+
+
+def vector(n=None):
+    """Bad values of a vector of n finite values; any length when n is None."""
+    size = n or 3
+    bad = [np.r_[x, np.ones(size - 1)] for x in (NAN, INF, -INF)] + [np.ones((1, size)), 1.0]
+    return bad if n is None else bad + [np.ones(n - 1), np.ones(n + 1)]
+
+
+def matrix(rows, cols):
+    """Bad values of a finite matrix of rows x cols values."""
+    bad = [np.full((rows, cols), x) for x in (NAN, INF, -INF)]
+    return bad + [np.ones(rows * cols), np.ones((1, rows, cols))]
+
+
+def box(n):
+    """Bad values of n [lo, hi] parameter bounds."""
+    rows = ([NAN, 1.0], [-1.0, NAN], [1.0, -1.0])
+    bad = [np.vstack([np.tile([-1.0, 1.0], (n - 1, 1)), row]) for row in rows]
+    return bad + [np.ones((n, 3)), np.tile([-1.0, 1.0], (n + 1, 1))]
+
+
+def fresh_archive():
+    arch = Archive(0.1, "throw", 3, 2)
+    for i in range(2):
+        arch.try_insert(make_skill([i, 0, 0], [i, 0.0]))
+    return arch
+
+
+THROW, JOYSTICK, PUSHER = (sim.make_env(kind) for kind in ("throw", "joystick", "pusherlike"))
+THETA = ControllerParams(np.zeros(15), sim.theta_bounds(THROW))
+ZERO_OUT = Outcome(np.zeros(2))
+WALL = sim.Obstacle((5.0, 1.0), 0.5, 2.0)
+LAYERS = [np.zeros(shape) for shape in sim._POLICY_SHAPES]
+FACTORS = mathkit.hosvd(np.ones((3, 3, 3)), (2, 2, 2))
+LAM = 4 + int(3 * math.log(3))   # the CMA-ES population for n = 3
+
+
+def transfer(**kw):
+    return sim.transfer_task(**{"kind": "pusherlike", "policy_layers": LAYERS, "seed": 0, **kw})
+
+
+def cmaes(**kw):
+    args = {"f": lambda x: 0.0, "x0": np.zeros(3), "sigma0": 1.0, "budget": LAM, "seed": 0}
+    return mathkit.cmaes_minimize(**{**args, **kw})
+
+
+# (public callable, argument, its bad values, a good value, call with a value in its place)
+ROWS = [
+    ("core.ControllerParams", "values", vector(), np.zeros(3),
+     lambda v: ControllerParams(v, np.tile([-1.0, 1.0], (3, 1)))),
+    ("core.ControllerParams", "bounds", box(3), np.tile([-1.0, 1.0], (3, 1)),
+     lambda v: ControllerParams(np.zeros(3), v)),
+    ("core.Outcome", "values", vector(), np.zeros(3), Outcome),
+    ("core.Skill", "outcome", [Outcome.invalid(2)], ZERO_OUT, lambda v: Skill(THETA, v, 0.0)),
+    ("core.Skill", "quality", NUMBER, -1.5, lambda v: Skill(THETA, ZERO_OUT, v)),
+    ("core.eval_cubics", "t", [np.zeros((2, 3))], np.zeros(3), lambda v: eval_cubics(np.zeros((5, 3)), v)),
+    ("sim.EnvironmentSpec", "kind", ["flying", "reach2d", None], "throw", sim.EnvironmentSpec),
+    ("sim.make_env", "kind", ["flying", "reach2d", None], "joystick", sim.make_env),
+    ("sim.theta_bounds", "env", [PUSHER], THROW, sim.theta_bounds),
+    ("sim.RealityGap", "gravity_scale", POSITIVE, 1.1, lambda v: sim.RealityGap(gravity_scale=v)),
+    ("sim.RealityGap", "link_scale", POSITIVE, 1.1, lambda v: sim.RealityGap(link_scale=v)),
+    ("sim.RealityGap", "joint_bias", vector(5), np.ones(5), lambda v: sim.RealityGap(joint_bias=v)),
+    ("sim.Obstacle", "center", vector(2), (0.0, 1.0), lambda v: sim.Obstacle(v, 0.5, 1.0)),
+    ("sim.Obstacle", "width", POSITIVE, 0.5, lambda v: sim.Obstacle((0.0, 1.0), v, 1.0)),
+    ("sim.Obstacle", "height", POSITIVE, 0.5, lambda v: sim.Obstacle((0.0, 1.0), 1.0, v)),
+    ("sim.execute", "env", [PUSHER], THROW, lambda v: sim.execute(v, sim.NOMINAL_GAP, THETA)),
+    ("sim.execute_batch", "env", [PUSHER], THROW,
+     lambda v: sim.execute_batch(v, sim.NOMINAL_GAP, np.zeros((2, 15)))),
+    ("sim.execute_batch", "values", matrix(2, 15) + [np.ones((2, 14))], np.zeros((2, 15)),
+     lambda v: sim.execute_batch(THROW, sim.NOMINAL_GAP, v)),
+    ("sim.collides", "env", [JOYSTICK, PUSHER], THROW, lambda v: sim.collides(v, THETA, WALL)),
+    ("sim.quality", "env", [PUSHER], THROW, lambda v: sim.quality(v, THETA, ZERO_OUT)),
+    *[("sim.quality", "outcome", [Outcome.invalid(2), Outcome(np.zeros(1)), Outcome(np.zeros(3))],
+       ZERO_OUT, lambda v, env=env: sim.quality(env, THETA, v)) for env in (THROW, JOYSTICK)],
+    *[("sim.quality", "seed", integer(0), 7, lambda v, env=env: sim.quality(env, THETA, ZERO_OUT, v))
+      for env in (THROW, JOYSTICK)],
+    ("sim.render_frame", "gripper", vector(2), (0.5, 0.5), lambda v: sim.render_frame(v, (0.5, 0.5))),
+    ("sim.render_frame", "target", vector(2), (0.5, 0.5), lambda v: sim.render_frame((0.5, 0.5), v)),
+    ("sim.transfer_task", "kind", ["reacherlike", "throw"], "strikerlike", lambda v: transfer(kind=v)),
+    ("sim.transfer_task", "policy_layers",
+     [[np.full((6, 16), x), LAYERS[1]] for x in (NAN, INF)] + [[LAYERS[0], np.full((16, 2), -INF)]]
+     + [[np.zeros((3, 3)), np.zeros((3, 2))], [np.zeros(96), np.zeros(32)], LAYERS[:1]],
+     LAYERS, lambda v: transfer(policy_layers=v)),
+    ("sim.transfer_task", "seed", integer(0), 3, lambda v: transfer(seed=v)),
+    ("sim.unflatten_policy", "flat", vector(128), np.zeros(128), sim.unflatten_policy),
+    ("repertoire.Archive", "r_novel", POSITIVE, 0.5, lambda v: Archive(v, "throw", 3, 2)),
+    ("repertoire.Archive", "env_kind", [7, None, b"throw"], "joystick", lambda v: Archive(0.1, v, 3, 2)),
+    ("repertoire.Archive", "dim_params", integer(0), 0, lambda v: Archive(0.1, "throw", v, 2)),
+    ("repertoire.Archive", "dim_outcome", integer(0), 0, lambda v: Archive(0.1, "throw", 3, v)),
+    ("repertoire.Archive", "seed", integer(), -3, lambda v: Archive(0.1, "throw", 3, 2, v)),
+    ("repertoire.Archive.try_insert", "skill", [make_skill([0, 0], [5.0, 0]), make_skill([0, 0, 0], [5.0, 0, 0])],
+     make_skill([0, 0, 0], [5.0, 0]), lambda v: fresh_archive().try_insert(v)),
+    ("repertoire.Archive.nearest_outcome", "target", vector(2), (0.5, 0.5),
+     lambda v: fresh_archive().nearest_outcome(v)),
+    ("repertoire.Archive.knn_params", "theta_c", vector(3), np.ones(3), lambda v: fresh_archive().knn_params(v, 1)),
+    ("repertoire.Archive.knn_params", "k", integer(1), np.int64(3), lambda v: fresh_archive().knn_params(np.ones(3), v)),
+    ("mathkit.least_squares", "a", matrix(3, 3), np.eye(3), lambda v: mathkit.least_squares(v, np.ones(3))),
+    ("mathkit.least_squares", "b", vector(3), np.ones(3), lambda v: mathkit.least_squares(np.eye(3), v)),
+    ("mathkit.least_squares", "ridge", [NAN, INF, -INF, True, "1", None, -1e-9], 0,
+     lambda v: mathkit.least_squares(np.eye(3), np.ones(3), v)),
+    ("mathkit.pinv", "m", matrix(2, 3), np.ones((2, 3)), mathkit.pinv),
+    ("mathkit.hosvd", "ranks", integer(1), 3, lambda v: mathkit.hosvd(np.ones((3, 3, 3)), (1, v, 1))),
+    ("mathkit.reconstruct", "weight", vector(2), np.ones(2), lambda v: mathkit.reconstruct(FACTORS, v)),
+    ("mathkit.cmaes_minimize", "x0", vector(), np.ones(3), lambda v: cmaes(x0=v)),
+    ("mathkit.cmaes_minimize", "sigma0", POSITIVE, 0.5, lambda v: cmaes(sigma0=v)),
+    ("mathkit.cmaes_minimize", "budget", integer(LAM), 2 * LAM, lambda v: cmaes(budget=v)),
+    ("mathkit.cmaes_minimize", "seed", integer(0), 9, lambda v: cmaes(seed=v)),
+    ("mathkit.pearson", "x", vector(), [1.0, 2.0, 4.0], lambda v: mathkit.pearson(v, [1.0, 3.0, 2.0])),
+    ("mathkit.pearson", "y", vector(), [1.0, 2.0, 4.0], lambda v: mathkit.pearson([1.0, 3.0, 2.0], v)),
+]
+
+# Public names that take no argument a caller can get wrong: exception and
+# result types, a constant, functions of values already checked when they
+# were made, and save/load, whose file format has its own tests
+NO_REFUSABLE_ARGUMENT = {
+    "core.DimensionError", "core.clamp", "sim.NOMINAL_GAP",
+    "mathkit.LeastSquaresFit", "mathkit.TuckerFactors", "mathkit.tucker_full",
+    "repertoire.ArchiveFormatError", "repertoire.InsertOutcome", "repertoire.InsertResult",
+    "repertoire.save", "repertoire.load",
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_has_refusal_rows_or_no_refusable_argument(name):
+    module = importlib.import_module(f"skillpipe.{name}")
+    covered = {row[0] for row in ROWS} | NO_REFUSABLE_ARGUMENT
+    assert [export for export in module.__all__ if f"{name}.{export}" not in covered] == []
+
+
+@pytest.mark.parametrize("callable_, argument, good, call", [
+    pytest.param(name, arg, good, call, id=f"{name}-{arg}") for name, arg, _, good, call in ROWS
+])
+def test_good_value_is_accepted(callable_, argument, good, call):
+    call(good)
+
+
+@pytest.mark.parametrize("callable_, argument, bad, call", [
+    pytest.param(name, arg, value, call, id=f"{name}-{arg}-{i}")
+    for name, arg, bads, _, call in ROWS for i, value in enumerate(bads)
+])
+def test_bad_value_is_refused_naming_the_argument(callable_, argument, bad, call):
+    # a DimensionError is a ValueError
+    with pytest.raises(ValueError, match=rf"\b{re.escape(argument)}\b"):
+        call(bad)

@@ -128,16 +128,6 @@ class TestTryInsert:
         assert res.outcome is InsertOutcome.ADDED
         assert len(arch.skills) == 2
 
-    def test_invalid_outcome_raises(self):
-        arch = fresh_archive()
-        skill = make_skill([0, 0, 0], [0.0, 0.0], 1.0)
-        bad = type(skill).__new__(type(skill))
-        object.__setattr__(bad, "params", skill.params)
-        object.__setattr__(bad, "outcome", Outcome.invalid(2))
-        object.__setattr__(bad, "quality", 0.0)
-        with pytest.raises(ValueError):
-            arch.try_insert(bad)
-
     def test_replacement_blocked_when_second_conflict_exists(self):
         # candidate within r_novel of two stored skills: replacing only the
         # nearest would break the pairwise spacing, so it must be rejected
@@ -175,13 +165,6 @@ class TestTryInsert:
             before = ball_max(centers)
             insert_checked(arch, skill)
             assert np.all(ball_max(centers) >= before)
-
-    def test_non_finite_quality_raises(self):
-        arch = fresh_archive()
-        for q in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], q))
-        assert len(arch.skills) == 0
 
     @pytest.mark.parametrize("first, wrong", [
         pytest.param([], make_skill([0, 0, 0, 0, 0], [0.5, 0.5]), id="theta-of-5-first"),
@@ -300,12 +283,6 @@ class TestQueries:
             arch.nearest_outcome([0.0, 0.0])
         with pytest.raises(ValueError):
             arch.knn_params([0.0, 0.0, 0.0], 1)
-
-    def test_k_must_be_positive(self):
-        arch = fresh_archive()
-        arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], 1.0))
-        with pytest.raises(ValueError, match="k must be"):
-            arch.knn_params([0.0, 0.0, 0.0], 0)
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True, False, "2", None, np.float64(2.0), 0, -1, np.int64(0)],
                              ids=["2.5", "2.0", "True", "False", "str", "None", "float64", "0", "-1", "int64-0"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillpipe import sim
-from skillpipe.core import DimensionError, Outcome, clamp
+from skillpipe.core import ControllerParams, DimensionError, Outcome, clamp
 from skillpipe.sim import (
     NOMINAL_GAP,
     Obstacle,
@@ -316,13 +316,13 @@ class TestRenderFrame:
     def test_non_finite_position_refused(self, name, bad):
         positions = {"gripper": [0.5, 0.5], "target": np.array([0.3, 0.7])}
         positions[name][1] = bad
-        with pytest.raises(ValueError, match=f"{name} position must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
             render_frame(**positions)
 
 
 class TestTransferTasks:
     def zero_policy(self):
-        return [np.zeros(s) for s in sim.policy_shapes()]
+        return [np.zeros(s) for s in sim._POLICY_SHAPES]
 
     def test_zero_policy_static_return(self):
         for kind in ("pusherlike", "throwerlike", "strikerlike"):
@@ -333,7 +333,7 @@ class TestTransferTasks:
 
     def test_determinism(self):
         rng = np.random.default_rng(16)
-        layers = [rng.normal(size=s) for s in sim.policy_shapes()]
+        layers = [rng.normal(size=s) for s in sim._POLICY_SHAPES]
         r1 = transfer_task("strikerlike", layers, seed=3)
         r2 = transfer_task("strikerlike", layers, seed=3)
         assert r1 == r2
@@ -351,7 +351,7 @@ class TestTransferTasks:
 
     def test_flatten_roundtrip(self):
         rng = np.random.default_rng(17)
-        layers = [rng.normal(size=s) for s in sim.policy_shapes()]
+        layers = [rng.normal(size=s) for s in sim._POLICY_SHAPES]
         again = sim.unflatten_policy(np.concatenate([w.ravel() for w in layers]))
         for a, b in zip(layers, again):
             assert np.array_equal(a, b)
@@ -371,7 +371,7 @@ class TestTransferTasks:
         # so the rollout would return the zero policy's return
         layers = _scripted_pusher_policy()
         layers[layer][1, 1] = bad
-        with pytest.raises(ValueError, match="policy weights contain non-finite entries"):
+        with pytest.raises(ValueError, match="^policy_layers contains non-finite entries"):
             transfer_task("strikerlike", layers, seed=1)
 
 
@@ -473,7 +473,7 @@ def _oracle_quality(env, theta, outcome, seed):
     sigma = env.perturb_sigma * (b[:, 1] - b[:, 0])
     dev = 0.0
     for _ in range(env.perturb_count):
-        noisy = clamp(theta.with_values(theta.values + rng.normal(0.0, sigma)))
+        noisy = clamp(ControllerParams(theta.values + rng.normal(0.0, sigma), theta.bounds))
         out = _oracle_execute(env, NOMINAL_GAP, noisy)
         dev += float(np.linalg.norm(out.values - outcome.values))
     return -dev / env.perturb_count
@@ -658,7 +658,7 @@ def _oracle_states(kind, layers, seed) -> np.ndarray:
 
 
 def _random_policy(rng, scale):
-    return [scale * rng.normal(size=shape) for shape in sim.policy_shapes()]
+    return [scale * rng.normal(size=shape) for shape in sim._POLICY_SHAPES]
 
 
 def _noisy_pusher(rng, noise):
