@@ -8,6 +8,7 @@ the full CMA-ES update loop) lives here.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -108,12 +109,14 @@ def hosvd(tensor, ranks) -> TuckerFactors:
     """Truncated higher-order SVD of a 3-way tensor.
 
     Factors are the leading left singular vectors of each unfolding; the core
-    is the tensor contracted with the factor transposes.  ranks holds three
-    integers >= 1, none above its mode's size.
+    is the tensor contracted with the factor transposes.  tensor is a
+    finite 3-way array and ranks holds three integers >= 1, none above its
+    mode's size.
     """
     t = np.asarray(tensor, dtype=float)
     if t.ndim != 3:
-        raise ValueError("hosvd expects a 3-way tensor")
+        raise DimensionError(f"tensor must be a 3-way array, got shape {t.shape}")
+    t = _as_array(t, "tensor", 3)
     try:
         r1, r2, r3 = ranks
     except (TypeError, ValueError):
@@ -139,15 +142,27 @@ def tucker_full(factors: TuckerFactors) -> np.ndarray:
     )
 
 
+_SLICE = "abc,ia,jb,c->ij"
+
+
+@functools.lru_cache(maxsize=64)
+def _slice_path(core_shape, u1_shape, u2_shape) -> tuple:
+    """The contraction path einsum's optimize=True finds for the operands of
+    :func:`reconstruct`, which depends on their shapes alone."""
+    operands = (np.empty(core_shape), np.empty(u1_shape), np.empty(u2_shape), np.empty(core_shape[2]))
+    return tuple(np.einsum_path(_SLICE, *operands, optimize=True)[0])
+
+
 def reconstruct(factors: TuckerFactors, weight) -> np.ndarray:
     """One frontal slice: core x1 U1 x2 U2 x3 w^T.
 
     weight is a finite r3-vector; row k of u3 gives back slice k of the source.
+    The contraction runs the path of ``np.einsum(..., optimize=True)``, bit
+    for bit, searched once per shape of the operands and then reused.
     """
-    w = _as_vector(weight, "weight", factors.core.shape[2])
-    return np.einsum(
-        "abc,ia,jb,c->ij", factors.core, factors.u1, factors.u2, w, optimize=True
-    )
+    core, u1, u2 = factors.core, factors.u1, factors.u2
+    w = _as_vector(weight, "weight", core.shape[2])
+    return np.einsum(_SLICE, core, u1, u2, w, optimize=_slice_path(core.shape, u1.shape, u2.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +185,13 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int):
     with non-finite objective values are ranked worst and the run continues.
     Returns (x_best, f_best, history) where history[i] is the best objective
     value seen after evaluation i+1 (monotone non-increasing).  x0 is a finite
-    vector, sigma0 a positive number, seed an integer >= 0 and budget >= lam.
+    vector of at least one value, sigma0 a positive number, seed an integer
+    >= 0 and budget >= lam.
     """
     x0 = _as_array(x0, "x0")
     n = x0.shape[0]
+    if n == 0:
+        raise DimensionError("x0 must have at least 1 value, got shape (0,)")
     _positive(sigma0, "sigma0")
     _integer(seed, "seed", 0)
     lam = 4 + int(3 * math.log(n)) if n > 1 else 6
@@ -205,7 +223,7 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int):
         eigvals, eigvecs = np.linalg.eigh(cov)
         eigvals = np.maximum(eigvals, 1e-20)
         d = np.sqrt(eigvals)
-        inv_sqrt = eigvecs @ np.diag(1.0 / d) @ eigvecs.T
+        inv_sqrt = (eigvecs * (1.0 / d)) @ eigvecs.T
 
         z = rng.standard_normal((lam, n))
         y = z @ (eigvecs * d).T           # y_i ~ N(0, C)

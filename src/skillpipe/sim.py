@@ -18,14 +18,15 @@ stand-in chosen for cheap, closed-form evaluation; a :class:`RealityGap`
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .core import (COEFFS_PER_JOINT, ControllerParams, DimensionError, Outcome, _as_array,
-                   _as_vector, _integer, _positive, eval_cubics)
+from .core import (COEFFS_PER_JOINT, ControllerParams, DimensionError, Outcome, _angles,
+                   _as_array, _as_vector, _integer, _positive, eval_cubics)
 
 __all__ = [
     "EnvironmentSpec",
@@ -172,13 +173,25 @@ def theta_bounds(env: EnvironmentSpec) -> np.ndarray:
 # Arm kinematics, vectorised over any leading axes (controllers, time samples)
 # ---------------------------------------------------------------------------
 
-def _joint_states(env: EnvironmentSpec, values: np.ndarray, t):
-    """Clamped joint angles and velocities of B controllers values[B, D].
+# The T = duration/step + 1 sample times of every sweep, shared read-only
+_SAMPLE_TIMES = np.linspace(
+    0.0, EnvironmentSpec.duration, int(round(EnvironmentSpec.duration / EnvironmentSpec.step)) + 1
+)
+_SAMPLE_TIMES.flags.writeable = False
 
-    Shape (B, J) at a scalar time t, (B, T, J) at a 1-D array of T times.
-    """
+
+def _joint_states(env: EnvironmentSpec, values: np.ndarray, t):
+    """Clamped joint angles and velocities of B controllers values[B, D],
+    each of shape (B, J) at a scalar time t."""
     coeffs = values.reshape(len(values), N_JOINTS, COEFFS_PER_JOINT)
     return eval_cubics(coeffs, t, joint_limits=env.joint_limits)
+
+
+def _sweep_angles(env: EnvironmentSpec, values: np.ndarray) -> np.ndarray:
+    """Clamped joint angles (B, T, J) of B controllers values[B, D] at the
+    sample times, each time bit for bit as :func:`_joint_states` gives it."""
+    coeffs = values.reshape(len(values), N_JOINTS, COEFFS_PER_JOINT)
+    return _angles(coeffs, _SAMPLE_TIMES, joint_limits=env.joint_limits)
 
 
 def _links(env: EnvironmentSpec, gap: RealityGap, angles):
@@ -251,11 +264,6 @@ def _flight(pos, vel, gravity: float):
     return np.where(valid[..., None], landing, 0.0), t_land, valid
 
 
-def _sample_times(env: EnvironmentSpec) -> np.ndarray:
-    n = int(round(env.duration / env.step))
-    return np.linspace(0.0, env.duration, n + 1)
-
-
 def _controllers(env: EnvironmentSpec, values) -> np.ndarray:
     """values as a float array (B, env.dim_params).
 
@@ -281,9 +289,10 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
     invalid row (release below ground) reads (0, 0).
 
     joystick: the gripper positions at all T = duration/step + 1 time
-    samples form a (B, T, 3) array; each row takes the deepest penetration
-    of the stick region over T, the first sample when several are equally
-    deep, and reads (0, 0) without contact.  Every joystick row is valid.
+    samples, from the joint angles alone, form a (B, T, 3) array; each row
+    takes the deepest penetration of the stick region over T, the first
+    sample when several are equally deep, and reads (0, 0) without contact.
+    Every joystick row is valid.
     """
     _skill_env(env)
     values = _controllers(env, values)
@@ -291,8 +300,7 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
         pos, vel = _gripper(env, gap, *_joint_states(env, values, env.duration))
         landing, _, valid = _flight(pos, vel, env.gravity * gap.gravity_scale)
         return landing, valid
-    angles, _ = _joint_states(env, values, _sample_times(env))
-    (x, y, z), _ = _gripper(env, gap, angles)
+    (x, y, z), _ = _gripper(env, gap, _sweep_angles(env, values))
     stick_x, stick_y, stick_z = env.joystick_pos
     offset = _stack(x - stick_x, y - stick_y, z - stick_z)   # (B, T, 3)
     # vecdot takes the dot product np.linalg.norm takes of a single vector
@@ -329,21 +337,22 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     """True when the sampled arm sweep or ballistic path crosses the wall.
 
     theta.values is read as values.reshape(J, 3), the joint-major (a1, a2,
-    a3) of each joint's cubic, through the kernel of :func:`execute_batch`.
+    a3) of each joint's cubic, through the kernels of :func:`execute_batch`.
     The sweep holds the J joint positions at each of the T time samples
     execute uses, a (T, J) array per coordinate tested in one
-    :meth:`Obstacle.contains` call; the flight from the release state at
-    env.duration is sampled every env.step from release to landing.
-    Raises DimensionError unless theta has env.dim_params values.
+    :meth:`Obstacle.contains` call; it needs joint angles only, so no joint
+    velocity is computed for it.  The release state is the gripper's
+    position and velocity at env.duration, evaluated alone as the throw
+    branch of execute_batch evaluates it, and the flight from it is sampled
+    every env.step from release to landing.  Raises DimensionError unless
+    theta has env.dim_params values.
     """
     _skill_env(env, ("throw",))
     values = _controllers(env, theta.values[None, :])
-    angles, velocities = _joint_states(env, values, _sample_times(env))
-    pts = _arm_points(env, gap, angles)
+    pts = _arm_points(env, gap, _sweep_angles(env, values))
     if bool(np.any(obstacle.contains(pts[..., 0], pts[..., 2]))):
         return True
-    # the last sample is env.duration, bit for bit as eval_cubics gives it alone
-    pos, vel = _gripper(env, gap, angles[:, -1], velocities[:, -1])
+    pos, vel = _gripper(env, gap, *_joint_states(env, values, env.duration))
     g = env.gravity * gap.gravity_scale
     _, t_land, valid = _flight(pos, vel, g)
     if not valid[0]:
@@ -473,6 +482,14 @@ def _transfer_init(kind: str, rng: np.random.Generator):
     return hand, puck, goal
 
 
+@functools.lru_cache(maxsize=256)
+def _transfer_start(kind: str, seed: int) -> tuple[float, ...]:
+    """Hand, puck and goal (hx, hy, px, py, gx, gy) of the episode of kind
+    and seed, as Python floats."""
+    hand, puck, goal = _transfer_init(kind, np.random.Generator(np.random.PCG64(seed)))
+    return (*hand.tolist(), *puck.tolist(), *goal.tolist())
+
+
 def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     """Roll the policy out for 100 steps; return = -(terminal puck-goal distance).
 
@@ -492,6 +509,10 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     policy, also after a strike, so that a rollout's cost does not depend on
     when its puck is struck.
 
+    The episode's start is drawn from PCG64(seed) once per kind and seed,
+    then reused from a bounded cache: every rollout of one search runs the
+    same episode.
+
     Hand, puck, goal and puck velocity are Python floats.  NumPy computes
     only the two tanh layers, the hand-puck distance and the push projection
     (2-vector dots) and the final miss distance: the BLAS dot may fuse
@@ -508,9 +529,7 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     if (shapes := tuple(w.shape for w in layers)) != _POLICY_SHAPES:
         raise DimensionError(f"policy_layers must have shapes {_POLICY_SHAPES}, got {shapes}")
     w_in, w_out = layers
-    rng = np.random.Generator(np.random.PCG64(seed))
-    hand, puck, goal = _transfer_init(kind, rng)
-    (hx, hy), (px, py), (gx, gy) = hand.tolist(), puck.tolist(), goal.tolist()
+    hx, hy, px, py, gx, gy = _transfer_start(kind, seed)
     vx = vy = 0.0
     struck = False
     state = np.empty(TRANSFER_STATE_DIM)

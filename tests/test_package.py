@@ -63,10 +63,10 @@ def vector(n=None):
     return bad if n is None else bad + [np.ones(n - 1), np.ones(n + 1)]
 
 
-def matrix(rows, cols):
-    """Bad values of a finite matrix of rows x cols values."""
-    bad = [np.full((rows, cols), x) for x in (NAN, INF, -INF)]
-    return bad + [np.ones(rows * cols), np.ones((1, rows, cols))]
+def array(*shape):
+    """Bad values of a finite array of the given shape, two dimensions or more."""
+    bad = [np.full(shape, x) for x in (NAN, INF, -INF)]
+    return bad + [np.ones(shape[:-2] + (shape[-2] * shape[-1],)), np.ones((1, *shape))]
 
 
 def box(n):
@@ -123,7 +123,7 @@ ROWS = [
     ("sim.execute", "env", [PUSHER], THROW, lambda v: sim.execute(v, sim.NOMINAL_GAP, THETA)),
     ("sim.execute_batch", "env", [PUSHER], THROW,
      lambda v: sim.execute_batch(v, sim.NOMINAL_GAP, np.zeros((2, 15)))),
-    ("sim.execute_batch", "values", matrix(2, 15) + [np.ones((2, 14))], np.zeros((2, 15)),
+    ("sim.execute_batch", "values", array(2, 15) + [np.ones((2, 14))], np.zeros((2, 15)),
      lambda v: sim.execute_batch(THROW, sim.NOMINAL_GAP, v)),
     ("sim.collides", "env", [JOYSTICK, PUSHER], THROW, lambda v: sim.collides(v, THETA, WALL)),
     ("sim.quality", "env", [PUSHER], THROW, lambda v: sim.quality(v, THETA, ZERO_OUT)),
@@ -151,14 +151,15 @@ ROWS = [
      lambda v: fresh_archive().nearest_outcome(v)),
     ("repertoire.Archive.knn_params", "theta_c", vector(3), np.ones(3), lambda v: fresh_archive().knn_params(v, 1)),
     ("repertoire.Archive.knn_params", "k", integer(1), np.int64(3), lambda v: fresh_archive().knn_params(np.ones(3), v)),
-    ("mathkit.least_squares", "a", matrix(3, 3), np.eye(3), lambda v: mathkit.least_squares(v, np.ones(3))),
+    ("mathkit.least_squares", "a", array(3, 3), np.eye(3), lambda v: mathkit.least_squares(v, np.ones(3))),
     ("mathkit.least_squares", "b", vector(3), np.ones(3), lambda v: mathkit.least_squares(np.eye(3), v)),
     ("mathkit.least_squares", "ridge", [NAN, INF, -INF, True, "1", None, -1e-9], 0,
      lambda v: mathkit.least_squares(np.eye(3), np.ones(3), v)),
-    ("mathkit.pinv", "m", matrix(2, 3), np.ones((2, 3)), mathkit.pinv),
+    ("mathkit.pinv", "m", array(2, 3), np.ones((2, 3)), mathkit.pinv),
+    ("mathkit.hosvd", "tensor", array(3, 3, 3), np.ones((3, 3, 3)), lambda v: mathkit.hosvd(v, (1, 1, 1))),
     ("mathkit.hosvd", "ranks", integer(1), 3, lambda v: mathkit.hosvd(np.ones((3, 3, 3)), (1, v, 1))),
     ("mathkit.reconstruct", "weight", vector(2), np.ones(2), lambda v: mathkit.reconstruct(FACTORS, v)),
-    ("mathkit.cmaes_minimize", "x0", vector(), np.ones(3), lambda v: cmaes(x0=v)),
+    ("mathkit.cmaes_minimize", "x0", vector() + [np.zeros(0)], np.ones(3), lambda v: cmaes(x0=v)),
     ("mathkit.cmaes_minimize", "sigma0", POSITIVE, 0.5, lambda v: cmaes(sigma0=v)),
     ("mathkit.cmaes_minimize", "budget", integer(LAM), 2 * LAM, lambda v: cmaes(budget=v)),
     ("mathkit.cmaes_minimize", "seed", integer(0), 9, lambda v: cmaes(seed=v)),

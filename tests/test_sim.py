@@ -606,6 +606,91 @@ class TestBatchedPathMatchesOracles:
 
 
 # ---------------------------------------------------------------------------
+# Golden digest of the sampled sweeps: the joystick outcomes and quality and
+# the collides results, as bytes, so that a change to the time grid or to
+# the kernels of a sweep must leave every bit of them, sign of zero included
+# ---------------------------------------------------------------------------
+
+# Walls within the arm's reach, beyond it, where only a flight can meet
+# them, and at the top of the nominal reach, which the longer links of GAP
+# cross
+SWEEP_WALLS = (
+    Obstacle((0.5, 1.2), 0.1, 0.4),
+    Obstacle((-0.6, 0.8), 0.2, 0.6),
+    Obstacle((1.4, 0.4), 0.6, 0.8),
+    Obstacle((-1.4, 0.4), 0.6, 0.8),
+    Obstacle((0.0, 1.85), 0.4, 0.1),
+)
+REACH = 1.05   # the horizontal reach of GAP's links, the longest
+
+
+def _golden_sweep_cases():
+    """(joystick controllers, (controller, outcome) pairs for quality, throw
+    controllers) from a fixed seed: uniform draws and draws near a joystick
+    contact or a throw released below ground."""
+    rng = np.random.default_rng(2005)
+    contacts = _joystick_contacts()
+    near = contacts[rng.integers(len(contacts), size=100)]
+    near = np.clip(near + rng.choice([0.0, 0.02, 0.1, 0.3], (100, 1)) * rng.uniform(-1, 1, (100, 15)), -1, 1)
+    joystick = np.concatenate([rng.uniform(-1, 1, (200, 15)), near])
+    scored = np.concatenate([joystick[:10], near[:10]])
+    outcomes, _ = execute_batch(make_env("joystick"), NOMINAL_GAP, scored)
+    below = np.clip(BELOW_GROUND + rng.choice([0.02, 0.1, 0.3], (20, 1)) * rng.uniform(-1, 1, (20, 15)), -1, 1)
+    throw = np.concatenate([rng.uniform(-1, 1, (150, 15)), below])
+    return joystick, list(zip(scored, outcomes)), throw
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_sweep_results():
+    """(joystick outcomes and validity under each gap, joystick quality at
+    seeds 0-9, collides of each throw controller at each wall and gap)."""
+    joystick_env, throw_env = make_env("joystick"), make_env("throw")
+    joystick, scored, throw = _golden_sweep_cases()
+    batches = [execute_batch(joystick_env, gap, joystick) for gap in GAPS]
+    qualities = [quality(joystick_env, new_params(joystick_env, values), Outcome(out), seed)
+                 for seed in range(10) for values, out in scored]
+    hits = [[[collides(throw_env, new_params(throw_env, values), wall, gap) for values in throw]
+             for wall in SWEEP_WALLS] for gap in GAPS]
+    return batches, np.array(qualities), np.array(hits)
+
+
+def _sweep_digest(batches, qualities, hits) -> str:
+    parts = [array.astype(dtype).tobytes() for outcomes, valid in batches
+             for array, dtype in ((outcomes, "<f8"), (valid, "u1"))]
+    parts += [qualities.astype("<f8").tobytes(), hits.astype("u1").tobytes()]
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+# sha256 of _golden_sweep_results, recorded while execute_batch and collides
+# still evaluated joint velocities at every time sample.  Like the transfer
+# digest below, it pins the low bits: a NumPy build that moves them needs a
+# new digest, checked first against the oracle properties above.
+GOLDEN_SWEEP_SHA256 = "e752ea4c9d26e77081f22c2bc6e92363722528150327dcb544ab7ab8b94fc4e4"
+
+
+class TestSweepDigest:
+    def test_cases_hold_contacts_hits_and_misses(self):
+        batches, qualities, hits = _golden_sweep_results()
+        for outcomes, valid in batches:
+            assert valid.all() and 50 <= np.any(outcomes != 0.0, axis=1).sum() < len(outcomes)
+        assert np.any(qualities < 0.0) and np.any(qualities == 0.0)
+        beyond = [abs(wall.center[0]) - wall.width / 2 > REACH for wall in SWEEP_WALLS]
+        assert hits[:, beyond].any() and hits[:, [not b for b in beyond]].any()
+        assert not hits.all(axis=(0, 1)).any() and not hits[:, beyond].all()
+        assert (hits[0] != hits[1]).any()   # the gap moves some results
+
+    def test_results_match_the_golden_digest(self):
+        assert _sweep_digest(*_golden_sweep_results()) == GOLDEN_SWEEP_SHA256
+
+    def test_sample_times_are_one_read_only_grid(self, joystick_env):
+        # every sweep reads the same array, so no caller may write to it
+        times = sim._SAMPLE_TIMES
+        assert times.tobytes() == _oracle_times(joystick_env).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            times[0] = 0.5
+
+
+# ---------------------------------------------------------------------------
 # Golden oracle of the transfer rollout: the NumPy loop transfer_task ran
 # before it moved to Python floats, copied with its own _policy_action
 # ---------------------------------------------------------------------------
