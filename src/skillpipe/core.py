@@ -137,33 +137,20 @@ class Skill:
         _number(self.quality, "quality")
 
 
-def _broadcast(coeffs, t):
-    """coeffs and t as float arrays whose products have shape (..., n_joints)
-    at a scalar t and (..., T, n_joints) at a 1-D array of T times."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1:
-        raise DimensionError(f"t must be a scalar or a 1-D array, got shape {t.shape}")
-    if t.ndim == 1:
-        return coeffs[..., None, :, :], t[:, None]
-    return coeffs, t
+def _cubic(a1, a2, a3, t):
+    """a1 t + a2 t^2 + a3 t^3, elementwise over coefficient rows a1, a2, a3
+    and times t that broadcast together."""
+    return a1 * t + a2 * t * t + a3 * t * t * t
 
 
-def _cubic(coeffs, t):
-    """a1 t + a2 t^2 + a3 t^3 of each row of coeffs, with coeffs and t as
-    :func:`_broadcast` returns them."""
-    return coeffs[..., 0] * t + coeffs[..., 1] * t * t + coeffs[..., 2] * t * t * t
+def _cubic_rate(a1, a2, a3, t):
+    """The time derivative a1 + 2 a2 t + 3 a3 t^2 of :func:`_cubic`."""
+    return a1 + 2.0 * a2 * t + 3.0 * a3 * t * t
 
 
-def _clamp_angles(angles, joint_limits):
-    limits = np.asarray(joint_limits, dtype=float)
+def _clamp(values, lo, hi):
     # what np.clip computes, at half its cost on the arrays of one controller
-    return np.minimum(np.maximum(angles, limits[:, 0]), limits[:, 1])
-
-
-def _angles(coeffs, t, joint_limits):
-    """The clamped angles of :func:`eval_cubics`, bit for bit, without its velocities."""
-    return _clamp_angles(_cubic(*_broadcast(coeffs, t)), joint_limits)
+    return np.minimum(np.maximum(values, lo), hi)
 
 
 def eval_cubics(coeffs, t, joint_limits=None):
@@ -177,11 +164,18 @@ def eval_cubics(coeffs, t, joint_limits=None):
     (shape (n_joints, 2)) when given; velocities of clamped joints are
     zeroed so evaluation stays total.
     """
-    coeffs, t = _broadcast(coeffs, t)
-    angles = _cubic(coeffs, t)
-    velocities = coeffs[..., 0] + 2.0 * coeffs[..., 1] * t + 3.0 * coeffs[..., 2] * t * t
+    coeffs = np.asarray(coeffs, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise DimensionError(f"t must be a scalar or a 1-D array, got shape {t.shape}")
+    if t.ndim == 1:
+        coeffs, t = coeffs[..., None, :, :], t[:, None]
+    rows = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
+    angles = _cubic(*rows, t)
+    velocities = _cubic_rate(*rows, t)
     if joint_limits is not None:
-        clamped = _clamp_angles(angles, joint_limits)
+        limits = np.asarray(joint_limits, dtype=float)
+        clamped = _clamp(angles, limits[:, 0], limits[:, 1])
         velocities = np.where(clamped == angles, velocities, 0.0)
         angles = clamped
     return angles, velocities

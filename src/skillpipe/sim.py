@@ -25,8 +25,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (COEFFS_PER_JOINT, ControllerParams, DimensionError, Outcome, _angles,
-                   _as_array, _as_vector, _integer, _positive, eval_cubics)
+from .core import (COEFFS_PER_JOINT, ControllerParams, DimensionError, Outcome, _as_array,
+                   _as_vector, _clamp, _cubic, _cubic_rate, _integer, _positive)
 
 __all__ = [
     "EnvironmentSpec",
@@ -170,7 +170,8 @@ def theta_bounds(env: EnvironmentSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Arm kinematics, vectorised over any leading axes (controllers, time samples)
+# Arm kinematics, joint-major: the states of each joint fill one contiguous
+# row, so that one NumPy call covers every joint of every controller
 # ---------------------------------------------------------------------------
 
 # The T = duration/step + 1 sample times of every sweep, shared read-only
@@ -180,35 +181,66 @@ _SAMPLE_TIMES = np.linspace(
 _SAMPLE_TIMES.flags.writeable = False
 
 
-def _joint_states(env: EnvironmentSpec, values: np.ndarray, t):
-    """Clamped joint angles and velocities of B controllers values[B, D],
-    each of shape (B, J) at a scalar time t."""
-    coeffs = values.reshape(len(values), N_JOINTS, COEFFS_PER_JOINT)
-    return eval_cubics(coeffs, t, joint_limits=env.joint_limits)
+def _arm(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray, t, rates: bool = False):
+    """Joint-major kinematics of B controllers values[B, D], with N = B
+    columns per joint at a scalar time t and N = B * T at the T times of a
+    1-D array t (column b * T + k is controller b at time k).
 
-
-def _sweep_angles(env: EnvironmentSpec, values: np.ndarray) -> np.ndarray:
-    """Clamped joint angles (B, T, J) of B controllers values[B, D] at the
-    sample times, each time bit for bit as :func:`_joint_states` gives it."""
-    coeffs = values.reshape(len(values), N_JOINTS, COEFFS_PER_JOINT)
-    return _angles(coeffs, _SAMPLE_TIMES, joint_limits=env.joint_limits)
-
-
-def _links(env: EnvironmentSpec, gap: RealityGap, angles):
-    """Cosine and sine of the base yaw, and the horizontal and vertical
-    extent of each link.
-
-    angles has shape (..., J); the yaw terms have shape (...) and the
-    extents (..., J - 1).  Joint 0 is the base yaw; joints 1..4 rotate in
-    the yawed vertical plane, angles measured from vertical (rest pose
-    points straight up), so link k sits at the cumulative angle of joints
-    1..k.
+    Joint 0 is the base yaw; joints 1..4 rotate in the yawed vertical plane,
+    angles measured from vertical (rest pose points straight up), so link k
+    sits at the cumulative angle of joints 1..k.  Returns the cosine and
+    sine of the yaw (N,) and the vertical rise and horizontal reach of each
+    link (J - 1, N); with rates, at a scalar t, also the joint rates (J, N),
+    the yaw rate and the cumulative rates of joints 1..k, a joint held at
+    its limit counting 0.  Each step is elementwise or adds joint rows in
+    np.cumsum's order, so every column is bit for bit the joint-last
+    evaluation.
     """
-    links = env.link_lengths * gap.link_scale
-    q = np.asarray(angles, dtype=float) + gap.joint_bias
-    yaw = q[..., 0]
-    phi = q[..., 1:].cumsum(axis=-1)
-    return np.cos(yaw), np.sin(yaw), links * np.sin(phi), links * np.cos(phi)
+    # (3, J, B) in C order, so that each product below fills whole joint rows
+    a1, a2, a3 = values.reshape(len(values), N_JOINTS, COEFFS_PER_JOINT).T.copy()
+    if np.ndim(t):
+        a1, a2, a3 = a1[..., None], a2[..., None], a3[..., None]
+    angles = _cubic(a1, a2, a3, t)
+    angles = angles.reshape(N_JOINTS, angles.size // N_JOINTS)   # -1 fails on an empty batch
+    q = _clamp(angles, env.joint_limits[:, :1], env.joint_limits[:, 1:])
+    n = q.shape[1]
+    states = q + gap.joint_bias[:, None]
+    if rates:
+        # each joint's angles and rates side by side in one contiguous row, so
+        # that one add per joint sums both, and no row is a single element,
+        # on which an in-place add costs twice as much
+        states = np.concatenate((states, np.where(q == angles, _cubic_rate(a1, a2, a3, t), 0.0)), axis=1)
+    _accumulate(states[1:])   # the cumulative link angles (and rates)
+    c, s = np.cos(states[:, :n]), np.sin(states[:, :n])
+    links = (env.link_lengths * gap.link_scale)[:, None]
+    kinematics = c[0], s[0], links * c[1:], links * s[1:]
+    return (*kinematics, states[:, n:]) if rates else kinematics
+
+
+def _accumulate(rows: np.ndarray) -> None:
+    """rows.cumsum(axis=0) in place, in the order np.cumsum adds."""
+    total, *rest = rows
+    for row in rest:
+        row += total
+        total = row
+
+
+def _tip(env: EnvironmentSpec, cos_y, sin_y, rise, reach):
+    """Gripper position (x, y, z) from the link extents of :func:`_arm`,
+    each coordinate (N,); np.sum adds the links in index order, from 0."""
+    r = reach.sum(axis=0)
+    return r * cos_y, r * sin_y, env.base_height + rise.sum(axis=0)
+
+
+def _release(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray):
+    """Gripper position (x, y, z) and velocity (vx, vy, vz) of B controllers
+    values[B, D] at the end of their motion, each coordinate (B,)."""
+    cos_y, sin_y, rise, reach, qd = _arm(env, gap, values, env.duration, rates=True)
+    x, y, z = _tip(env, cos_y, sin_y, rise, reach)
+    yaw_d, phi_d = qd[0], qd[1:]
+    r_d = (rise * phi_d).sum(axis=0)
+    vel = (r_d * cos_y - y * yaw_d, r_d * sin_y + x * yaw_d, -(reach * phi_d).sum(axis=0))
+    return (x, y, z), vel
 
 
 def _stack(*columns) -> np.ndarray:
@@ -218,35 +250,6 @@ def _stack(*columns) -> np.ndarray:
     for k, column in enumerate(columns):
         out[..., k] = column
     return out
-
-
-def _gripper(env: EnvironmentSpec, gap: RealityGap, angles, velocities=None):
-    """Gripper position (x, y, z) and velocity (vx, vy, vz) from joint
-    states (..., J), each coordinate an array (...).
-
-    The velocity is None when no joint velocities are given.
-    """
-    cos_y, sin_y, reach, rise = _links(env, gap, angles)
-    r = reach.sum(axis=-1)
-    x, y = r * cos_y, r * sin_y
-    pos = (x, y, env.base_height + rise.sum(axis=-1))
-    if velocities is None:
-        return pos, None
-    qd = np.asarray(velocities, dtype=float)
-    yaw_d = qd[..., 0]
-    phi_d = qd[..., 1:].cumsum(axis=-1)
-    r_d = (rise * phi_d).sum(axis=-1)
-    vel = (r_d * cos_y - y * yaw_d, r_d * sin_y + x * yaw_d, -(reach * phi_d).sum(axis=-1))
-    return pos, vel
-
-
-def _arm_points(env: EnvironmentSpec, gap: RealityGap, angles) -> np.ndarray:
-    """Joint positions, base to gripper, (..., J, 3) from angles (..., J)."""
-    cos_y, sin_y, reach, rise = _links(env, gap, angles)
-    start = np.zeros(reach.shape[:-1] + (1,))
-    r = np.concatenate([start, reach.cumsum(axis=-1)], axis=-1)
-    z = env.base_height + np.concatenate([start, rise.cumsum(axis=-1)], axis=-1)
-    return _stack(r * cos_y[..., None], r * sin_y[..., None], z)
 
 
 def _flight(pos, vel, gravity: float):
@@ -285,30 +288,36 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
     DimensionError unless values has shape (B, env.dim_params), and
     ValueError when it holds non-finite entries.
 
-    throw: each gripper is evaluated at the end of its motion only; an
-    invalid row (release below ground) reads (0, 0).
+    Both kinds evaluate the arm joint-major: each joint's states over the
+    batch fill one contiguous row, so that each step of the cubic, the
+    clamp, the joint bias, the cosine, the sine and the link sums takes one
+    NumPy call over all joints, and the cumulative link angles one add per
+    joint.
 
-    joystick: the gripper positions at all T = duration/step + 1 time
-    samples, from the joint angles alone, form a (B, T, 3) array; each row
-    takes the deepest penetration of the stick region over T, the first
-    sample when several are equally deep, and reads (0, 0) without contact.
-    Every joystick row is valid.
+    throw: each gripper is evaluated at the end of its motion only, from
+    (J, B) joint angles and rates; an invalid row (release below ground)
+    reads (0, 0).
+
+    joystick: the joint angles at all T = duration/step + 1 time samples
+    form a (J, B, T) array, and the gripper positions from them a (B, T, 3)
+    array of offsets from the stick; each row takes the deepest penetration
+    of the stick region over T, the first sample when several are equally
+    deep, and reads (0, 0) without contact.  Every joystick row is valid.
     """
     _skill_env(env)
     values = _controllers(env, values)
     if env.kind == "throw":
-        pos, vel = _gripper(env, gap, *_joint_states(env, values, env.duration))
-        landing, _, valid = _flight(pos, vel, env.gravity * gap.gravity_scale)
+        landing, _, valid = _flight(*_release(env, gap, values), env.gravity * gap.gravity_scale)
         return landing, valid
-    (x, y, z), _ = _gripper(env, gap, _sweep_angles(env, values))
+    x, y, z = _tip(env, *_arm(env, gap, values, _SAMPLE_TIMES))
     stick_x, stick_y, stick_z = env.joystick_pos
-    offset = _stack(x - stick_x, y - stick_y, z - stick_z)   # (B, T, 3)
+    offset = _stack(x - stick_x, y - stick_y, z - stick_z).reshape(len(values), len(_SAMPLE_TIMES), 3)
     # vecdot takes the dot product np.linalg.norm takes of a single vector
     depth = env.joystick_radius - np.sqrt(np.vecdot(offset, offset))   # (B, T)
     rows = np.arange(len(values))
     first = depth.argmax(axis=1)   # the first maximum
     contact = depth[rows, first] > 0
-    response = np.clip(env.joystick_gain * offset[rows, first, :2], -1.0, 1.0)
+    response = _clamp(env.joystick_gain * offset[rows, first, :2], -1.0, 1.0)
     outcomes = np.where(contact[:, None], env.max_tilt * response, 0.0)
     return outcomes, np.ones(len(values), dtype=bool)
 
@@ -337,22 +346,27 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     """True when the sampled arm sweep or ballistic path crosses the wall.
 
     theta.values is read as values.reshape(J, 3), the joint-major (a1, a2,
-    a3) of each joint's cubic, through the kernels of :func:`execute_batch`.
-    The sweep holds the J joint positions at each of the T time samples
-    execute uses, a (T, J) array per coordinate tested in one
-    :meth:`Obstacle.contains` call; it needs joint angles only, so no joint
-    velocity is computed for it.  The release state is the gripper's
-    position and velocity at env.duration, evaluated alone as the throw
-    branch of execute_batch evaluates it, and the flight from it is sampled
-    every env.step from release to landing.  Raises DimensionError unless
-    theta has env.dim_params values.
+    a3) of each joint's cubic, through the joint-major kinematics of
+    :func:`execute_batch`.  The sweep is the base joint and the end of each
+    of the J - 1 links at each of the T time samples execute uses: the
+    cumulative link extents form a (J - 1, T) array per coordinate, tested
+    in one :meth:`Obstacle.contains` call, and need joint angles only, so no
+    joint velocity is computed for them.  The release state is the
+    gripper's position and velocity at env.duration, evaluated alone as
+    the throw branch of execute_batch evaluates it, and the flight from it
+    is sampled every env.step from release to landing.  Raises
+    DimensionError unless theta has env.dim_params values.
     """
     _skill_env(env, ("throw",))
     values = _controllers(env, theta.values[None, :])
-    pts = _arm_points(env, gap, _sweep_angles(env, values))
-    if bool(np.any(obstacle.contains(pts[..., 0], pts[..., 2]))):
+    cos_y, _, rise, reach = _arm(env, gap, values, _SAMPLE_TIMES)
+    _accumulate(rise)   # the height and reach of the end of each link
+    _accumulate(reach)
+    # the base joint, at (0, base_height), and the end of each link
+    if obstacle.contains(0.0, env.base_height) or np.any(
+            obstacle.contains(reach * cos_y, env.base_height + rise)):
         return True
-    pos, vel = _gripper(env, gap, *_joint_states(env, values, env.duration))
+    pos, vel = _release(env, gap, values)
     g = env.gravity * gap.gravity_scale
     _, t_land, valid = _flight(pos, vel, g)
     if not valid[0]:
@@ -398,10 +412,11 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
     b = theta.bounds
     sigma = env.perturb_sigma * (b[:, 1] - b[:, 0])
     noise = rng.normal(0.0, sigma, size=(env.perturb_count, len(values)))
-    noisy = np.clip(values + noise, b[:, 0], b[:, 1])
+    noisy = _clamp(values + noise, b[:, 0], b[:, 1])
     outs, _ = execute_batch(env, NOMINAL_GAP, noisy)
     dev = outs - outcome.values
-    return -float(np.mean(np.sqrt(np.vecdot(dev, dev))))
+    dist = np.sqrt(np.vecdot(dev, dev))
+    return -float(np.add.reduce(dist) / len(dist))   # np.mean's arithmetic, at less overhead
 
 
 # ---------------------------------------------------------------------------
