@@ -6,10 +6,12 @@ has strictly higher quality, but only if removing that neighbor restores the
 spacing; otherwise it is rejected.  One function measures every distance,
 so load refuses exactly the files try_insert could not have written.
 
-An archive's one state is its list of skills.  Callers may append to it or
-reassign it; entries are replaced only through try_insert.  The outcome and
-parameter matrices that the nearest-neighbor queries scan linearly, plenty at
-desk scale, are derived from the list, by its identity and length.
+An archive's one state is its list of skills.  Callers may append to it,
+pop from it, clear it or reassign it; entries are replaced only through
+try_insert.  The nearest-neighbor queries scan an outcome or a parameter
+matrix linearly, plenty at desk scale.  Each matrix is derived from the list
+on the first read that needs it, so a fill, which reads outcomes only, never
+builds the parameter matrix.
 """
 
 from __future__ import annotations
@@ -123,11 +125,17 @@ class Archive:
     """Ordered set of skills unique in outcome space at radius r_novel.
 
     Every skill has dim_params controller values and dim_outcome outcome
-    values.  skills is the archive's one state: the outcome and parameter
-    matrices the queries scan follow the list by its identity and length, so
-    callers may append to it or reassign it.  Entries are replaced only
-    through try_insert; an edit in place that keeps the length, such as
-    assigning to an entry, goes unseen.
+    values.  skills is the archive's one state, so callers may append to
+    it, pop from it, clear it or reassign it.  Entries are replaced only
+    through try_insert; an edit that keeps the list's length and last entry,
+    such as assigning to an earlier entry, goes unseen.
+
+    The queries scan one matrix each, one row per skill: try_insert,
+    nearest_outcome, min_pairwise_distance and outcomes the outcome matrix,
+    knn_params the parameter matrix.  A matrix is built on its first read
+    after skills changed, as seen by the list's identity, length and last
+    entry; any read that sees a change drops every matrix first, so that a
+    matrix not read in between cannot outlive the list it was built from.
 
     The constructor raises ValueError for an r_novel that is not a positive
     number (the kind of :mod:`core`) and, naming each field, for what load
@@ -152,28 +160,30 @@ class Archive:
         self.dim_outcome = dim_outcome
         self.seed = seed
         self.skills: list[Skill] = []
-        self._source = self.skills   # the list the matrices were built from
-        self._outcomes = np.empty((0, dim_outcome))
-        self._params = np.empty((0, dim_params))
+        # the list, length and last entry the cached matrices were built for
+        self._source, self._rows, self._last = self.skills, 0, None
+        self._matrices: dict[str, np.ndarray] = {}   # by Skill field, "outcome" or "params"
 
-    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Outcome and parameter values of skills, one row per skill.
+    def _matrix(self, field: str) -> np.ndarray:
+        """The values of skill.<field> for every skill, one row each.
 
-        Rebuilt when skills is another list than they were built from or their
-        row count differs from its length; the stale rows go first, so that
-        old and new never take memory together.
+        Built on the first read after skills changed; a change drops every
+        cached matrix before the new one is made, so that stale and new rows
+        never take memory together.
         """
-        n = len(self.skills)
-        if self._source is not self.skills or len(self._outcomes) != n:
-            self._source = self.skills
-            self._outcomes = np.empty((0, self.dim_outcome))
-            self._params = np.empty((0, self.dim_params))
-            self._outcomes = np.array([s.outcome.values for s in self.skills]).reshape(n, self.dim_outcome)
-            self._params = np.array([s.params.values for s in self.skills]).reshape(n, self.dim_params)
-        return self._outcomes, self._params
+        skills = self.skills
+        last = skills[-1] if skills else None
+        if self._source is not skills or self._rows != len(skills) or self._last is not last:
+            self._matrices.clear()
+            self._source, self._rows, self._last = skills, len(skills), last
+        if field not in self._matrices:
+            dim = self.dim_outcome if field == "outcome" else self.dim_params
+            rows = [getattr(skill, field).values for skill in skills]
+            self._matrices[field] = np.array(rows).reshape(len(skills), dim)
+        return self._matrices[field]
 
     def outcomes(self) -> np.ndarray:
-        return self._matrices()[0]
+        return self._matrix("outcome")
 
     def qualities(self) -> np.ndarray:
         return np.array([s.quality for s in self.skills])
@@ -198,8 +208,7 @@ class Archive:
             if bounds is not box and not np.array_equal(bounds, box):
                 raise ValueError("cannot insert a skill whose parameter bounds differ from "
                                  "the stored skills'")
-        outs, params = self._matrices()
-        dists = _distances(skill.outcome.values[None, :], outs)[0]
+        dists = _distances(skill.outcome.values[None, :], self._matrix("outcome"))[0]
         if dists.min(initial=np.inf) >= self.r_novel:
             self.skills.append(skill)
             return InsertResult(InsertOutcome.ADDED)
@@ -207,8 +216,10 @@ class Archive:
         old = self.skills[nearest]
         if skill.quality > old.quality and np.count_nonzero(dists < self.r_novel) == 1:
             self.skills[nearest] = skill
-            outs[nearest] = skill.outcome.values
-            params[nearest] = skill.params.values
+            # the read above left only matrices of this list in the cache
+            for field, matrix in self._matrices.items():
+                matrix[nearest] = getattr(skill, field).values
+            self._last = self.skills[-1]
             return InsertResult(InsertOutcome.REPLACED, replaced=old)
         return InsertResult(InsertOutcome.REJECTED)
 
@@ -222,8 +233,7 @@ class Archive:
         target = _as_vector(target, "target", self.dim_outcome)
         if not self.skills:
             raise ValueError("archive is empty")
-        outs, _ = self._matrices()
-        dists = _distances(target[None, :], outs)[0]
+        dists = _distances(target[None, :], self._matrix("outcome"))[0]
         return self.skills[int(np.argmin(dists))]
 
     def knn_params(self, theta_c, k: int) -> list[Skill]:
@@ -240,15 +250,17 @@ class Archive:
         if not self.skills:
             raise ValueError("archive is empty")
         _integer(k, "k", 1)
-        _, params = self._matrices()
-        dists = _distances(query[None, :], params)[0]
-        order = np.argsort(dists, kind="stable")
-        return [self.skills[i] for i in order[: min(k, len(self.skills))]]
+        dists = _distances(query[None, :], self._matrix("params"))[0]
+        k = min(k, len(dists))
+        # every index at or below the k-th distance, in index order, then a
+        # stable sort of those: the order of argsort(kind="stable")[:k]
+        candidates = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+        order = candidates[np.argsort(dists[candidates], kind="stable")]
+        return [self.skills[i] for i in order[:k]]
 
     def min_pairwise_distance(self) -> float:
         """Smallest outcome-space distance between stored skills (inf if < 2)."""
-        outs, _ = self._matrices()
-        return float(_nearest_earlier(outs)[0].min(initial=np.inf))
+        return float(_nearest_earlier(self._matrix("outcome"))[0].min(initial=np.inf))
 
 
 # ---------------------------------------------------------------------------

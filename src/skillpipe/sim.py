@@ -354,8 +354,9 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     joint velocity is computed for them.  The release state is the
     gripper's position and velocity at env.duration, evaluated alone as
     the throw branch of execute_batch evaluates it, and the flight from it
-    is sampled every env.step from release to landing.  Raises
-    DimensionError unless theta has env.dim_params values.
+    is sampled every env.step from release to landing (see
+    :func:`_flight_hits`).  Raises DimensionError unless theta has
+    env.dim_params values.
     """
     _skill_env(env, ("throw",))
     values = _controllers(env, theta.values[None, :])
@@ -372,10 +373,38 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     if not valid[0]:
         return False
     (x, _, z), (vx, _, vz) = pos, vel
-    ts = np.arange(0.0, t_land[0] + env.step, env.step)
-    xs = x[0] + vx[0] * ts
-    zs = z[0] + vz[0] * ts - 0.5 * g * ts * ts
-    return bool(np.any(obstacle.contains(xs, zs)))
+    return _flight_hits(obstacle, (float(x[0]), float(z[0])), (float(vx[0]), float(vz[0])),
+                        g, float(t_land[0]), env.step)
+
+
+_FLIGHT_CHUNK = 4096   # flight samples evaluated at a time
+
+
+def _flight_hits(obstacle: Obstacle, pos, vel, g: float, t_land: float, step: float) -> bool:
+    """True when a sample of the flight from pos = (x, z) at vel = (vx, vz)
+    under gravity g lies in the wall.
+
+    The samples are those of np.arange(0.0, t_land + step, step), value for
+    value, but only the steps whose x lies within the wall's x-extent,
+    widened by one step, are evaluated, and _FLIGHT_CHUNK at a time, so that
+    memory stays bounded however long the flight, as under a small
+    gravity_scale.
+    """
+    (x, z), (vx, vz), cx = pos, vel, float(obstacle.center[0])
+    first, stop = 0.0, (t_land + step) / step   # np.arange makes ceil(stop) samples
+    speed = vx * step
+    if speed != 0.0:
+        reach = obstacle.width / 2.0 + abs(speed)
+        edges = ((cx - reach - x) / speed, (cx + reach - x) / speed)
+        first, stop = max(first, min(edges)), min(stop, max(edges) + 1.0)
+    if not first < stop:
+        return False
+    stop = math.ceil(stop)
+    for start in range(math.floor(first), stop, _FLIGHT_CHUNK):
+        ts = np.arange(start, min(start + _FLIGHT_CHUNK, stop)) * step   # np.arange's values
+        if np.any(obstacle.contains(x + vx * ts, z + vz * ts - 0.5 * g * ts * ts)):
+            return True
+    return False
 
 
 def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, seed: int = 0) -> float:

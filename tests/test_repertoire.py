@@ -272,6 +272,19 @@ class TestQueries:
         expect = [arch.skills[i] for i in np.argsort(dists, kind="stable")[:16]]
         assert [id(s) for s in got] == [id(s) for s in expect]
 
+    def test_knn_selection_is_the_stable_sort_on_ties(self):
+        # parameters on a 3x3x3 grid, 60 skills: most distances tie, so every
+        # k cuts through a run of equal distances
+        rng = np.random.default_rng(5)
+        arch = fresh_archive()
+        arch.skills = [make_skill(rng.integers(-1, 2, 3), [i, 0.0]) for i in range(60)]
+        params = np.array([s.params.values for s in arch.skills])
+        for query in rng.integers(-1, 2, (8, 3)):
+            order = np.argsort(np.linalg.norm(params - query, axis=1), kind="stable")
+            for k in range(1, 62):
+                got = arch.knn_params(query, k)
+                assert [id(s) for s in got] == [id(arch.skills[i]) for i in order[:k]]
+
     def test_k_larger_than_archive_returns_all(self):
         arch = fresh_archive()
         arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], 1.0))
@@ -361,8 +374,16 @@ class TestDistances:
                 assert np.array_equal(got, [np.linalg.norm(rows - p, axis=1) for p in points])
 
 
+# Parameters, outcomes and qualities on small grids, so that inserts at
+# r_novel 0.3 replace and reject, and parameter distances tie
+GRID_PARAMS = st.lists(st.integers(-1, 1), min_size=3, max_size=3)
+GRID_OUTCOMES = st.lists(st.integers(-3, 3).map(lambda i: 0.2 * i), min_size=2, max_size=2)
+GRID_SKILLS = st.tuples(GRID_PARAMS, GRID_OUTCOMES, st.integers(-2, 2).map(float))
+
+
 class TestOneState:
-    """skills is the archive's one state: the matrices follow the list by identity and length."""
+    """skills is the archive's one state: each matrix follows the list by its
+    identity, length and last entry, and is built when a query reads it."""
 
     def two_apart(self):
         arch = fresh_archive(r_novel=0.1)
@@ -415,6 +436,67 @@ class TestOneState:
         assert arch.skills[2] is better and len(arch.skills) == 3
         assert np.array_equal(arch.outcomes(), [[0.0, 0.0], [1.0, 0.0], [2.05, 0.0]])
         assert arch.knn_params([0.0, 0.0, 0.5], 1)[0] is better
+
+    def test_replaced_insert_drops_a_matrix_built_before_an_append(self):
+        # the parameter matrix, built at two skills, is not read again until
+        # the list is back to two skills: a REPLACED insert in between must
+        # not leave it looking current
+        arch = self.two_apart()
+        arch.knn_params([0.0, 0.0, 0.0], 1)   # builds the parameter matrix
+        arch.skills.append(make_skill([0, 0, 1], [2.0, 0.0], 1.0))
+        better = make_skill([-1, -1, -1], [1.05, 0.0], 2.0)
+        assert arch.try_insert(better).outcome is InsertOutcome.REPLACED
+        arch.skills.pop()
+        assert arch.skills[1] is better
+        assert arch.knn_params([-1.0, -1.0, -1.0], 1)[0] is better
+
+    def test_fill_never_builds_the_parameter_matrix(self):
+        arch = fresh_archive(r_novel=0.1)
+        for i in range(20):
+            arch.try_insert(make_skill([i, 0, 0], [0.06 * i, 0.0], float(i)))
+        arch.nearest_outcome([0.0, 0.0])
+        arch.min_pairwise_distance()
+        assert set(arch._matrices) == {"outcome"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("insert"), GRID_SKILLS),
+        st.tuples(st.just("append"), GRID_SKILLS),
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("reassign"), st.booleans()),
+        st.tuples(st.just("clear")),
+        st.tuples(st.just("knn"), GRID_PARAMS, st.integers(1, 6)),
+        st.tuples(st.just("nearest"), GRID_OUTCOMES),
+    ), max_size=40))
+    def test_answers_match_an_archive_rebuilt_from_the_list(self, ops):
+        arch = fresh_archive(r_novel=0.3)
+
+        def rebuilt():
+            copy = fresh_archive(r_novel=0.3)
+            copy.skills = list(arch.skills)
+            return copy
+
+        for op, *args in ops:
+            if op == "insert":
+                skill, reference = make_skill(*args[0]), rebuilt()
+                got, want = arch.try_insert(skill), reference.try_insert(skill)
+                assert got.outcome is want.outcome and got.replaced is want.replaced
+                assert [id(s) for s in arch.skills] == [id(s) for s in reference.skills]
+            elif op == "append":
+                arch.skills.append(make_skill(*args[0]))
+            elif op == "pop" and arch.skills:
+                arch.skills.pop()
+            elif op == "reassign":
+                arch.skills = arch.skills[::-1] if args[0] else list(arch.skills)
+            elif op == "clear":
+                arch.skills.clear()
+            elif op == "knn" and arch.skills:
+                query, k = args
+                got, want = arch.knn_params(query, k), rebuilt().knn_params(query, k)
+                assert [id(s) for s in got] == [id(s) for s in want]
+            elif op == "nearest" and arch.skills:
+                assert arch.nearest_outcome(args[0]) is rebuilt().nearest_outcome(args[0])
+        assert np.array_equal(arch.outcomes(), rebuilt().outcomes())
 
 
 class TestPersistence:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -203,21 +204,44 @@ class TestCollides:
 
     def test_last_flight_sample_decides(self, throw_env):
         # the flight is sampled every step up to the first sample at or past
-        # landing; a wall round that sample meets no earlier one
+        # landing; a wall round that sample meets no earlier one, and a wall
+        # round the step after it, below ground, meets no sample
         theta = new_params(throw_env, SWING)
         pos, vel = _oracle_gripper(
             throw_env, NOMINAL_GAP, *_oracle_joints(throw_env, theta, throw_env.duration)
         )
         g, step = throw_env.gravity, throw_env.step
         _, t_land = _oracle_landing(pos, vel, g)
-        ts = np.arange(0.0, t_land + step, step)
-        assert ts[-1] >= t_land
+        ts = np.arange(0.0, t_land + step + step, step)   # and the step after
+        assert ts[-2] >= t_land > ts[-3]
         xs = pos[0] + vel[0] * ts
         zs = pos[2] + vel[2] * ts - 0.5 * g * ts * ts
-        size = math.hypot(xs[-1] - xs[-2], zs[-1] - zs[-2]) / 2
-        wall = Obstacle(center=(xs[-1], zs[-1]), width=size, height=size)
-        assert not np.any(wall.contains(xs[:-1], zs[:-1]))
+        size = math.hypot(xs[-2] - xs[-3], zs[-2] - zs[-3]) / 2
+        wall = Obstacle(center=(xs[-2], zs[-2]), width=size, height=size)
+        assert not np.any(wall.contains(xs[:-2], zs[:-2]))
         assert collides(throw_env, theta, wall)
+        after = Obstacle(center=(xs[-1], zs[-1]), width=size, height=size)
+        assert zs[-1] < 0 and not np.any(after.contains(xs[:-1], zs[:-1]))
+        assert not collides(throw_env, theta, after)
+
+    def test_long_flight_takes_little_memory(self, throw_env):
+        # under gravity_scale 1e-5 RISE flies for about 6,350 s, some 635,000
+        # samples, which an np.arange over the whole flight held at once, in
+        # tens of MB; walls round sample 300,000 and 10 m above it
+        gap = RealityGap(gravity_scale=1e-5)
+        theta = new_params(throw_env, RISE)
+        pos, vel = _oracle_gripper(throw_env, gap, *_oracle_joints(throw_env, theta, throw_env.duration))
+        g, t = throw_env.gravity * gap.gravity_scale, 300_000 * throw_env.step
+        x, z = pos[0] + vel[0] * t, pos[2] + vel[2] * t - 0.5 * g * t * t
+        tracemalloc.start()
+        try:
+            hit = collides(throw_env, theta, Obstacle((x, z), 0.5, 0.5), gap)
+            miss = collides(throw_env, theta, Obstacle((x, z + 10.0), 0.5, 0.5), gap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hit and not miss
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("width, height", [(0.0, 1.0), (1.0, -1.0)])
     def test_obstacle_extents_must_be_positive(self, width, height):
@@ -506,6 +530,14 @@ BELOW_GROUND = np.zeros(15)
 BELOW_GROUND[3:6] = 1.0
 BELOW_GROUND[6:9] = 0.2
 
+# Joint 1 leaning back at -0.4 rad and swinging forward at 0.8 rad/s: the
+# ball leaves upward, at 0.31 m/s, 1.72 m above the ground
+RISE = np.zeros(15)
+RISE[3], RISE[5] = -1.0, 0.6
+
+# A low gravity, so that a flight spans thousands of samples
+LOW_GRAVITY = RealityGap(gravity_scale=0.01)
+
 
 @functools.lru_cache(maxsize=None)
 def _joystick_contacts() -> np.ndarray:
@@ -519,9 +551,19 @@ def _joystick_contacts() -> np.ndarray:
 @st.composite
 def controllers(draw, kind):
     """Coefficient vectors in the bounds: uniform, or near a joystick contact
-    or a throw released below ground, where the outcome changes character."""
+    or a throw released below ground, where the outcome changes character,
+    or a throw released above ground with joints held at their limits."""
     values = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=15)))
     if not draw(st.booleans()):
+        return values
+    if kind == "throw" and draw(st.booleans()):
+        # joints 1 and 2 kept within 0.9 rad, so that the release stays above
+        # ground, and some of joints 0, 3 and 4 driven past their 2.5 rad
+        # limit by the release, where they are held with rate 0
+        values[3:9] *= 0.3
+        for joint in draw(st.sets(st.sampled_from([0, 3, 4]), min_size=1)):
+            coefficients = draw(st.lists(st.floats(0.84, 1.0), min_size=3, max_size=3))
+            values[3 * joint:3 * joint + 3] = draw(st.sampled_from([-1.0, 1.0])) * np.array(coefficients)
         return values
     if kind == "joystick":
         contacts = _joystick_contacts()
@@ -562,7 +604,7 @@ class TestBatchedPathMatchesOracles:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_collides(self, data, throw_env):
-        gap = data.draw(st.sampled_from(GAPS), label="gap")
+        gap = data.draw(st.sampled_from(GAPS + (LOW_GRAVITY,)), label="gap")
         theta = new_params(throw_env, data.draw(controllers("throw"), label="values"))
         wall = Obstacle(
             center=(data.draw(st.floats(-1.5, 1.5)), data.draw(st.floats(-0.5, 2.5))),
