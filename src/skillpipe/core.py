@@ -60,7 +60,7 @@ def _as_array(values, name: str, ndim: int = 1) -> np.ndarray:
     if arr.ndim != ndim:
         raise DimensionError(f"{name} must be a {ndim}-D {'vector' if ndim == 1 else 'matrix'}, "
                              f"got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:   # cheaper than .all() on a few values
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -91,7 +91,7 @@ class ControllerParams:
             raise DimensionError(
                 f"bounds shape {bounds.shape} does not match {self.values.shape[0]} values"
             )
-        if not (bounds[:, 0] <= bounds[:, 1]).all():   # False for NaN too
+        if np.count_nonzero(bounds[:, 0] <= bounds[:, 1]) != len(bounds):   # False for NaN too
             raise ValueError("bounds rows must satisfy lo <= hi, and not be NaN")
         object.__setattr__(self, "bounds", bounds)
 
@@ -123,9 +123,13 @@ class Outcome:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Skill:
-    """Archive element: controller, its valid outcome, and a quality number (higher is better)."""
+    """Archive element: controller, its valid outcome, and a quality number (higher is better).
+
+    Skills compare and hash by identity, so that ==, in and list.index find
+    the very skill an archive holds.
+    """
 
     params: ControllerParams
     outcome: Outcome
@@ -183,5 +187,5 @@ def eval_cubics(coeffs, t, joint_limits=None):
 
 def clamp(theta: ControllerParams) -> ControllerParams:
     """Project every value into its [lo, hi] interval; idempotent."""
-    clipped = np.clip(theta.values, theta.bounds[:, 0], theta.bounds[:, 1])
+    clipped = _clamp(theta.values, theta.bounds[:, 0], theta.bounds[:, 1])
     return ControllerParams(clipped, theta.bounds)

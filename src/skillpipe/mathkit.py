@@ -35,7 +35,7 @@ _RANK_TOL = 1e-12
 def _inverse_singular_values(s: np.ndarray) -> np.ndarray:
     """1/s for singular values s (descending) above _RANK_TOL * s[0], else 0."""
     keep = s > _RANK_TOL * (s[0] if s.size else 0.0)
-    return np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return np.divide(1.0, s, out=np.zeros(len(s)), where=keep)
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def least_squares(a, b, ridge: float = 0.0) -> LeastSquaresFit:
         rank = int(np.count_nonzero(inv))
     else:
         inv = s / (s * s + ridge)
-        rank = int(np.sum(s > 0))
+        rank = int(np.count_nonzero(s > 0))
     x = vt.T @ (inv[:, None] * (u.T @ b))
     deficient = rank < min(a.shape)
     if squeeze:

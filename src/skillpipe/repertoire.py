@@ -11,7 +11,10 @@ pop from it, clear it or reassign it; entries are replaced only through
 try_insert.  The nearest-neighbor queries scan an outcome or a parameter
 matrix linearly, plenty at desk scale.  Each matrix is derived from the list
 on the first read that needs it, so a fill, which reads outcomes only, never
-builds the parameter matrix.
+builds the parameter matrix.  A matrix is stored dimension-major, one
+contiguous row per coordinate, so that a distance scan is one broadcast
+difference over every coordinate and skill, whose squares are then summed
+one coordinate row at a time, in order.
 """
 
 from __future__ import annotations
@@ -38,36 +41,38 @@ __all__ = [
 ]
 
 
-_BLOCK = 32   # rows per block of the nearest-earlier scan
+_BLOCK = 32   # columns per block of the nearest-earlier scan
 
 
 def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Euclidean distances [m, n] from points[m, d] to rows[n, d].
+    """Euclidean distances [m, n] from points[d, m] to rows[d, n], both
+    dimension-major.
 
-    The squared differences are summed one coordinate at a time, in order;
-    for d < 8 that gives the bits of np.linalg.norm, which sums in pairs
-    from d = 8 on.
+    One broadcast difference (d, m, n) is squared in place and its planes
+    are summed one coordinate at a time, in order; for d < 8 that gives the
+    bits of np.linalg.norm, which sums in pairs from d = 8 on, as
+    np.add.reduce over the coordinate axis would.
     """
-    total = np.zeros((len(points), len(rows)))
-    square = np.empty_like(total)
-    for column, row_column in zip(points.T, rows.T):
-        np.subtract.outer(column, row_column, out=square)
-        square *= square
-        total += square
+    square = np.subtract(points[:, :, None], rows[:, None, :])
+    np.multiply(square, square, out=square)
+    total = square[0] if len(square) else np.zeros(square.shape[1:])   # d = 0: all 0 apart
+    for k in range(1, len(square)):
+        total += square[k]
     return np.sqrt(total, out=total)
 
 
 def _nearest_earlier(outs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of outs[n, d], the distance to its nearest earlier row
-    (inf for the first) and that row's index, the earliest of equals.
+    """For each column of outs[d, n], a dimension-major matrix, the distance
+    to its nearest earlier column (inf for the first) and that column's
+    index, the earliest of equals.
 
-    Measured _BLOCK rows at a time, in memory O(_BLOCK * n).
+    Measured _BLOCK columns at a time, in memory O(_BLOCK * d * n).
     """
-    n = len(outs)
+    n = outs.shape[1]
     dist, index = np.full(n, np.inf), np.zeros(n, dtype=int)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        block = _distances(outs[start:stop], outs[:stop])
+        block = _distances(outs[:, start:stop], outs[:, :stop])
         block[np.triu_indices(stop - start, k=start, m=stop)] = np.inf   # itself and later rows
         index[start:stop] = block.argmin(axis=1)
         dist[start:stop] = block[np.arange(stop - start), index[start:stop]]
@@ -130,9 +135,12 @@ class Archive:
     through try_insert; an edit that keeps the list's length and last entry,
     such as assigning to an earlier entry, goes unseen.
 
-    The queries scan one matrix each, one row per skill: try_insert,
+    The queries scan one matrix each, one column per skill: try_insert,
     nearest_outcome, min_pairwise_distance and outcomes the outcome matrix,
-    knn_params the parameter matrix.  A matrix is built on its first read
+    knn_params the parameter matrix.  Each is stored dimension-major, (d, n)
+    or (D, n) in C order, so that every coordinate of the stored skills is
+    one contiguous row.  outcomes() returns the outcome matrix as a
+    read-only (n, d) view.  A matrix is built on its first read
     after skills changed, as seen by the list's identity, length and last
     entry; any read that sees a change drops every matrix first, so that a
     matrix not read in between cannot outlive the list it was built from.
@@ -165,7 +173,8 @@ class Archive:
         self._matrices: dict[str, np.ndarray] = {}   # by Skill field, "outcome" or "params"
 
     def _matrix(self, field: str) -> np.ndarray:
-        """The values of skill.<field> for every skill, one row each.
+        """The values of skill.<field> for every skill, dimension-major: one
+        contiguous row per coordinate, one column per skill.
 
         Built on the first read after skills changed; a change drops every
         cached matrix before the new one is made, so that stale and new rows
@@ -179,11 +188,14 @@ class Archive:
         if field not in self._matrices:
             dim = self.dim_outcome if field == "outcome" else self.dim_params
             rows = [getattr(skill, field).values for skill in skills]
-            self._matrices[field] = np.array(rows).reshape(len(skills), dim)
+            self._matrices[field] = np.array(rows).reshape(len(skills), dim).T.copy()
         return self._matrices[field]
 
     def outcomes(self) -> np.ndarray:
-        return self._matrix("outcome")
+        """The stored outcomes, one row per skill, as a read-only view."""
+        view = self._matrix("outcome").T
+        view.flags.writeable = False
+        return view
 
     def qualities(self) -> np.ndarray:
         return np.array([s.quality for s in self.skills])
@@ -208,7 +220,7 @@ class Archive:
             if bounds is not box and not np.array_equal(bounds, box):
                 raise ValueError("cannot insert a skill whose parameter bounds differ from "
                                  "the stored skills'")
-        dists = _distances(skill.outcome.values[None, :], self._matrix("outcome"))[0]
+        dists = _distances(skill.outcome.values[:, None], self._matrix("outcome"))[0]
         if dists.min(initial=np.inf) >= self.r_novel:
             self.skills.append(skill)
             return InsertResult(InsertOutcome.ADDED)
@@ -218,7 +230,7 @@ class Archive:
             self.skills[nearest] = skill
             # the read above left only matrices of this list in the cache
             for field, matrix in self._matrices.items():
-                matrix[nearest] = getattr(skill, field).values
+                matrix[:, nearest] = getattr(skill, field).values
             self._last = self.skills[-1]
             return InsertResult(InsertOutcome.REPLACED, replaced=old)
         return InsertResult(InsertOutcome.REJECTED)
@@ -233,7 +245,7 @@ class Archive:
         target = _as_vector(target, "target", self.dim_outcome)
         if not self.skills:
             raise ValueError("archive is empty")
-        dists = _distances(target[None, :], self._matrix("outcome"))[0]
+        dists = _distances(target[:, None], self._matrix("outcome"))[0]
         return self.skills[int(np.argmin(dists))]
 
     def knn_params(self, theta_c, k: int) -> list[Skill]:
@@ -250,7 +262,7 @@ class Archive:
         if not self.skills:
             raise ValueError("archive is empty")
         _integer(k, "k", 1)
-        dists = _distances(query[None, :], self._matrix("params"))[0]
+        dists = _distances(query[:, None], self._matrix("params"))[0]
         k = min(k, len(dists))
         # every index at or below the k-th distance, in index order, then a
         # stable sort of those: the order of argsort(kind="stable")[:k]
@@ -431,7 +443,7 @@ def load(path) -> Archive:
     if archive is None:
         raise ArchiveFormatError(f"{path}:1: empty archive file")
     archive.skills = skills
-    dist, index = _nearest_earlier(archive.outcomes())
+    dist, index = _nearest_earlier(archive._matrix("outcome"))
     crowded = np.flatnonzero(dist < archive.r_novel)
     if crowded.size:
         later = crowded[0]

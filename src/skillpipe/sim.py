@@ -190,26 +190,30 @@ def _arm(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray, t, rates: bo
     angles measured from vertical (rest pose points straight up), so link k
     sits at the cumulative angle of joints 1..k.  Returns the cosine and
     sine of the yaw (N,) and the vertical rise and horizontal reach of each
-    link (J - 1, N); with rates, at a scalar t, also the joint rates (J, N),
-    the yaw rate and the cumulative rates of joints 1..k, a joint held at
-    its limit counting 0.  Each step is elementwise or adds joint rows in
-    np.cumsum's order, so every column is bit for bit the joint-last
-    evaluation.
+    link (J - 1, N); with rates also the joint rates (J, B) at the last
+    time, t or t[-1], where a release reads them: the yaw rate and the
+    cumulative rates of joints 1..k, a joint held at its limit counting 0.
+    Each step is elementwise or adds joint rows in np.cumsum's order, so
+    every column is bit for bit the joint-last evaluation at its time.
     """
     # (3, J, B) in C order, so that each product below fills whole joint rows
     a1, a2, a3 = values.reshape(len(values), N_JOINTS, COEFFS_PER_JOINT).T.copy()
-    if np.ndim(t):
-        a1, a2, a3 = a1[..., None], a2[..., None], a3[..., None]
-    angles = _cubic(a1, a2, a3, t)
-    angles = angles.reshape(N_JOINTS, angles.size // N_JOINTS)   # -1 fails on an empty batch
+    times = np.ndim(t)
+    angles = _cubic(a1[..., None], a2[..., None], a3[..., None], t) if times else _cubic(a1, a2, a3, t)
+    n = angles.size // N_JOINTS   # -1 fails on an empty batch
+    angles = angles.reshape(N_JOINTS, n)
     q = _clamp(angles, env.joint_limits[:, :1], env.joint_limits[:, 1:])
-    n = q.shape[1]
     states = q + gap.joint_bias[:, None]
     if rates:
         # each joint's angles and rates side by side in one contiguous row, so
         # that one add per joint sums both, and no row is a single element,
         # on which an in-place add costs twice as much
-        states = np.concatenate((states, np.where(q == angles, _cubic_rate(a1, a2, a3, t), 0.0)), axis=1)
+        if times:   # the last of T times is in columns T - 1, 2T - 1, ...
+            end, last = t[-1], slice(len(t) - 1, None, len(t))
+        else:
+            end, last = t, slice(None)
+        joint_rates = np.where(q[:, last] == angles[:, last], _cubic_rate(a1, a2, a3, end), 0.0)
+        states = np.concatenate((states, joint_rates), axis=1)
     _accumulate(states[1:])   # the cumulative link angles (and rates)
     c, s = np.cos(states[:, :n]), np.sin(states[:, :n])
     links = (env.link_lengths * gap.link_scale)[:, None]
@@ -235,7 +239,12 @@ def _tip(env: EnvironmentSpec, cos_y, sin_y, rise, reach):
 def _release(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray):
     """Gripper position (x, y, z) and velocity (vx, vy, vz) of B controllers
     values[B, D] at the end of their motion, each coordinate (B,)."""
-    cos_y, sin_y, rise, reach, qd = _arm(env, gap, values, env.duration, rates=True)
+    return _gripper_state(env, *_arm(env, gap, values, env.duration, rates=True))
+
+
+def _gripper_state(env: EnvironmentSpec, cos_y, sin_y, rise, reach, qd):
+    """Gripper position (x, y, z) and velocity (vx, vy, vz), each
+    coordinate (N,), from the kinematics and rates of :func:`_arm`."""
     x, y, z = _tip(env, cos_y, sin_y, rise, reach)
     yaw_d, phi_d = qd[0], qd[1:]
     r_d = (rise * phi_d).sum(axis=0)
@@ -260,11 +269,12 @@ def _flight(pos, vel, gravity: float):
     A release below ground is invalid; its landing point reads (0, 0).
     """
     (x, y, z), (vx, vy, vz) = pos, vel
-    valid = ~(z < 0)   # a NaN release stays valid and so fails as a non-finite Outcome
+    below = z < 0   # a NaN release stays valid and so fails as a non-finite Outcome
     disc = np.maximum(vz * vz + 2.0 * gravity * z, 0.0)   # negative only when invalid
     t_land = (vz + np.sqrt(disc)) / gravity
     landing = _stack(x + vx * t_land, y + vy * t_land)
-    return np.where(valid[..., None], landing, 0.0), t_land, valid
+    landing[below] = 0.0
+    return landing, t_land, ~below
 
 
 def _controllers(env: EnvironmentSpec, values) -> np.ndarray:
@@ -350,24 +360,26 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     :func:`execute_batch`.  The sweep is the base joint and the end of each
     of the J - 1 links at each of the T time samples execute uses: the
     cumulative link extents form a (J - 1, T) array per coordinate, tested
-    in one :meth:`Obstacle.contains` call, and need joint angles only, so no
-    joint velocity is computed for them.  The release state is the
-    gripper's position and velocity at env.duration, evaluated alone as
-    the throw branch of execute_batch evaluates it, and the flight from it
-    is sampled every env.step from release to landing (see
+    in one :meth:`Obstacle.contains` call.  The last sample is env.duration,
+    so the sweep's kinematics, evaluated with the joint rates, give the
+    release state too: the gripper's position and velocity at env.duration,
+    bit for bit as the throw branch of execute_batch evaluates them.  The
+    flight from it is sampled every env.step from release to landing (see
     :func:`_flight_hits`).  Raises DimensionError unless theta has
     env.dim_params values.
     """
     _skill_env(env, ("throw",))
     values = _controllers(env, theta.values[None, :])
-    cos_y, _, rise, reach = _arm(env, gap, values, _SAMPLE_TIMES)
+    cos_y, sin_y, rise, reach, qd = _arm(env, gap, values, _SAMPLE_TIMES, rates=True)
+    # the last sample's links, kept apart from the sums below
+    release = cos_y[-1:], sin_y[-1:], rise[:, -1:].copy(), reach[:, -1:].copy(), qd
     _accumulate(rise)   # the height and reach of the end of each link
     _accumulate(reach)
     # the base joint, at (0, base_height), and the end of each link
     if obstacle.contains(0.0, env.base_height) or np.any(
             obstacle.contains(reach * cos_y, env.base_height + rise)):
         return True
-    pos, vel = _release(env, gap, values)
+    pos, vel = _gripper_state(env, *release)
     g = env.gravity * gap.gravity_scale
     _, t_land, valid = _flight(pos, vel, g)
     if not valid[0]:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import tempfile
@@ -184,11 +185,6 @@ class TestTryInsert:
         assert len(arch.skills) == len(before)
         assert all(a is b for a, b in zip(arch.skills, before))
 
-    @pytest.mark.parametrize("r_novel", [0.0, -1.0, math.nan, math.inf])
-    def test_r_novel_must_be_positive_and_finite(self, r_novel):
-        with pytest.raises(ValueError):
-            fresh_archive(r_novel=r_novel)
-
     @pytest.mark.parametrize("field", ["dim_params", "dim_outcome"])
     @pytest.mark.parametrize("value", [-1, 2.5, True, "2"])
     def test_dimensions_must_be_non_negative_integers(self, field, value):
@@ -244,6 +240,31 @@ class TestQueries:
         naive = np.linalg.norm(outs[:, None, :] - outs[None, :, :], axis=2)
         naive[np.diag_indices(n)] = np.inf
         assert arch.min_pairwise_distance() == naive.min()
+
+    def test_skills_compare_by_identity(self):
+        arch = fresh_archive(r_novel=0.1)
+        for i in range(5):
+            arch.try_insert(make_skill([i / 5, 0, 0], [0.2 * i, 0.0], 1.0))
+        found = arch.nearest_outcome([0.41, 0.0])
+        assert arch.skills.index(found) == 2
+        twin = make_skill([0.4, 0, 0], [0.4, 0.0], 1.0)   # the same fields, another skill
+        assert found == found and twin != found and twin not in arch.skills
+        assert len({*arch.skills, twin}) == 6
+
+    def test_outcomes_are_a_read_only_view(self):
+        arch = fresh_archive(r_novel=0.1)
+        arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], 1.0))
+        arch.try_insert(make_skill([1, 0, 0], [1.0, 0.0], 1.0))
+        view = arch.outcomes()
+        with pytest.raises(ValueError):
+            view[0] = [5.0, 5.0]
+        assert arch.nearest_outcome([0.0, 0.0]) is arch.skills[0]
+        assert np.array_equal(view, [[0.0, 0.0], [1.0, 0.0]])
+        # a replaced skill's outcome is written into the matrix behind the view
+        better = make_skill([1, 0, 0], [1.05, 0.0], 2.0)
+        assert arch.try_insert(better).outcome is InsertOutcome.REPLACED
+        assert np.array_equal(view, [[0.0, 0.0], [1.05, 0.0]])
+        assert arch.nearest_outcome([1.1, 0.0]) is better
 
     def test_single_skill_archive(self):
         arch = fresh_archive()
@@ -368,10 +389,39 @@ class TestDistances:
         rng = np.random.default_rng(d)
         for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             points, rows = rng.normal(0.0, scale, (4, d)), rng.normal(0.0, scale, (30, d))
-            got = repertoire._distances(points, rows)
+            got = repertoire._distances(points.T, rows.T)
             assert got.tolist() == [[sequential_distance(p, r) for r in rows] for p in points]
             if d < 8:
                 assert np.array_equal(got, [np.linalg.norm(rows - p, axis=1) for p in points])
+
+    def test_without_coordinates_every_point_is_0_apart(self):
+        # an archive of dim_outcome 0 measures by it
+        got = repertoire._distances(np.zeros((0, 2)), np.zeros((0, 3)))
+        assert got.shape == (2, 3) and not got.any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 16), size=st.integers(1, 6), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bits_match_the_per_coordinate_loop(self, d, size, scale, seed):
+        # every entry from a small pool holding signed zeros, so that
+        # coordinates tie, and a point among the rows from n = 2 on; the
+        # loop is the kernel of row-major matrices, which summed one
+        # coordinate at a time
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate(([0.0, -0.0], rng.uniform(-scale, scale, size)))
+        for m, n in itertools.product([1, 2, 33], [0, 1, 2, 40]):
+            points, rows = rng.choice(pool, (m, d)), rng.choice(pool, (n, d))
+            if n >= 2:
+                rows[n // 2] = points[-1]
+            total = np.zeros((m, n))
+            square = np.empty_like(total)
+            for column, row_column in zip(points.T, rows.T):
+                np.subtract.outer(column, row_column, out=square)
+                square *= square
+                total += square
+            want = np.sqrt(total, out=total)
+            got = repertoire._distances(points.T.copy(), rows.T.copy())
+            assert got.shape == (m, n) and got.tobytes() == want.tobytes()
 
 
 # Parameters, outcomes and qualities on small grids, so that inserts at

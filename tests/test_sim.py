@@ -591,6 +591,19 @@ class TestBatchedPathMatchesOracles:
         theta = new_params(env, data.draw(controllers(kind), label="values"))
         assert_outcomes_agree(execute(env, gap, theta), _oracle_execute(env, gap, theta))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sweep_gives_the_release_state(self, data, throw_env):
+        # collides reads its release from the last sample of its sweep
+        gap = data.draw(st.sampled_from(GAPS), label="gap")
+        values = np.array([data.draw(controllers("throw"), label="values") for _ in range(3)])
+        times = sim._SAMPLE_TIMES
+        assert times[-1] == throw_env.duration
+        cos_y, sin_y, rise, reach, rates = sim._arm(throw_env, gap, values, times, rates=True)
+        last = slice(len(times) - 1, None, len(times))
+        got = sim._gripper_state(throw_env, cos_y[last], sin_y[last], rise[:, last], reach[:, last], rates)
+        assert np.array(got).tobytes() == np.array(sim._release(throw_env, gap, values)).tobytes()
+
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_joystick_quality(self, data, joystick_env):
