@@ -26,7 +26,6 @@ __all__ = [
     "ControllerParams",
     "Outcome",
     "Skill",
-    "eval_cubics",
     "clamp",
 ]
 
@@ -72,7 +71,7 @@ def _as_vector(values, name: str, size: int) -> np.ndarray:
     return _as_array(vector, name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControllerParams:
     """Bounded coefficient vector parameterizing a motion primitive.
 
@@ -100,7 +99,7 @@ class ControllerParams:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Outcome:
     """Point in the low-dimensional outcome space, with a validity flag.
 
@@ -155,34 +154,6 @@ def _cubic_rate(a1, a2, a3, t):
 def _clamp(values, lo, hi):
     # what np.clip computes, at half its cost on the arrays of one controller
     return np.minimum(np.maximum(values, lo), hi)
-
-
-def eval_cubics(coeffs, t, joint_limits=None):
-    """Angles and angular velocities of cubics a1 t + a2 t^2 + a3 t^3.
-
-    coeffs has shape (..., n_joints, 3), each row (a1, a2, a3) of one joint,
-    as values.reshape(n_joints, 3) gives for a controller; every cubic
-    starts at angle 0.  A scalar t gives angles and velocities of shape
-    (..., n_joints); a 1-D array of T times gives (..., T, n_joints), each
-    time bit for bit as it gives alone.  Angles are clamped to joint_limits
-    (shape (n_joints, 2)) when given; velocities of clamped joints are
-    zeroed so evaluation stays total.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1:
-        raise DimensionError(f"t must be a scalar or a 1-D array, got shape {t.shape}")
-    if t.ndim == 1:
-        coeffs, t = coeffs[..., None, :, :], t[:, None]
-    rows = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
-    angles = _cubic(*rows, t)
-    velocities = _cubic_rate(*rows, t)
-    if joint_limits is not None:
-        limits = np.asarray(joint_limits, dtype=float)
-        clamped = _clamp(angles, limits[:, 0], limits[:, 1])
-        velocities = np.where(clamped == angles, velocities, 0.0)
-        angles = clamped
-    return angles, velocities
 
 
 def clamp(theta: ControllerParams) -> ControllerParams:

@@ -23,7 +23,6 @@ __all__ = [
     "least_squares",
     "pinv",
     "hosvd",
-    "tucker_full",
     "reconstruct",
     "cmaes_minimize",
     "pearson",
@@ -38,7 +37,7 @@ def _inverse_singular_values(s: np.ndarray) -> np.ndarray:
     return np.divide(1.0, s, out=np.zeros(len(s)), where=keep)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeastSquaresFit:
     """Solution of min ||A X - B||^2 + ridge ||X||^2 with diagnostics."""
 
@@ -87,7 +86,7 @@ def pinv(m) -> np.ndarray:
 # Tucker / HOSVD
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TuckerFactors:
     """Truncated Tucker factorization of a 3-way tensor.
 
@@ -132,14 +131,6 @@ def hosvd(tensor, ranks) -> TuckerFactors:
     u1, u2, u3 = factors
     core = np.einsum("ijk,ia,jb,kc->abc", t, u1, u2, u3, optimize=True)
     return TuckerFactors(core=core, u1=u1, u2=u2, u3=u3)
-
-
-def tucker_full(factors: TuckerFactors) -> np.ndarray:
-    """Dense reconstruction of the full tensor from its factorization."""
-    return np.einsum(
-        "abc,ia,jb,kc->ijk", factors.core, factors.u1, factors.u2, factors.u3,
-        optimize=True,
-    )
 
 
 _SLICE = "abc,ia,jb,c->ij"

@@ -55,7 +55,7 @@ JOINT_LIMIT = 2.5  # rad, symmetric per joint
 FRAME_SIZE = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealityGap:
     """Systematic perturbation applied at execution time.
 

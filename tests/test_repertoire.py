@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillpipe import repertoire, sim
+from skillpipe import mathkit, repertoire, sim
 from skillpipe.core import ControllerParams, DimensionError, Outcome, Skill
 from skillpipe.repertoire import (
     Archive,
@@ -250,6 +250,19 @@ class TestQueries:
         twin = make_skill([0.4, 0, 0], [0.4, 0.0], 1.0)   # the same fields, another skill
         assert found == found and twin != found and twin not in arch.skills
         assert len({*arch.skills, twin}) == 6
+
+    @pytest.mark.parametrize("make", [
+        lambda: sim.RealityGap(joint_bias=np.ones(5)),
+        lambda: ControllerParams(np.zeros(3), np.tile([-1.0, 1.0], (3, 1))),
+        lambda: Outcome(np.zeros(2)),
+        lambda: mathkit.least_squares(np.eye(2), np.ones(2)),
+        lambda: mathkit.hosvd(np.ones((2, 2, 2)), (1, 1, 1)),
+    ], ids=["RealityGap", "ControllerParams", "Outcome", "LeastSquaresFit", "TuckerFactors"])
+    def test_values_with_array_fields_compare_by_identity(self, make):
+        # == over their ndarray fields would raise, and hash would fail
+        value, twin = make(), make()
+        assert value == value and twin != value
+        assert len({value, twin, value}) == 2
 
     def test_outcomes_are_a_read_only_view(self):
         arch = fresh_archive(r_novel=0.1)

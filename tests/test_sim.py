@@ -604,6 +604,21 @@ class TestBatchedPathMatchesOracles:
         got = sim._gripper_state(throw_env, cos_y[last], sin_y[last], rise[:, last], reach[:, last], rates)
         assert np.array(got).tobytes() == np.array(sim._release(throw_env, gap, values)).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_each_time_of_an_array_is_that_time_alone(self, data, throw_env):
+        # the draws hold joints past their limits, where the rate is 0
+        gap = data.draw(st.sampled_from(GAPS), label="gap")
+        values = np.array([data.draw(controllers("throw"), label="values") for _ in range(3)])
+        times = np.array(data.draw(st.lists(st.floats(0.0, throw_env.duration), min_size=1, max_size=8),
+                                   label="times"))
+        *swept, rates = sim._arm(throw_env, gap, values, times, rates=True)
+        for k, t in enumerate(times):
+            *alone, last_rates = sim._arm(throw_env, gap, values, t, rates=True)
+            for got, want in zip(swept, alone):
+                assert got[..., k::len(times)].tobytes() == want.tobytes()
+        assert rates.tobytes() == last_rates.tobytes()
+
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_joystick_quality(self, data, joystick_env):
@@ -776,7 +791,8 @@ def _golden_release_results():
 
 
 # sha256 of _golden_release_results, recorded while the throw release was
-# still evaluated joint-last, through eval_cubics at env.duration
+# still evaluated joint-last, one row of joint angles per controller at
+# env.duration
 GOLDEN_RELEASE_SHA256 = "e8296c810ba18c5ff0a84ea560903db83a3b4500ed4536dee4c5584997a5e0de"
 
 
