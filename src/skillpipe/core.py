@@ -57,8 +57,8 @@ def _positive(value, name: str) -> None:
 def _as_array(values, name: str, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim:
-        raise DimensionError(f"{name} must be a {ndim}-D {'vector' if ndim == 1 else 'matrix'}, "
-                             f"got shape {arr.shape}")
+        noun = "vector" if ndim == 1 else "matrix" if ndim == 2 else "array"
+        raise DimensionError(f"{name} must be a {ndim}-D {noun}, got shape {arr.shape}")
     if np.count_nonzero(np.isfinite(arr)) != arr.size:   # cheaper than .all() on a few values
         raise ValueError(f"{name} contains non-finite entries")
     return arr

@@ -112,10 +112,7 @@ def hosvd(tensor, ranks) -> TuckerFactors:
     finite 3-way array and ranks holds three integers >= 1, none above its
     mode's size.
     """
-    t = np.asarray(tensor, dtype=float)
-    if t.ndim != 3:
-        raise DimensionError(f"tensor must be a 3-way array, got shape {t.shape}")
-    t = _as_array(t, "tensor", 3)
+    t = _as_array(tensor, "tensor", 3)
     try:
         r1, r2, r3 = ranks
     except (TypeError, ValueError):

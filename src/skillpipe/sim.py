@@ -181,25 +181,24 @@ _SAMPLE_TIMES = np.linspace(
 _SAMPLE_TIMES.flags.writeable = False
 
 
-def _arm(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray, t, rates: bool = False):
-    """Joint-major kinematics of B controllers values[B, D], with N = B
-    columns per joint at a scalar time t and N = B * T at the T times of a
-    1-D array t (column b * T + k is controller b at time k).
+def _arm(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray, t: np.ndarray, rates: bool = False):
+    """Joint-major kinematics of B controllers values[B, D] at the T times
+    of a 1-D array t, with N = B * T columns per joint: column b * T + k is
+    controller b at time t[k].
 
     Joint 0 is the base yaw; joints 1..4 rotate in the yawed vertical plane,
     angles measured from vertical (rest pose points straight up), so link k
     sits at the cumulative angle of joints 1..k.  Returns the cosine and
     sine of the yaw (N,) and the vertical rise and horizontal reach of each
-    link (J - 1, N); with rates also the joint rates (J, B) at the last
-    time, t or t[-1], where a release reads them: the yaw rate and the
-    cumulative rates of joints 1..k, a joint held at its limit counting 0.
-    Each step is elementwise or adds joint rows in np.cumsum's order, so
-    every column is bit for bit the joint-last evaluation at its time.
+    link (J - 1, N); with rates also the joint rates (J, B) at t[-1], where
+    a release reads them: the yaw rate and the cumulative rates of joints
+    1..k, a joint held at its limit counting 0.  Each step is elementwise or
+    adds joint rows in np.cumsum's order, so every column is bit for bit the
+    joint-last evaluation at its time.
     """
     # (3, J, B) in C order, so that each product below fills whole joint rows
     a1, a2, a3 = values.reshape(len(values), N_JOINTS, COEFFS_PER_JOINT).T.copy()
-    times = np.ndim(t)
-    angles = _cubic(a1[..., None], a2[..., None], a3[..., None], t) if times else _cubic(a1, a2, a3, t)
+    angles = _cubic(a1[..., None], a2[..., None], a3[..., None], t)
     n = angles.size // N_JOINTS   # -1 fails on an empty batch
     angles = angles.reshape(N_JOINTS, n)
     q = _clamp(angles, env.joint_limits[:, :1], env.joint_limits[:, 1:])
@@ -207,12 +206,10 @@ def _arm(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray, t, rates: bo
     if rates:
         # each joint's angles and rates side by side in one contiguous row, so
         # that one add per joint sums both, and no row is a single element,
-        # on which an in-place add costs twice as much
-        if times:   # the last of T times is in columns T - 1, 2T - 1, ...
-            end, last = t[-1], slice(len(t) - 1, None, len(t))
-        else:
-            end, last = t, slice(None)
-        joint_rates = np.where(q[:, last] == angles[:, last], _cubic_rate(a1, a2, a3, end), 0.0)
+        # on which an in-place add costs twice as much; the last of the T
+        # times is in columns T - 1, 2T - 1, ...
+        last = slice(len(t) - 1, None, len(t))
+        joint_rates = np.where(q[:, last] == angles[:, last], _cubic_rate(a1, a2, a3, t[-1]), 0.0)
         states = np.concatenate((states, joint_rates), axis=1)
     _accumulate(states[1:])   # the cumulative link angles (and rates)
     c, s = np.cos(states[:, :n]), np.sin(states[:, :n])
@@ -239,7 +236,7 @@ def _tip(env: EnvironmentSpec, cos_y, sin_y, rise, reach):
 def _release(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray):
     """Gripper position (x, y, z) and velocity (vx, vy, vz) of B controllers
     values[B, D] at the end of their motion, each coordinate (B,)."""
-    return _gripper_state(env, *_arm(env, gap, values, env.duration, rates=True))
+    return _gripper_state(env, *_arm(env, gap, values, _SAMPLE_TIMES[-1:], rates=True))
 
 
 def _gripper_state(env: EnvironmentSpec, cos_y, sin_y, rise, reach, qd):
@@ -430,7 +427,9 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
     from PCG64(seed) as a (perturb_count, D) array and clipped to the
     bounds; the re-executions are one :func:`execute_batch` call.
     Raises DimensionError unless theta has env.dim_params values and outcome
-    env.dim_outcome, and ValueError unless outcome is valid and seed an integer >= 0.
+    env.dim_outcome, and ValueError unless outcome is valid, seed an integer
+    >= 0 and, for joystick, the noise scale perturb_sigma * (hi - lo) of
+    each of theta's bounds finite.
     """
     if not outcome.valid:
         raise ValueError("quality requires a valid outcome")
@@ -449,9 +448,11 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
             4.0 * a2 * a2 * t + 12.0 * a2 * a3 * t * t + 12.0 * a3 * a3 * t**3
         )
         return -float(total)
-    rng = np.random.Generator(np.random.PCG64(seed))
     b = theta.bounds
     sigma = env.perturb_sigma * (b[:, 1] - b[:, 0])
+    if np.count_nonzero(np.isfinite(sigma)) != len(sigma):
+        raise ValueError("theta's bounds give the joystick noise a non-finite scale")
+    rng = np.random.Generator(np.random.PCG64(seed))
     noise = rng.normal(0.0, sigma, size=(env.perturb_count, len(values)))
     noisy = _clamp(values + noise, b[:, 0], b[:, 1])
     outs, _ = execute_batch(env, NOMINAL_GAP, noisy)

@@ -130,6 +130,10 @@ ROWS = [
        ZERO_OUT, lambda v, env=env: sim.quality(env, THETA, v)) for env in (THROW, JOYSTICK)],
     *[("sim.quality", "seed", integer(0), 7, lambda v, env=env: sim.quality(env, THETA, ZERO_OUT, v))
       for env in (THROW, JOYSTICK)],
+    # the joystick noise scales with each bound's range, which must be finite
+    ("sim.quality", "theta", [ControllerParams(np.zeros(15), np.tile(row, (15, 1)))
+                              for row in ([-INF, INF], [-1.0, INF])],
+     THETA, lambda v: sim.quality(JOYSTICK, v, ZERO_OUT)),
     ("sim.render_frame", "gripper", vector(2), (0.5, 0.5), lambda v: sim.render_frame(v, (0.5, 0.5))),
     ("sim.render_frame", "target", vector(2), (0.5, 0.5), lambda v: sim.render_frame((0.5, 0.5), v)),
     ("sim.transfer_task", "kind", ["reacherlike", "throw"], "strikerlike", lambda v: transfer(kind=v)),

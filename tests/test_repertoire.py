@@ -47,19 +47,51 @@ def assert_rejected_at(path, line):
 
 @st.composite
 def insert_streams(draw):
-    """r_novel and a stream of skills to insert. Outcomes on a grid of
-    r_novel / k land within, at and beyond r_novel of each other, and a few
-    integer qualities make ties."""
+    """r_novel, an outcome dimension d of 0-10 and a stream of skills to
+    insert, a few integer qualities making ties.
+
+    Coordinates come from a small pool: a grid of r_novel / k, so that
+    outcomes land within, at and beyond r_novel of each other, signed
+    zeros, large values and a few floats.  An outcome is fresh, an earlier
+    one moved by a grid step on some coordinates, or a pair beside an
+    earlier one: that outcome with a signed zero on coordinate k, then with
+    coordinate k at r_novel or one ulp either side of it, the one
+    coordinate in which the two differ.
+    """
     r_novel = draw(st.sampled_from([0.05, 0.1, 0.3]), label="r_novel")
+    d = draw(st.integers(0, 10), label="d")
     step = r_novel / draw(st.sampled_from([1, 2, 3]), label="k")
-    outcome = st.one_of(
-        st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(lambda c: step * np.array(c, float)),
-        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(np.array),
-    )
+    pool = ([step * i for i in range(-6, 7)] + [-0.0] + [s * x for s in (1, -1) for x in (1e8, 1e15, 1e100)]
+            + draw(st.lists(st.floats(-1.0, 1.0), max_size=4), label="floats"))
+    offsets = [np.nextafter(r_novel, 0.0), r_novel, np.nextafter(r_novel, np.inf)]
+    outcomes = []
+    for _ in range(draw(st.integers(0, 120), label="n")):
+        how = draw(st.sampled_from(["fresh", "moved", "beside"] if outcomes and d else ["fresh"]))
+        if how == "fresh":
+            outcomes.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d)), float))
+            continue
+        outcome = outcomes[draw(st.integers(0, len(outcomes) - 1))].copy()
+        if how == "moved":
+            outcome += step * np.array(draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d)))
+        else:
+            k = draw(st.integers(0, d - 1))
+            outcome[k] = draw(st.sampled_from([0.0, -0.0]))
+            outcomes.append(outcome.copy())
+            outcome[k] = draw(st.sampled_from([1.0, -1.0])) * draw(st.sampled_from(offsets))
+        outcomes.append(outcome)
     quality = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0))
-    n = draw(st.integers(0, 120), label="n")
-    pairs = draw(st.lists(st.tuples(outcome, quality), min_size=n, max_size=n), label="stream")
-    return r_novel, [make_skill([i, 0, 0], o, q) for i, (o, q) in enumerate(pairs)]
+    qualities = draw(st.lists(quality, min_size=len(outcomes), max_size=len(outcomes)), label="qualities")
+    return r_novel, d, [make_skill([i, 0, 0], o, q) for i, (o, q) in enumerate(zip(outcomes, qualities))]
+
+
+def ordered_distances(points, rows):
+    """Distances [m, n] from points[m, d] to rows[n, d], with the squares
+    summed in coordinate order, as the archive sums them."""
+    total = np.zeros((len(points), len(rows)))
+    for column, row_column in zip(points.T, rows.T):
+        square = np.subtract.outer(column, row_column)
+        total += square * square
+    return np.sqrt(total)
 
 
 def insert_checked(arch, skill):
@@ -71,7 +103,7 @@ def insert_checked(arch, skill):
     skill is swapped out; otherwise REJECTED, with the skills unchanged.
     """
     before = list(arch.skills)
-    dists = np.linalg.norm(arch.outcomes() - skill.outcome.values, axis=1)
+    dists = ordered_distances(skill.outcome.values[None], arch.outcomes())[0]
     within = int(np.sum(dists < arch.r_novel))
     nearest = int(np.argmin(dists)) if before else None
     if within == 0:
@@ -142,8 +174,8 @@ class TestTryInsert:
     @settings(max_examples=50, deadline=None)
     @given(stream=insert_streams())
     def test_pairwise_invariant_random_stream(self, stream):
-        r_novel, skills = stream
-        arch = fresh_archive(r_novel=r_novel)
+        r_novel, d, skills = stream
+        arch = fresh_archive(r_novel=r_novel, d=d)
         for skill in skills:
             insert_checked(arch, skill)
             assert arch.min_pairwise_distance() >= r_novel
@@ -154,11 +186,11 @@ class TestTryInsert:
         # balls of radius r_novel centered at stored outcomes: replacement may
         # move an outcome, but only for a strictly better-quality skill that
         # stays inside the displaced skill's own ball
-        r_novel, skills = stream
-        arch = fresh_archive(r_novel=r_novel)
+        r_novel, d, skills = stream
+        arch = fresh_archive(r_novel=r_novel, d=d)
 
         def ball_max(centers):
-            dist = np.linalg.norm(centers[:, None, :] - arch.outcomes()[None, :, :], axis=2)
+            dist = ordered_distances(centers, arch.outcomes())
             return np.where(dist < r_novel, arch.qualities(), -np.inf).max(axis=1, initial=-np.inf)
 
         for skill in skills:
@@ -384,26 +416,17 @@ class TestQueries:
         assert np.array_equal(arch.outcomes(), [[0.0, 0.0], [1.0, 0.0]])
 
 
-def sequential_distance(p, r) -> float:
-    """Euclidean distance with the squares summed in coordinate order, in Python floats."""
-    total = 0.0
-    for a, b in zip(p.tolist(), r.tolist()):
-        total += (a - b) * (a - b)
-    return math.sqrt(total)
-
-
 class TestDistances:
     """_distances, the one measure of every distance the archive takes."""
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_squares_are_summed_in_coordinate_order(self, d):
-        # and below d = 8 that is np.linalg.norm, which the spacing
-        # properties above use as their reference
+        # and below d = 8 that is np.linalg.norm
         rng = np.random.default_rng(d)
         for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             points, rows = rng.normal(0.0, scale, (4, d)), rng.normal(0.0, scale, (30, d))
             got = repertoire._distances(points.T, rows.T)
-            assert got.tolist() == [[sequential_distance(p, r) for r in rows] for p in points]
+            assert got.tolist() == ordered_distances(points, rows).tolist()
             if d < 8:
                 assert np.array_equal(got, [np.linalg.norm(rows - p, axis=1) for p in points])
 
@@ -417,24 +440,17 @@ class TestDistances:
            seed=st.integers(0, 2**32 - 1))
     def test_bits_match_the_per_coordinate_loop(self, d, size, scale, seed):
         # every entry from a small pool holding signed zeros, so that
-        # coordinates tie, and a point among the rows from n = 2 on; the
-        # loop is the kernel of row-major matrices, which summed one
-        # coordinate at a time
+        # coordinates tie, and a point among the rows from n = 2 on;
+        # ordered_distances loops as the kernel of row-major matrices did,
+        # one coordinate at a time
         rng = np.random.default_rng(seed)
         pool = np.concatenate(([0.0, -0.0], rng.uniform(-scale, scale, size)))
         for m, n in itertools.product([1, 2, 33], [0, 1, 2, 40]):
             points, rows = rng.choice(pool, (m, d)), rng.choice(pool, (n, d))
             if n >= 2:
                 rows[n // 2] = points[-1]
-            total = np.zeros((m, n))
-            square = np.empty_like(total)
-            for column, row_column in zip(points.T, rows.T):
-                np.subtract.outer(column, row_column, out=square)
-                square *= square
-                total += square
-            want = np.sqrt(total, out=total)
             got = repertoire._distances(points.T.copy(), rows.T.copy())
-            assert got.shape == (m, n) and got.tobytes() == want.tobytes()
+            assert got.shape == (m, n) and got.tobytes() == ordered_distances(points, rows).tobytes()
 
 
 # Parameters, outcomes and qualities on small grids, so that inserts at

@@ -613,10 +613,11 @@ class TestBatchedPathMatchesOracles:
         times = np.array(data.draw(st.lists(st.floats(0.0, throw_env.duration), min_size=1, max_size=8),
                                    label="times"))
         *swept, rates = sim._arm(throw_env, gap, values, times, rates=True)
-        for k, t in enumerate(times):
-            *alone, last_rates = sim._arm(throw_env, gap, values, t, rates=True)
+        for k in range(len(times)):
+            alone = sim._arm(throw_env, gap, values, times[k:k + 1])
             for got, want in zip(swept, alone):
                 assert got[..., k::len(times)].tobytes() == want.tobytes()
+        last_rates = sim._arm(throw_env, gap, values, times[-1:], rates=True)[-1]
         assert rates.tobytes() == last_rates.tobytes()
 
     @settings(max_examples=30, deadline=None)
