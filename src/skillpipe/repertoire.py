@@ -123,7 +123,6 @@ class InsertOutcome(enum.Enum):
 @dataclass(frozen=True)
 class InsertResult:
     outcome: InsertOutcome
-    replaced: Skill | None = None
 
 
 class Archive:
@@ -232,7 +231,7 @@ class Archive:
             for field, matrix in self._matrices.items():
                 matrix[:, nearest] = getattr(skill, field).values
             self._last = self.skills[-1]
-            return InsertResult(InsertOutcome.REPLACED, replaced=old)
+            return InsertResult(InsertOutcome.REPLACED)
         return InsertResult(InsertOutcome.REJECTED)
 
     def nearest_outcome(self, target) -> Skill:

@@ -111,11 +111,15 @@ class EnvironmentSpec:
 
     Only the kind varies.  The arm geometry, the joystick and the physics are
     class constants shared by every instance, the arrays read-only;
-    joint_limits holds the [lo, hi] angle limits of each joint, (N_JOINTS, 2).
+    joint_limits holds the [lo, hi] angle limits of each joint, (N_JOINTS, 2),
+    and dim_params and dim_outcome the arm's controller and outcome sizes,
+    which the functions here read only after refusing a transfer kind.
     A :class:`RealityGap` passed to execution is what perturbs them.
     """
 
     kind: str
+    dim_params: ClassVar[int] = COEFFS_PER_JOINT * N_JOINTS
+    dim_outcome: ClassVar[int] = 2
     link_lengths: ClassVar[np.ndarray] = np.array([0.4, 0.3, 0.2, 0.1])
     base_height: ClassVar[float] = 0.8
     joystick_pos: ClassVar[np.ndarray] = np.array([0.5, 0.0, 1.1])
@@ -135,18 +139,6 @@ class EnvironmentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown environment kind {self.kind!r}")
-
-    @property
-    def dim_params(self) -> int:
-        if self.kind in SKILL_KINDS:
-            return 3 * N_JOINTS
-        raise ValueError(f"{self.kind} has no controller parameterization")
-
-    @property
-    def dim_outcome(self) -> int:
-        if self.kind in SKILL_KINDS:
-            return 2
-        raise ValueError(f"{self.kind} has no outcome space")
 
 
 def make_env(kind: str) -> EnvironmentSpec:
@@ -449,7 +441,8 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
         )
         return -float(total)
     b = theta.bounds
-    sigma = env.perturb_sigma * (b[:, 1] - b[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN scale is refused below
+        sigma = env.perturb_sigma * (b[:, 1] - b[:, 0])
     if np.count_nonzero(np.isfinite(sigma)) != len(sigma):
         raise ValueError("theta's bounds give the joystick noise a non-finite scale")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -529,21 +522,15 @@ def _clip_unit(x: float) -> float:
     return x
 
 
-def _transfer_init(kind: str, rng: np.random.Generator):
-    hand = np.array([0.5, 0.1]) + rng.uniform(-0.05, 0.05, size=2)
-    puck = np.array([0.5, 0.35]) + rng.uniform(-0.08, 0.08, size=2)
-    if kind == "strikerlike":
-        goal = np.array([0.5, 0.9]) + rng.uniform(-0.15, 0.15, size=2)
-    else:
-        goal = np.array([0.5, 0.7]) + rng.uniform(-0.15, 0.15, size=2)
-    return hand, puck, goal
-
-
 @functools.lru_cache(maxsize=256)
 def _transfer_start(kind: str, seed: int) -> tuple[float, ...]:
     """Hand, puck and goal (hx, hy, px, py, gx, gy) of the episode of kind
-    and seed, as Python floats."""
-    hand, puck, goal = _transfer_init(kind, np.random.Generator(np.random.PCG64(seed)))
+    and seed, drawn from PCG64(seed), as Python floats."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    hand = np.array([0.5, 0.1]) + rng.uniform(-0.05, 0.05, size=2)
+    puck = np.array([0.5, 0.35]) + rng.uniform(-0.08, 0.08, size=2)
+    goal_y = 0.9 if kind == "strikerlike" else 0.7
+    goal = np.array([0.5, goal_y]) + rng.uniform(-0.15, 0.15, size=2)
     return (*hand.tolist(), *puck.tolist(), *goal.tolist())
 
 

@@ -83,7 +83,8 @@ def fresh_archive():
     return arch
 
 
-THROW, JOYSTICK, PUSHER = (sim.make_env(kind) for kind in ("throw", "joystick", "pusherlike"))
+THROW, JOYSTICK = sim.make_env("throw"), sim.make_env("joystick")
+TRANSFER_ENVS = [sim.make_env(kind) for kind in ("pusherlike", "throwerlike", "strikerlike")]
 THETA = ControllerParams(np.zeros(15), sim.theta_bounds(THROW))
 ZERO_OUT = Outcome(np.zeros(2))
 WALL = sim.Obstacle((5.0, 1.0), 0.5, 2.0)
@@ -112,27 +113,28 @@ ROWS = [
     ("core.Skill", "quality", NUMBER, -1.5, lambda v: Skill(THETA, ZERO_OUT, v)),
     ("sim.EnvironmentSpec", "kind", ["flying", "reach2d", None], "throw", sim.EnvironmentSpec),
     ("sim.make_env", "kind", ["flying", "reach2d", None], "joystick", sim.make_env),
-    ("sim.theta_bounds", "env", [PUSHER], THROW, sim.theta_bounds),
+    ("sim.theta_bounds", "env", TRANSFER_ENVS, THROW, sim.theta_bounds),
     ("sim.RealityGap", "gravity_scale", POSITIVE, 1.1, lambda v: sim.RealityGap(gravity_scale=v)),
     ("sim.RealityGap", "link_scale", POSITIVE, 1.1, lambda v: sim.RealityGap(link_scale=v)),
     ("sim.RealityGap", "joint_bias", vector(5), np.ones(5), lambda v: sim.RealityGap(joint_bias=v)),
     ("sim.Obstacle", "center", vector(2), (0.0, 1.0), lambda v: sim.Obstacle(v, 0.5, 1.0)),
     ("sim.Obstacle", "width", POSITIVE, 0.5, lambda v: sim.Obstacle((0.0, 1.0), v, 1.0)),
     ("sim.Obstacle", "height", POSITIVE, 0.5, lambda v: sim.Obstacle((0.0, 1.0), 1.0, v)),
-    ("sim.execute", "env", [PUSHER], THROW, lambda v: sim.execute(v, sim.NOMINAL_GAP, THETA)),
-    ("sim.execute_batch", "env", [PUSHER], THROW,
+    ("sim.execute", "env", TRANSFER_ENVS, THROW, lambda v: sim.execute(v, sim.NOMINAL_GAP, THETA)),
+    ("sim.execute_batch", "env", TRANSFER_ENVS, THROW,
      lambda v: sim.execute_batch(v, sim.NOMINAL_GAP, np.zeros((2, 15)))),
     ("sim.execute_batch", "values", array(2, 15) + [np.ones((2, 14))], np.zeros((2, 15)),
      lambda v: sim.execute_batch(THROW, sim.NOMINAL_GAP, v)),
-    ("sim.collides", "env", [JOYSTICK, PUSHER], THROW, lambda v: sim.collides(v, THETA, WALL)),
-    ("sim.quality", "env", [PUSHER], THROW, lambda v: sim.quality(v, THETA, ZERO_OUT)),
+    ("sim.collides", "env", [JOYSTICK, *TRANSFER_ENVS], THROW, lambda v: sim.collides(v, THETA, WALL)),
+    ("sim.quality", "env", TRANSFER_ENVS, THROW, lambda v: sim.quality(v, THETA, ZERO_OUT)),
     *[("sim.quality", "outcome", [Outcome.invalid(2), Outcome(np.zeros(1)), Outcome(np.zeros(3))],
        ZERO_OUT, lambda v, env=env: sim.quality(env, THETA, v)) for env in (THROW, JOYSTICK)],
     *[("sim.quality", "seed", integer(0), 7, lambda v, env=env: sim.quality(env, THETA, ZERO_OUT, v))
       for env in (THROW, JOYSTICK)],
-    # the joystick noise scales with each bound's range, which must be finite
+    # the joystick noise scales with each bound's range, which must be finite;
+    # [-1e308, 1e308] overflows to an infinite range, [-inf, -inf] gives NaN
     ("sim.quality", "theta", [ControllerParams(np.zeros(15), np.tile(row, (15, 1)))
-                              for row in ([-INF, INF], [-1.0, INF])],
+                              for row in ([-INF, INF], [-1.0, INF], [-1e308, 1e308], [-INF, -INF])],
      THETA, lambda v: sim.quality(JOYSTICK, v, ZERO_OUT)),
     ("sim.render_frame", "gripper", vector(2), (0.5, 0.5), lambda v: sim.render_frame(v, (0.5, 0.5))),
     ("sim.render_frame", "target", vector(2), (0.5, 0.5), lambda v: sim.render_frame((0.5, 0.5), v)),
@@ -162,6 +164,8 @@ ROWS = [
     ("mathkit.hosvd", "tensor", array(3, 3, 3), np.ones((3, 3, 3)), lambda v: mathkit.hosvd(v, (1, 1, 1))),
     ("mathkit.hosvd", "ranks", integer(1), 3, lambda v: mathkit.hosvd(np.ones((3, 3, 3)), (1, v, 1))),
     ("mathkit.reconstruct", "weight", vector(2), np.ones(2), lambda v: mathkit.reconstruct(FACTORS, v)),
+    # a non-finite x0, like a NaN or infinite sigma0, used to spend the budget
+    # on non-finite candidates and return x0 with f_best = inf
     ("mathkit.cmaes_minimize", "x0", vector() + [np.zeros(0)], np.ones(3), lambda v: cmaes(x0=v)),
     ("mathkit.cmaes_minimize", "sigma0", POSITIVE, 0.5, lambda v: cmaes(sigma0=v)),
     ("mathkit.cmaes_minimize", "budget", integer(LAM), 2 * LAM, lambda v: cmaes(budget=v)),

@@ -350,10 +350,8 @@ class TestTransferTasks:
 
     def test_zero_policy_static_return(self):
         for kind in ("pusherlike", "throwerlike", "strikerlike"):
-            rng = np.random.Generator(np.random.PCG64(21))
-            hand, puck, goal = sim._transfer_init(kind, rng)
             ret = transfer_task(kind, self.zero_policy(), seed=21)
-            assert ret == pytest.approx(-np.linalg.norm(puck - goal))
+            assert ret == pytest.approx(_static_return(kind, 21))
 
     def test_determinism(self):
         rng = np.random.default_rng(16)
@@ -825,8 +823,7 @@ def _policy_action(layers, state) -> np.ndarray:
 
 def _oracle_transfer_task(kind, policy_layers, seed=0):
     layers = [np.asarray(w, dtype=float) for w in policy_layers]
-    rng = np.random.Generator(np.random.PCG64(seed))
-    hand, puck, goal = sim._transfer_init(kind, rng)
+    hand, puck, goal = np.array(sim._transfer_start(kind, seed)).reshape(3, 2)
     puck_vel = np.zeros(2)
     struck = False
     for _ in range(TRANSFER_STEPS):
@@ -879,7 +876,7 @@ def _drive_up_policy():
 
 def _static_return(kind, seed):
     """The return of a rollout that never moves the puck."""
-    _, puck, goal = sim._transfer_init(kind, np.random.Generator(np.random.PCG64(seed)))
+    _, puck, goal = np.array(sim._transfer_start(kind, seed)).reshape(3, 2)
     return -float(np.linalg.norm(puck - goal))
 
 
@@ -1101,8 +1098,3 @@ class TestShapeChecks:
     def test_execute_batch_needs_rows_of_dim_params(self, throw_env, shape):
         with pytest.raises(DimensionError):
             execute_batch(throw_env, NOMINAL_GAP, np.zeros(shape))
-
-    @pytest.mark.parametrize("dim", ["dim_params", "dim_outcome"])
-    def test_transfer_kind_has_no_skill_dimensions(self, dim):
-        with pytest.raises(ValueError, match="pusherlike"):
-            getattr(make_env("pusherlike"), dim)
