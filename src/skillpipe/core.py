@@ -41,10 +41,14 @@ def _integer(value, name: str, lo: int) -> None:
         raise ValueError(f"{name} must be an integer >= {lo}, got {value!r:.40}")
 
 
-def _number(value, name: str) -> None:
+def _is_number(value) -> bool:
     # the comparison is exact for an int beyond the float range, and False for NaN
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not -sys.float_info.max <= value <= sys.float_info.max):
+    return (not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def _number(value, name: str) -> None:
+    if not _is_number(value):
         raise ValueError(f"{name} must be a finite number, got {value!r:.40}")
 
 

@@ -6,9 +6,8 @@ has strictly higher quality, but only if removing that neighbor restores the
 spacing; otherwise it is rejected.  One function measures every distance,
 so load refuses exactly the files try_insert could not have written.
 
-An archive's one state is its list of skills.  Callers may append to it,
-pop from it, clear it or reassign it; entries are replaced only through
-try_insert.  The nearest-neighbor queries scan an outcome or a parameter
+An archive's one state is its list of skills, which callers may edit in
+any way.  The nearest-neighbor queries scan an outcome or a parameter
 matrix linearly, plenty at desk scale.  Each matrix is derived from the list
 on the first read that needs it, so a fill, which reads outcomes only, never
 builds the parameter matrix.  A matrix is stored dimension-major, one
@@ -23,13 +22,12 @@ import enum
 import json
 import math
 import os
-import sys
 import uuid
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControllerParams, DimensionError, Outcome, Skill, _as_vector, _integer, _positive
+from .core import ControllerParams, DimensionError, Outcome, Skill, _as_vector, _integer, _is_number
 
 __all__ = [
     "Archive",
@@ -85,12 +83,18 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
+def _same_box(bounds: np.ndarray, box: np.ndarray) -> bool:
+    """True when two (D, 2) parameter bounds are equal, as save needs of all skills."""
+    return bounds is box or np.array_equal(bounds, box)
+
+
 # what each field of a header must hold, so that save writes only what load
 # reads: (test, phrase) by the field's kind
 _FIELD_RULES = {
     "env": (lambda value: isinstance(value, str), "a string"),
     "count": (_is_count, "a non-negative integer"),
     "seed": (lambda value: type(value) is int, "an integer"),   # bool is no int
+    "positive": (lambda value: _is_number(value) and value > 0, "a positive finite number"),
 }
 
 
@@ -130,31 +134,29 @@ class Archive:
 
     Every skill has dim_params controller values and dim_outcome outcome
     values.  skills is the archive's one state, so callers may append to
-    it, pop from it, clear it or reassign it.  Entries are replaced only
-    through try_insert; an edit that keeps the list's length and last entry,
-    such as assigning to an earlier entry, goes unseen.
+    it, pop from it, assign to its entries, clear it or reassign it.
 
     The queries scan one matrix each, one column per skill: try_insert,
     nearest_outcome, min_pairwise_distance and outcomes the outcome matrix,
     knn_params the parameter matrix.  Each is stored dimension-major, (d, n)
     or (D, n) in C order, so that every coordinate of the stored skills is
     one contiguous row.  outcomes() returns the outcome matrix as a
-    read-only (n, d) view.  A matrix is built on its first read
-    after skills changed, as seen by the list's identity, length and last
-    entry; any read that sees a change drops every matrix first, so that a
-    matrix not read in between cannot outlive the list it was built from.
+    read-only (n, d) view.  A matrix is built on its first read after
+    skills changed, as seen against a copy of the list taken when the
+    cached matrices were built; any read that sees a change drops every
+    matrix first, so that no matrix outlives the list it was built from.
 
-    The constructor raises ValueError for an r_novel that is not a positive
-    number (the kind of :mod:`core`) and, naming each field, for what load
-    would refuse in a saved header: an env_kind that is not a str, a
-    dim_params or dim_outcome that is not a non-negative int and a seed
-    that is not an int (a bool is neither).
+    The constructor raises ValueError, naming each field, for what load
+    would refuse in a saved header: an r_novel that is not a positive finite
+    number, an env_kind that is not a str, a dim_params or dim_outcome that
+    is not a non-negative int and a seed that is not an int (a bool is
+    neither).
     """
 
     def __init__(self, r_novel: float, env_kind: str, dim_params: int,
                  dim_outcome: int, seed: int = 0):
-        _positive(r_novel, "r_novel")
         if faults := _field_faults((
+            ("r_novel", "positive", r_novel),
             ("env_kind", "env", env_kind),
             ("dim_params", "count", dim_params),
             ("dim_outcome", "count", dim_outcome),
@@ -167,8 +169,7 @@ class Archive:
         self.dim_outcome = dim_outcome
         self.seed = seed
         self.skills: list[Skill] = []
-        # the list, length and last entry the cached matrices were built for
-        self._source, self._rows, self._last = self.skills, 0, None
+        self._built_from: list[Skill] = []   # a copy of skills when the cached matrices were built
         self._matrices: dict[str, np.ndarray] = {}   # by Skill field, "outcome" or "params"
 
     def _matrix(self, field: str) -> np.ndarray:
@@ -179,15 +180,13 @@ class Archive:
         cached matrix before the new one is made, so that stale and new rows
         never take memory together.
         """
-        skills = self.skills
-        last = skills[-1] if skills else None
-        if self._source is not skills or self._rows != len(skills) or self._last is not last:
+        if self._built_from != self.skills:   # skills compare by identity
             self._matrices.clear()
-            self._source, self._rows, self._last = skills, len(skills), last
+            self._built_from = list(self.skills)
         if field not in self._matrices:
             dim = self.dim_outcome if field == "outcome" else self.dim_params
-            rows = [getattr(skill, field).values for skill in skills]
-            self._matrices[field] = np.array(rows).reshape(len(skills), dim).T.copy()
+            rows = [getattr(skill, field).values for skill in self._built_from]
+            self._matrices[field] = np.array(rows).reshape(len(rows), dim).T.copy()
         return self._matrices[field]
 
     def outcomes(self) -> np.ndarray:
@@ -214,11 +213,9 @@ class Archive:
                 f"skill of dimensions (D={skill.params.dim}, d={skill.outcome.dim}) in an "
                 f"archive of (D={self.dim_params}, d={self.dim_outcome})"
             )
-        if self.skills:   # save writes one parameter box for the whole archive
-            box, bounds = self.skills[0].params.bounds, skill.params.bounds
-            if bounds is not box and not np.array_equal(bounds, box):
-                raise ValueError("cannot insert a skill whose parameter bounds differ from "
-                                 "the stored skills'")
+        if self.skills and not _same_box(skill.params.bounds, self.skills[0].params.bounds):
+            raise ValueError("cannot insert a skill whose parameter bounds differ from "
+                             "the stored skills'")
         dists = _distances(skill.outcome.values[:, None], self._matrix("outcome"))[0]
         if dists.min(initial=np.inf) >= self.r_novel:
             self.skills.append(skill)
@@ -226,11 +223,10 @@ class Archive:
         nearest = int(np.argmin(dists))
         old = self.skills[nearest]
         if skill.quality > old.quality and np.count_nonzero(dists < self.r_novel) == 1:
-            self.skills[nearest] = skill
+            self.skills[nearest] = self._built_from[nearest] = skill
             # the read above left only matrices of this list in the cache
             for field, matrix in self._matrices.items():
                 matrix[:, nearest] = getattr(skill, field).values
-            self._last = self.skills[-1]
             return InsertResult(InsertOutcome.REPLACED)
         return InsertResult(InsertOutcome.REJECTED)
 
@@ -285,8 +281,13 @@ def save(archive: Archive, path) -> None:
     try_insert makes all skills share (none for an empty archive), so a file
     round-trips without consulting the environment registry.  The lines go to
     a new file beside path, which is flushed to disk and then renamed onto
-    path, so a save that fails leaves any previous file as it was.
+    path, so a save that fails leaves any previous file as it was.  Raises
+    ValueError, before any file is made, naming the first skill (appended
+    directly) whose parameter bounds differ from the first skill's.
     """
+    for i, skill in enumerate(archive.skills):
+        if not _same_box(skill.params.bounds, archive.skills[0].params.bounds):
+            raise ValueError(f"cannot save skill {i}, whose parameter bounds differ from skill 0's")
     header = {
         "env": archive.env_kind,
         "D": archive.dim_params,
@@ -317,7 +318,6 @@ def save(archive: Archive, path) -> None:
 
 _HEADER_KEYS = ("env", "D", "d", "r_novel", "seed")
 _RECORD_KEYS = ("theta", "outcome", "quality")
-_NUMBER = (int, float)   # what json.loads gives for a number; bool is not one
 
 
 def _missing(obj: dict, keys) -> str:
@@ -328,16 +328,11 @@ def _missing(obj: dict, keys) -> str:
     return f"missing key{'s' if len(absent) > 1 else ''} " + ", ".join(map(repr, absent))
 
 
-def _finite(value) -> bool:
-    """True for a JSON number that is a finite float (exact for huge integers)."""
-    return type(value) in _NUMBER and -sys.float_info.max <= value <= sys.float_info.max
-
-
 def _vector(value, name: str, size: int) -> np.ndarray:
     """value as a float vector if it is a list of size finite numbers, else ValueError."""
     if not isinstance(value, list) or len(value) != size:
         raise ValueError(f"{name} must be a list of {size} numbers, got {value!r:.40}")
-    if not all(map(_finite, value)):
+    if not all(map(_is_number, value)):
         raise ValueError(f"{name} must hold finite numbers, got {value!r:.40}")
     return np.array(value, dtype=float)
 
@@ -360,11 +355,9 @@ def _header(raw: str) -> tuple[Archive, np.ndarray]:
         ("env", "env", header.get("env", "")),
         ("D", "count", header.get("D", 0)),
         ("d", "count", header.get("d", 0)),
+        ("r_novel", "positive", header.get("r_novel", 1.0)),
         ("seed", "seed", header.get("seed", 0)),
     ))
-    r_novel = header.get("r_novel", 1.0)
-    if not (_finite(r_novel) and r_novel > 0):
-        faults.append(f"r_novel must be a positive finite number, got {r_novel!r:.40}")
     dim = header.get("D")
     bounds = header.get("bounds", [])
     if _is_count(dim) and bounds != []:
@@ -373,7 +366,7 @@ def _header(raw: str) -> tuple[Archive, np.ndarray]:
             and len(bounds) == dim
             and all(
                 isinstance(row, list) and len(row) == 2
-                and all(_finite(v) or v in (-math.inf, math.inf) for v in row)
+                and all(_is_number(v) or v in (-math.inf, math.inf) for v in row)
                 for row in bounds
             )
         ):
@@ -383,7 +376,7 @@ def _header(raw: str) -> tuple[Archive, np.ndarray]:
     if faults:
         raise ValueError("; ".join(faults))
     archive = Archive(
-        r_novel=float(r_novel),
+        r_novel=header["r_novel"],
         env_kind=header["env"],
         dim_params=dim,
         dim_outcome=header["d"],

@@ -85,7 +85,8 @@ class Obstacle:
 
     The wall extends infinitely along y; a point collides when its (x, z)
     coordinates fall inside the rectangle.  Both extents are positive
-    numbers and the center a vector of 2 values (the kinds of :mod:`core`).
+    numbers and the center a vector of 2 values (the kinds of :mod:`core`),
+    stored as a tuple of two floats, so that walls compare and hash by value.
     """
 
     center: tuple[float, float]
@@ -93,7 +94,7 @@ class Obstacle:
     height: float
 
     def __post_init__(self):
-        _as_vector(self.center, "center", 2)
+        object.__setattr__(self, "center", tuple(map(float, _as_vector(self.center, "center", 2))))
         _positive(self.width, "width")
         _positive(self.height, "height")
 
@@ -391,7 +392,7 @@ def _flight_hits(obstacle: Obstacle, pos, vel, g: float, t_land: float, step: fl
     memory stays bounded however long the flight, as under a small
     gravity_scale.
     """
-    (x, z), (vx, vz), cx = pos, vel, float(obstacle.center[0])
+    (x, z), (vx, vz), cx = pos, vel, obstacle.center[0]
     first, stop = 0.0, (t_land + step) / step   # np.arange makes ceil(stop) samples
     speed = vx * step
     if speed != 0.0:

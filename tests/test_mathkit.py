@@ -162,10 +162,6 @@ class TestHosvd:
         with pytest.raises(ValueError):
             hosvd(t, (4, 1, 1))
 
-    def test_two_way_array_rejected(self):
-        with pytest.raises(ValueError, match=r"^tensor must be a 3-D array, got shape \(3, 3\)"):
-            hosvd(np.eye(3), (1, 1, 1))
-
     @pytest.mark.parametrize("ranks", [(1, 1), (1, 1, 1, 1), 2, None],
                              ids=["two", "four", "int", "None"])
     def test_ranks_must_be_three(self, ranks):
@@ -308,17 +304,6 @@ class TestPearson:
             pearson([1.0], [2.0])
         with pytest.raises(ValueError, match="equal-length"):
             pearson([1.0, 2.0, 3.0], [1.0, 2.0])
-
-    @pytest.mark.parametrize("x, y, name", [
-        ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0], "x"),
-        ([math.inf, 1.0, 2.0], [1.0, 2.0, 3.0], "x"),
-        ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0], "y"),
-        ([1.0, 2.0, 3.0], [1.0, 2.0, -math.inf], "y"),
-    ], ids=["x-nan", "x-inf", "y-nan", "y-minus-inf"])
-    def test_non_finite_input_refused(self, x, y, name):
-        # min(1.0, nan) is 1.0, so the first two used to return a perfect correlation
-        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
-            pearson(x, y)
 
     @pytest.mark.parametrize("x, y, name", [
         ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], "x"),

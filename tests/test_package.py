@@ -170,6 +170,7 @@ ROWS = [
     ("mathkit.cmaes_minimize", "sigma0", POSITIVE, 0.5, lambda v: cmaes(sigma0=v)),
     ("mathkit.cmaes_minimize", "budget", integer(LAM), 2 * LAM, lambda v: cmaes(budget=v)),
     ("mathkit.cmaes_minimize", "seed", integer(0), 9, lambda v: cmaes(seed=v)),
+    # min(1.0, nan) is 1.0, so a NaN or an infinite x used to give a perfect correlation
     ("mathkit.pearson", "x", vector(), [1.0, 2.0, 4.0], lambda v: mathkit.pearson(v, [1.0, 3.0, 2.0])),
     ("mathkit.pearson", "y", vector(), [1.0, 2.0, 4.0], lambda v: mathkit.pearson([1.0, 3.0, 2.0], v)),
 ]

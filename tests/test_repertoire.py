@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillpipe import mathkit, repertoire, sim
@@ -459,8 +459,9 @@ GRID_SKILLS = st.tuples(GRID_PARAMS, GRID_OUTCOMES, st.integers(-2, 2).map(float
 
 
 class TestOneState:
-    """skills is the archive's one state: each matrix follows the list by its
-    identity, length and last entry, and is built when a query reads it."""
+    """skills is the archive's one state: each matrix follows every edit of
+    the list, seen against a copy of the list it was built from, and is
+    built when a query reads it."""
 
     def two_apart(self):
         arch = fresh_archive(r_novel=0.1)
@@ -477,6 +478,17 @@ class TestOneState:
         assert arch.min_pairwise_distance() == 0.05
         assert arch.nearest_outcome([0.05, 0.0]) is crowded
         assert arch.knn_params([0.5, 0.0, 0.0], 1)[0] is crowded
+
+    def test_assigned_entry_is_seen(self):
+        # an edit that kept the list's length and last entry used to go
+        # unseen, and both matrices kept the replaced skill's values
+        arch = self.two_apart()
+        arch.knn_params([0.0, 0.0, 0.0], 1)   # builds the parameter matrix
+        other = make_skill([0, 1, 0], [5.0, 5.0], 1.0)
+        arch.skills[0] = other
+        assert np.array_equal(arch.outcomes(), [[5.0, 5.0], [1.0, 0.0]])
+        assert arch.nearest_outcome([5.0, 5.0]) is other
+        assert arch.knn_params([0.0, 1.0, 0.0], 1)[0] is other
 
     def test_clear_empties_the_matrices(self):
         arch = self.two_apart()
@@ -540,11 +552,16 @@ class TestOneState:
         st.tuples(st.just("insert"), GRID_SKILLS),
         st.tuples(st.just("append"), GRID_SKILLS),
         st.tuples(st.just("pop")),
+        st.tuples(st.just("assign"), st.integers(0, 39), GRID_SKILLS),
         st.tuples(st.just("reassign"), st.booleans()),
         st.tuples(st.just("clear")),
         st.tuples(st.just("knn"), GRID_PARAMS, st.integers(1, 6)),
         st.tuples(st.just("nearest"), GRID_OUTCOMES),
+        st.tuples(st.just("outcomes")),
     ), max_size=40))
+    # the matrices read at two skills, then the first skill swapped out
+    @example(ops=[("append", ([0, 0, 0], [0.0, 0.0], 0.0)), ("append", ([1, 0, 0], [1.0, 0.0], 0.0)),
+                  ("outcomes",), ("assign", 0, ([0, 1, 0], [0.6, 0.6], 0.0))])
     def test_answers_match_an_archive_rebuilt_from_the_list(self, ops):
         arch = fresh_archive(r_novel=0.3)
 
@@ -563,6 +580,8 @@ class TestOneState:
                 arch.skills.append(make_skill(*args[0]))
             elif op == "pop" and arch.skills:
                 arch.skills.pop()
+            elif op == "assign" and arch.skills:
+                arch.skills[args[0] % len(arch.skills)] = make_skill(*args[1])
             elif op == "reassign":
                 arch.skills = arch.skills[::-1] if args[0] else list(arch.skills)
             elif op == "clear":
@@ -573,6 +592,8 @@ class TestOneState:
                 assert [id(s) for s in got] == [id(s) for s in want]
             elif op == "nearest" and arch.skills:
                 assert arch.nearest_outcome(args[0]) is rebuilt().nearest_outcome(args[0])
+            elif op == "outcomes":
+                assert np.array_equal(arch.outcomes(), rebuilt().outcomes())
         assert np.array_equal(arch.outcomes(), rebuilt().outcomes())
 
 
@@ -595,6 +616,20 @@ class TestPersistence:
             assert np.array_equal(a.params.values, b.params.values)
             assert np.array_equal(a.outcome.values, b.outcome.values)
             assert a.quality == b.quality
+
+    def test_save_refuses_bounds_other_than_the_first_skills(self, tmp_path):
+        # save writes one box for the archive: a directly appended skill with
+        # bounds [-2, 2] used to load back with the first skill's [-1, 1]
+        arch = fresh_archive()
+        arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0]))
+        path = tmp_path / "arch.jsonl"
+        save(arch, path)
+        before = path.read_bytes()
+        arch.skills.append(make_skill([0, 0, 0], [1.0, 0.0], lo=-2.0, hi=2.0))
+        with pytest.raises(ValueError, match="^cannot save skill 1, whose parameter bounds differ"):
+            save(arch, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["arch.jsonl"]
 
     @settings(max_examples=60, deadline=None)
     @given(env_kind=st.text(max_size=12), seed=st.integers(), dims=st.tuples(

@@ -266,6 +266,14 @@ class TestCollides:
         with pytest.raises(DimensionError, match="^center must have 2 values"):
             Obstacle(center=center, width=0.5, height=3.0)
 
+    @pytest.mark.parametrize("center", [[0.5, 1.0], np.array([0.5, 1.0])], ids=["list", "array"])
+    def test_walls_compare_and_hash_by_value(self, center):
+        # the center used to be kept as given: an ndarray made == raise, and a
+        # list or an ndarray made hash raise
+        wall, twin = Obstacle(center, 0.5, 3.0), Obstacle((0.5, 1.0), 0.5, 3.0)
+        assert wall == twin and len({wall, twin}) == 1
+        assert wall.center == (0.5, 1.0) and all(type(c) is float for c in wall.center)
+
     def test_only_throw_has_collisions(self, joystick_env):
         wall = Obstacle(center=(0.5, 1.0), width=0.1, height=0.1)
         with pytest.raises(ValueError, match="throw"):
