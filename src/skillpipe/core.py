@@ -3,7 +3,8 @@
 A controller is a bounded real vector of polynomial coefficients, three per
 joint, read as values.reshape(J, 3): joint-major, each row (a1, a2, a3) of
 the cubic q_j(t) = a1*t + a2*t^2 + a3*t^3, which starts at 0 with no rest
-term.  Evaluation is analytic for both angles and velocities.
+term.  Evaluation is analytic for both angles and velocities.  The three
+records below are frozen and slotted, as an archive keeps one per skill.
 
 The public API refuses a malformed argument by its kind, each kind checked
 by one function here: an integer >= lo (:func:`_integer`), an int or NumPy
@@ -75,7 +76,7 @@ def _as_vector(values, name: str, size: int) -> np.ndarray:
     return _as_array(vector, name)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ControllerParams:
     """Bounded coefficient vector parameterizing a motion primitive.
 
@@ -103,7 +104,7 @@ class ControllerParams:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Outcome:
     """Point in the low-dimensional outcome space, with a validity flag.
 
@@ -126,7 +127,7 @@ class Outcome:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Skill:
     """Archive element: controller, its valid outcome, and a quality number (higher is better).
 

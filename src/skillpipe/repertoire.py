@@ -4,16 +4,15 @@ Stored outcomes keep pairwise Euclidean distance >= r_novel.  A candidate
 closer than that to existing skills may replace its nearest neighbor when it
 has strictly higher quality, but only if removing that neighbor restores the
 spacing; otherwise it is rejected.  One function measures every distance,
-so load refuses exactly the files try_insert could not have written.
+so load refuses exactly the files try_insert could not have written: its
+spacing check makes try_insert's call for each stored outcome in turn,
+against the ones before it, in memory O(d * n) for n outcomes of d values.
 
 An archive's one state is its list of skills, which callers may edit in
 any way.  The nearest-neighbor queries scan an outcome or a parameter
-matrix linearly, plenty at desk scale.  Each matrix is derived from the list
-on the first read that needs it, so a fill, which reads outcomes only, never
-builds the parameter matrix.  A matrix is stored dimension-major, one
-contiguous row per coordinate, so that a distance scan is one broadcast
-difference over every coordinate and skill, whose squares are then summed
-one coordinate row at a time, in order.
+matrix linearly, plenty at desk scale, each derived from the list on the
+first read that needs it: a fill, which reads outcomes only, never builds
+the parameter matrix.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ __all__ = [
 ]
 
 
-_BLOCK = 32   # columns per block of the nearest-earlier scan
-
-
 def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Euclidean distances [m, n] from points[d, m] to rows[d, n], both
     dimension-major.
@@ -64,17 +60,15 @@ def _nearest_earlier(outs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to its nearest earlier column (inf for the first) and that column's
     index, the earliest of equals.
 
-    Measured _BLOCK columns at a time, in memory O(_BLOCK * d * n).
+    Each column is measured against the earlier ones by the call try_insert
+    makes for a candidate, in memory O(d * n).
     """
     n = outs.shape[1]
     dist, index = np.full(n, np.inf), np.zeros(n, dtype=int)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        block = _distances(outs[:, start:stop], outs[:, :stop])
-        block[np.triu_indices(stop - start, k=start, m=stop)] = np.inf   # itself and later rows
-        index[start:stop] = block.argmin(axis=1)
-        dist[start:stop] = block[np.arange(stop - start), index[start:stop]]
-        del block   # before the next block's buffers are made
+    for i in range(1, n):
+        row = _distances(outs[:, i:i + 1], outs[:, :i])[0]
+        index[i] = row.argmin()
+        dist[i] = row[index[i]]
     return dist, index
 
 
@@ -140,11 +134,11 @@ class Archive:
     nearest_outcome, min_pairwise_distance and outcomes the outcome matrix,
     knn_params the parameter matrix.  Each is stored dimension-major, (d, n)
     or (D, n) in C order, so that every coordinate of the stored skills is
-    one contiguous row.  outcomes() returns the outcome matrix as a
-    read-only (n, d) view.  A matrix is built on its first read after
-    skills changed, as seen against a copy of the list taken when the
-    cached matrices were built; any read that sees a change drops every
-    matrix first, so that no matrix outlives the list it was built from.
+    one contiguous row.  A matrix is built on its first read after skills
+    changed, as seen against a copy of the list taken when the cached
+    matrices were built; any read that sees a change drops every matrix
+    first, so that no matrix outlives the list it was built from, nor takes
+    memory beside the matrix built in its place.
 
     The constructor raises ValueError, naming each field, for what load
     would refuse in a saved header: an r_novel that is not a positive finite
@@ -174,20 +168,27 @@ class Archive:
 
     def _matrix(self, field: str) -> np.ndarray:
         """The values of skill.<field> for every skill, dimension-major: one
-        contiguous row per coordinate, one column per skill.
-
-        Built on the first read after skills changed; a change drops every
-        cached matrix before the new one is made, so that stale and new rows
-        never take memory together.
-        """
+        contiguous row per coordinate, one column per skill."""
         if self._built_from != self.skills:   # skills compare by identity
             self._matrices.clear()
             self._built_from = list(self.skills)
         if field not in self._matrices:
             dim = self.dim_outcome if field == "outcome" else self.dim_params
             rows = [getattr(skill, field).values for skill in self._built_from]
-            self._matrices[field] = np.array(rows).reshape(len(rows), dim).T.copy()
+            try:
+                matrix = np.array(rows).reshape(len(rows), dim)
+            except ValueError:   # a skill of other dimensions, appended directly
+                for i, skill in enumerate(self._built_from):
+                    self._check_dimensions(skill, f"skill {i}")
+                raise
+            self._matrices[field] = matrix.T.copy()
         return self._matrices[field]
+
+    def _check_dimensions(self, skill: Skill, name: str) -> None:
+        """DimensionError naming the skill as name, unless it has the archive's D and d."""
+        if (skill.params.dim, skill.outcome.dim) != (self.dim_params, self.dim_outcome):
+            raise DimensionError(f"{name} of dimensions (D={skill.params.dim}, d={skill.outcome.dim}) "
+                                 f"in an archive of (D={self.dim_params}, d={self.dim_outcome})")
 
     def outcomes(self) -> np.ndarray:
         """The stored outcomes, one row per skill, as a read-only view."""
@@ -208,11 +209,7 @@ class Archive:
         dim_params controller values and dim_outcome outcome values, and
         ValueError unless its parameter bounds equal the stored skills'.
         """
-        if (skill.params.dim, skill.outcome.dim) != (self.dim_params, self.dim_outcome):
-            raise DimensionError(
-                f"skill of dimensions (D={skill.params.dim}, d={skill.outcome.dim}) in an "
-                f"archive of (D={self.dim_params}, d={self.dim_outcome})"
-            )
+        self._check_dimensions(skill, "skill")
         if self.skills and not _same_box(skill.params.bounds, self.skills[0].params.bounds):
             raise ValueError("cannot insert a skill whose parameter bounds differ from "
                              "the stored skills'")
@@ -281,11 +278,13 @@ def save(archive: Archive, path) -> None:
     try_insert makes all skills share (none for an empty archive), so a file
     round-trips without consulting the environment registry.  The lines go to
     a new file beside path, which is flushed to disk and then renamed onto
-    path, so a save that fails leaves any previous file as it was.  Raises
-    ValueError, before any file is made, naming the first skill (appended
-    directly) whose parameter bounds differ from the first skill's.
+    path, so a save that fails leaves any previous file as it was.  Raises,
+    before any file is made, DimensionError or ValueError naming the first
+    skill (appended directly) whose dimensions are not the archive's, or
+    whose parameter bounds differ from the first skill's.
     """
     for i, skill in enumerate(archive.skills):
+        archive._check_dimensions(skill, f"cannot save skill {i}")
         if not _same_box(skill.params.bounds, archive.skills[0].params.bounds):
             raise ValueError(f"cannot save skill {i}, whose parameter bounds differ from skill 0's")
     header = {

@@ -117,6 +117,8 @@ ROWS = [
     ("sim.RealityGap", "gravity_scale", POSITIVE, 1.1, lambda v: sim.RealityGap(gravity_scale=v)),
     ("sim.RealityGap", "link_scale", POSITIVE, 1.1, lambda v: sim.RealityGap(link_scale=v)),
     ("sim.RealityGap", "joint_bias", vector(5), np.ones(5), lambda v: sim.RealityGap(joint_bias=v)),
+    # a NaN field fails every comparison in contains, so such a wall would
+    # report no hit for any controller
     ("sim.Obstacle", "center", vector(2), (0.0, 1.0), lambda v: sim.Obstacle(v, 0.5, 1.0)),
     ("sim.Obstacle", "width", POSITIVE, 0.5, lambda v: sim.Obstacle((0.0, 1.0), v, 1.0)),
     ("sim.Obstacle", "height", POSITIVE, 0.5, lambda v: sim.Obstacle((0.0, 1.0), 1.0, v)),

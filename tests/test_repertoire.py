@@ -253,23 +253,27 @@ class TestQueries:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_min_pairwise_distance_matches_the_naive_form(self, data):
-        # up to 70 rows spans three blocks of the blocked scan; repeated
-        # points give a distance of 0
-        d = data.draw(st.integers(1, 3), label="d")
-        points = st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)
+        # the scan against the per-coordinate oracle, bit for bit, each index
+        # the earliest nearest earlier outcome: coordinates on a small grid
+        # make exact ties, repeated points a distance of 0, and from d = 8 on
+        # np.linalg.norm would sum the squares in another order
+        d = data.draw(st.integers(0, 10), label="d")
+        coordinate = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]), st.floats(-10.0, 10.0))
+        points = st.lists(coordinate, min_size=d, max_size=d)
         outcomes = data.draw(st.lists(points, max_size=70), label="outcomes")
         if outcomes and data.draw(st.booleans(), label="repeat"):
             outcomes.append(outcomes[data.draw(st.integers(0, len(outcomes) - 1))])
         arch = fresh_archive(d=d)
         arch.skills = [make_skill([0, 0, 0], o) for o in outcomes]
         n = len(outcomes)
-        if n < 2:
-            assert arch.min_pairwise_distance() == math.inf
-            return
-        outs = np.array(outcomes, dtype=float)
-        naive = np.linalg.norm(outs[:, None, :] - outs[None, :, :], axis=2)
-        naive[np.diag_indices(n)] = np.inf
-        assert arch.min_pairwise_distance() == naive.min()
+        outs = np.array(outcomes, dtype=float).reshape(n, d)
+        oracle = ordered_distances(outs, outs)
+        earliest = [min(range(i), key=oracle[i].__getitem__) for i in range(1, n)]
+        expected = np.array([math.inf] + [oracle[i, j] for i, j in enumerate(earliest, start=1)])[:n]
+        dist, index = repertoire._nearest_earlier(outs.T.copy())
+        assert dist.tobytes() == expected.tobytes()
+        assert index[1:].tolist() == earliest
+        assert arch.min_pairwise_distance() == expected[1:].min(initial=math.inf)
 
     def test_skills_compare_by_identity(self):
         arch = fresh_archive(r_novel=0.1)
@@ -539,6 +543,23 @@ class TestOneState:
         assert arch.skills[1] is better
         assert arch.knn_params([-1.0, -1.0, -1.0], 1)[0] is better
 
+    @pytest.mark.parametrize("theta, outcome, query", [
+        ([0, 0, 0], [2.0, 0.0, 0.0], lambda arch: arch.nearest_outcome([0.0, 0.0])),
+        ([0, 0, 0], [2.0, 0.0, 0.0], lambda arch: arch.outcomes()),
+        ([0, 0], [2.0, 0.0], lambda arch: arch.knn_params([0.0, 0.0, 0.0], 1)),
+    ], ids=["outcome-nearest", "outcome-outcomes", "params-knn"])
+    def test_skill_of_other_dimensions_is_named(self, theta, outcome, query, tmp_path):
+        # appended directly, such a skill used to fail the queries with NumPy's
+        # shape error, naming no skill, and save wrote a file load refused
+        arch = self.two_apart()
+        arch.skills.append(make_skill(theta, outcome))
+        with pytest.raises(DimensionError, match=r"^skill 2 of dimensions \(D=\d, d=\d\) in an archive"):
+            query(arch)
+        path = tmp_path / "arch.jsonl"
+        with pytest.raises(DimensionError, match="^cannot save skill 2 of dimensions"):
+            save(arch, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_fill_never_builds_the_parameter_matrix(self):
         arch = fresh_archive(r_novel=0.1)
         for i in range(20):
@@ -773,8 +794,8 @@ class TestPersistence:
         assert "line 2" in str(info.value)
 
     def test_crowded_outcomes_found_across_blocks(self, tmp_path):
-        # 150 outcomes a metre apart fill several screening blocks; the last
-        # line crowds the second record
+        # 150 outcomes a metre apart; the last line crowds the second record,
+        # far back in the scan
         grid = [dict(RECORD, outcome=[float(i), 0.0]) for i in range(150)]
         path = write_archive(tmp_path, HEADER, grid + [dict(RECORD, outcome=[1.0, 0.03])])
         with pytest.raises(ArchiveFormatError) as info:
@@ -844,19 +865,21 @@ class TestPersistence:
         cells = data.draw(st.lists(st.tuples(*[st.integers(-8, 8)] * d), unique=True,
                                    min_size=1, max_size=150), label="cells")
         outcomes = offset + step * np.array(cells, float)
-        expected = next(
-            (i + 2 for i in range(1, len(outcomes))
-             if np.linalg.norm(outcomes[:i] - outcomes[i], axis=1).min() < r_novel),
-            None,
-        )
+        crowded = next((i for i in range(1, len(outcomes))
+                        if np.linalg.norm(outcomes[:i] - outcomes[i], axis=1).min() < r_novel), None)
         header = dict(HEADER, D=1, d=d, r_novel=r_novel)
         records = [{"theta": [0.0], "outcome": o.tolist(), "quality": 0.0} for o in outcomes]
         with tempfile.TemporaryDirectory() as tmp:
             path = write_archive(Path(tmp), header, records)
-            if expected is None:
+            if crowded is None:
                 assert len(load(path).skills) == len(records)
             else:
-                assert_rejected_at(path, expected)
+                # and the earliest of its nearest earlier lines is named
+                nearest = np.argmin(np.linalg.norm(outcomes[:crowded] - outcomes[crowded], axis=1))
+                with pytest.raises(ArchiveFormatError) as info:
+                    load(path)
+                assert str(info.value).startswith(f"{path}:{crowded + 2}: ")
+                assert str(info.value).endswith(f" on line {nearest + 2}")
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
