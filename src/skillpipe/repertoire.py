@@ -82,25 +82,22 @@ def _same_box(bounds: np.ndarray, box: np.ndarray) -> bool:
     return bounds is box or np.array_equal(bounds, box)
 
 
-# what each field of a header must hold, so that save writes only what load
-# reads: (test, phrase) by the field's kind
-_FIELD_RULES = {
-    "env": (lambda value: isinstance(value, str), "a string"),
-    "count": (_is_count, "a non-negative integer"),
-    "seed": (lambda value: type(value) is int, "an integer"),   # bool is no int
-    "positive": (lambda value: _is_number(value) and value > 0, "a positive finite number"),
-}
+# the fields of a file's header, in file order, so that save writes only what
+# load reads: (key in a file, Archive attribute, test, phrase)
+_HEADER = (
+    ("env", "env_kind", lambda value: isinstance(value, str), "a string"),
+    ("D", "dim_params", _is_count, "a non-negative integer"),
+    ("d", "dim_outcome", _is_count, "a non-negative integer"),
+    ("r_novel", "r_novel", lambda value: _is_number(value) and value > 0, "a positive finite number"),
+    ("seed", "seed", lambda value: type(value) is int, "an integer"),   # bool is no int
+)
 
 
 def _field_faults(fields) -> list[str]:
-    """One phrase for each (name, kind, value) whose value breaks the rule of
-    its kind in _FIELD_RULES; Archive and load both check by it."""
-    faults = []
-    for name, kind, value in fields:
-        test, phrase = _FIELD_RULES[kind]
-        if not test(value):
-            faults.append(f"{name} must be {phrase}, got {value!r:.40}")
-    return faults
+    """One phrase for each (name, value, test, phrase) whose value fails its
+    test; Archive and load both pass it the fields of _HEADER."""
+    return [f"{name} must be {phrase}, got {value!r:.40}"
+            for name, value, test, phrase in fields if not test(value)]
 
 
 class ArchiveFormatError(ValueError):
@@ -140,22 +137,17 @@ class Archive:
     first, so that no matrix outlives the list it was built from, nor takes
     memory beside the matrix built in its place.
 
-    The constructor raises ValueError, naming each field, for what load
-    would refuse in a saved header: an r_novel that is not a positive finite
-    number, an env_kind that is not a str, a dim_params or dim_outcome that
-    is not a non-negative int and a seed that is not an int (a bool is
-    neither).
+    The constructor raises ValueError, naming each field in file order, for
+    what load would refuse in a saved header, by the rules of _HEADER: an
+    env_kind that is not a str, a dim_params or dim_outcome that is not a
+    non-negative int, an r_novel that is not a positive finite number and a
+    seed that is not an int (a bool is neither).
     """
 
     def __init__(self, r_novel: float, env_kind: str, dim_params: int,
                  dim_outcome: int, seed: int = 0):
-        if faults := _field_faults((
-            ("r_novel", "positive", r_novel),
-            ("env_kind", "env", env_kind),
-            ("dim_params", "count", dim_params),
-            ("dim_outcome", "count", dim_outcome),
-            ("seed", "seed", seed),
-        )):
+        given = locals()   # the arguments by the attribute names of _HEADER
+        if faults := _field_faults((attr, given[attr], test, phrase) for _, attr, test, phrase in _HEADER):
             raise ValueError("; ".join(faults))
         self.r_novel = float(r_novel)
         self.env_kind = env_kind
@@ -287,14 +279,8 @@ def save(archive: Archive, path) -> None:
         archive._check_dimensions(skill, f"cannot save skill {i}")
         if not _same_box(skill.params.bounds, archive.skills[0].params.bounds):
             raise ValueError(f"cannot save skill {i}, whose parameter bounds differ from skill 0's")
-    header = {
-        "env": archive.env_kind,
-        "D": archive.dim_params,
-        "d": archive.dim_outcome,
-        "r_novel": archive.r_novel,
-        "seed": archive.seed,
-        "bounds": archive.skills[0].params.bounds.tolist() if archive.skills else [],
-    }
+    header = {key: getattr(archive, attr) for key, attr, _, _ in _HEADER}
+    header["bounds"] = archive.skills[0].params.bounds.tolist() if archive.skills else []
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
@@ -315,7 +301,6 @@ def save(archive: Archive, path) -> None:
         raise
 
 
-_HEADER_KEYS = ("env", "D", "d", "r_novel", "seed")
 _RECORD_KEYS = ("theta", "outcome", "quality")
 
 
@@ -336,27 +321,29 @@ def _vector(value, name: str, size: int) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
-def _header(raw: str) -> tuple[Archive, np.ndarray]:
-    """Empty archive and (D, 2) parameter bounds from the header line.
+def _object(raw: str, what: str) -> dict:
+    """The JSON object on one line, else ValueError naming what the line holds."""
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad {what} JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {raw.strip():.40}")
+    return obj
+
+
+def _header(raw: str) -> tuple[Archive, np.ndarray | None]:
+    """Empty archive and (D, 2) parameter bounds from the header line, None
+    for a header without them.
 
     Raises ValueError naming every fault found in the header.
     """
-    try:
-        header = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad header JSON: {exc}") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"header must be a JSON object, got {raw.strip():.40}")
+    header = _object(raw, "header")
     faults = []
-    if missing := _missing(header, _HEADER_KEYS):
+    if missing := _missing(header, [key for key, _, _, _ in _HEADER]):
         faults.append(f"header {missing}")
-    faults += _field_faults((
-        ("env", "env", header.get("env", "")),
-        ("D", "count", header.get("D", 0)),
-        ("d", "count", header.get("d", 0)),
-        ("r_novel", "positive", header.get("r_novel", 1.0)),
-        ("seed", "seed", header.get("seed", 0)),
-    ))
+    faults += _field_faults((key, header[key], test, phrase)
+                            for key, _, test, phrase in _HEADER if key in header)
     dim = header.get("D")
     bounds = header.get("bounds", [])
     if _is_count(dim) and bounds != []:
@@ -374,32 +361,22 @@ def _header(raw: str) -> tuple[Archive, np.ndarray]:
             faults.append(f"bounds row {inverted[0]} has lo > hi")
     if faults:
         raise ValueError("; ".join(faults))
-    archive = Archive(
-        r_novel=header["r_novel"],
-        env_kind=header["env"],
-        dim_params=dim,
-        dim_outcome=header["d"],
-        seed=header["seed"],
-    )
-    if bounds == []:
-        return archive, np.tile([-np.inf, np.inf], (dim, 1))
-    return archive, np.array(bounds, dtype=float)
+    archive = Archive(**{attr: header[key] for key, attr, _, _ in _HEADER})
+    return archive, None if bounds == [] else np.array(bounds, dtype=float)
 
 
-def _record(raw: str, bounds: np.ndarray, dim_outcome: int) -> Skill:
-    """Skill from one line, given the archive's parameter bounds; ValueError says what is wrong."""
-    try:
-        rec = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad JSON: {exc}") from None
-    if not isinstance(rec, dict):
-        raise ValueError(f"record must be a JSON object, got {raw.strip():.40}")
+def _record(raw: str, archive: Archive, bounds: np.ndarray | None) -> Skill:
+    """Skill from one line, given the archive's parameter bounds (None for
+    unbounded); ValueError says what is wrong."""
+    rec = _object(raw, "record")
     try:
         theta, outcome, quality = rec["theta"], rec["outcome"], rec["quality"]
     except KeyError:
         raise ValueError(f"record {_missing(rec, _RECORD_KEYS)}") from None
-    theta = _vector(theta, "theta", len(bounds))
-    outcome = _vector(outcome, "outcome", dim_outcome)
+    theta = _vector(theta, "theta", archive.dim_params)
+    outcome = _vector(outcome, "outcome", archive.dim_outcome)
+    if bounds is None:   # the unbounded box, built only once a theta has shown D values
+        bounds = np.tile([-np.inf, np.inf], (len(theta), 1))
     return Skill(ControllerParams(theta, bounds), Outcome(outcome), quality)
 
 
@@ -427,7 +404,8 @@ def load(path) -> Archive:
                 if archive is None:
                     archive, bounds = _header(line)
                 elif line.strip():
-                    skills.append(_record(line, bounds, archive.dim_outcome))
+                    skills.append(_record(line, archive, bounds))
+                    bounds = skills[-1].params.bounds   # one box shared by every skill
                     linenos.append(lineno)
             except ValueError as exc:   # UnicodeDecodeError included
                 raise ArchiveFormatError(f"{path}:{lineno}: {exc}") from None

@@ -233,6 +233,13 @@ class TestTryInsert:
         with pytest.raises(ValueError, match=f"^{field} must be an? (string|integer), got "):
             Archive(0.1, dim_params=3, dim_outcome=2, **fields)
 
+    def test_several_bad_fields_are_named_in_file_order(self):
+        with pytest.raises(ValueError) as info:
+            Archive(0, 7, 3, 2, seed=True)
+        assert str(info.value) == ("env_kind must be a string, got 7; "
+                                   "r_novel must be a positive finite number, got 0; "
+                                   "seed must be an integer, got True")
+
     def test_other_parameter_bounds_raise_and_change_nothing(self):
         # save writes one box for the archive: kept, this skill would reload
         # with bounds [-1, 1] around a value of 5
@@ -686,6 +693,32 @@ class TestPersistence:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["arch.jsonl"]
 
+    @pytest.mark.parametrize("skills, text", [
+        pytest.param(
+            [([0.5, -0.25, 3.0], [0.0, 0.0], -1.5), ([-2.0, 0.125, 10.0], [1.0, 0.0], 0.0),
+             ([1e-3, 1.0, 0.0], [0.1, 2.5], 0.3)],
+            '{"env": "throw", "D": 3, "d": 2, "r_novel": 1.0, "seed": 7, '
+            '"bounds": [[-Infinity, Infinity], [-1.0, 1.0], [0.0, Infinity]]}\n'
+            '{"theta": [0.5, -0.25, 3.0], "outcome": [0.0, 0.0], "quality": -1.5}\n'
+            '{"theta": [-2.0, 0.125, 10.0], "outcome": [1.0, 0.0], "quality": 0.0}\n'
+            '{"theta": [0.001, 1.0, 0.0], "outcome": [0.1, 2.5], "quality": 0.3}\n',
+            id="three-skills"),
+        pytest.param(
+            [], '{"env": "throw", "D": 3, "d": 2, "r_novel": 1.0, "seed": 7, "bounds": []}\n',
+            id="empty"),
+    ])
+    def test_save_writes_the_pinned_text(self, skills, text, tmp_path):
+        # the file format, byte for byte: two runs that saved the same archive
+        # can be compared as files
+        arch = Archive(1, "throw", 3, 2, seed=7)
+        bounds = [[-math.inf, math.inf], [-1.0, 1.0], [0.0, math.inf]]
+        for theta, outcome, quality in skills:
+            skill = Skill(ControllerParams(theta, bounds), Outcome(outcome), quality)
+            assert arch.try_insert(skill).outcome is InsertOutcome.ADDED
+        path = tmp_path / "arch.jsonl"
+        save(arch, path)
+        assert path.read_bytes() == text.encode()
+
     def test_empty_archive_roundtrip(self, tmp_path):
         arch = fresh_archive()
         path = tmp_path / "empty.jsonl"
@@ -755,8 +788,22 @@ class TestPersistence:
         path = write_archive(tmp_path, dict(HEADER, D="x", r_novel=0, seed=None), [])
         with pytest.raises(ArchiveFormatError) as info:
             load(path)
-        for key in ("D", "r_novel", "seed"):
-            assert f"{key} must be" in str(info.value)
+        assert str(info.value) == (f"{path}:1: D must be a non-negative integer, got 'x'; "
+                                   "r_novel must be a positive finite number, got 0; "
+                                   "seed must be an integer, got None")
+
+    # D = 10**15 parameter bounds would take 16 PB, which NumPy refuses at once
+    def test_header_of_a_huge_D_without_records_loads_empty(self, tmp_path):
+        # the unbounded box used to be built from the header alone, so this
+        # raised NumPy's MemoryError
+        arch = load(write_archive(tmp_path, dict(HEADER, D=10**15), []))
+        assert (arch.dim_params, arch.skills) == (10**15, [])
+
+    def test_record_short_of_a_huge_D_names_its_line(self, tmp_path):
+        path = write_archive(tmp_path, dict(HEADER, D=10**15), [dict(RECORD, theta=[0.0])])
+        with pytest.raises(ArchiveFormatError, match="theta") as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}:2: ")
 
     @pytest.mark.parametrize("record", [
         pytest.param(dict(RECORD, theta=5), id="theta-scalar"),
