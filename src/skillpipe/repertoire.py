@@ -183,7 +183,12 @@ class Archive:
                                  f"in an archive of (D={self.dim_params}, d={self.dim_outcome})")
 
     def outcomes(self) -> np.ndarray:
-        """The stored outcomes, one row per skill, as a read-only view."""
+        """The stored outcomes, one row per skill, as a read-only view.
+
+        The view stays current only until the archive next changes: a
+        REPLACED insert patches it in place, but any other change builds a
+        new matrix on the next read and leaves an earlier view stale.
+        """
         view = self._matrix("outcome").T
         view.flags.writeable = False
         return view
@@ -392,8 +397,11 @@ def load(path) -> Archive:
     finite number. Stored outcomes must keep the pairwise spacing
     ``>= r_novel`` that :meth:`Archive.try_insert` keeps, measured as it
     measures; the first line that breaks it is named, with its nearest earlier
-    line. Any failure, including bytes that are not UTF-8, raises
-    :class:`ArchiveFormatError` starting ``<path>:<line>:``.
+    line; this check takes O(n²) time in the number of records. Any fault in
+    the file's contents, including bytes that are not UTF-8, raises
+    :class:`ArchiveFormatError` starting ``<path>:<line>:``. An OS error
+    from opening or reading the file, such as FileNotFoundError for a
+    missing path or IsADirectoryError for a directory, propagates unchanged.
     """
     archive = None
     skills, linenos = [], []

@@ -154,7 +154,10 @@ def _skill_env(env: EnvironmentSpec, kinds=SKILL_KINDS) -> None:
 
 
 def theta_bounds(env: EnvironmentSpec) -> np.ndarray:
-    """Per-dimension [lo, hi] for controller coefficients of a skill env."""
+    """Per-dimension [lo, hi] for controller coefficients of a skill env.
+
+    Raises ValueError, naming env, for an env of a transfer kind.
+    """
     _skill_env(env)
     b = np.empty((env.dim_params, 2))
     b[:, 0] = -COEFF_BOUND
@@ -285,8 +288,9 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
     """Run B controllers at once: values[B, D] -> (outcomes[B, d], valid[B]).
 
     Row i is what :func:`execute` gives for controller values[i].  Raises
-    DimensionError unless values has shape (B, env.dim_params), and
-    ValueError when it holds non-finite entries.
+    ValueError, naming env, for an env of a transfer kind, DimensionError
+    unless values has shape (B, env.dim_params), and ValueError when it
+    holds non-finite entries.
 
     Both kinds evaluate the arm joint-major: each joint's states over the
     batch fill one contiguous row, so that each step of the cubic, the
@@ -334,7 +338,8 @@ def execute(env: EnvironmentSpec, gap: RealityGap, theta: ControllerParams) -> O
     the earliest when several tie, and (0, 0) without contact.
 
     A call of :func:`execute_batch` with B = 1: theta.values of shape (D,)
-    gives an outcome of dimension d.
+    gives an outcome of dimension d.  Raises ValueError, naming env, for an
+    env of a transfer kind.
     """
     _skill_env(env)   # checked before theta is read
     outcomes, valid = execute_batch(env, gap, theta.values[None, :])
@@ -355,8 +360,9 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     release state too: the gripper's position and velocity at env.duration,
     bit for bit as the throw branch of execute_batch evaluates them.  The
     flight from it is sampled every env.step from release to landing (see
-    :func:`_flight_hits`).  Raises DimensionError unless theta has
-    env.dim_params values.
+    :func:`_flight_hits`).  Raises ValueError, naming env, for an env of
+    any kind but throw (a joystick or transfer kind), and DimensionError
+    unless theta has env.dim_params values.
     """
     _skill_env(env, ("throw",))
     values = _controllers(env, theta.values[None, :])
@@ -419,7 +425,8 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
     re-executions under NOMINAL_GAP with Gaussian parameter noise, drawn
     from PCG64(seed) as a (perturb_count, D) array and clipped to the
     bounds; the re-executions are one :func:`execute_batch` call.
-    Raises DimensionError unless theta has env.dim_params values and outcome
+    Raises ValueError, naming env, for an env of a transfer kind,
+    DimensionError unless theta has env.dim_params values and outcome
     env.dim_outcome, and ValueError unless outcome is valid, seed an integer
     >= 0 and, for joystick, the noise scale perturb_sigma * (hi - lo) of
     each of theta's bounds finite.

@@ -3,13 +3,14 @@ import inspect
 import math
 import pkgutil
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import skillpipe
 from skillpipe import mathkit, sim
-from skillpipe.core import ControllerParams, Outcome, Skill
+from skillpipe.core import ControllerParams, DimensionError, Outcome, Skill
 from skillpipe.repertoire import Archive
 from conftest import make_skill
 
@@ -43,12 +44,28 @@ def test_every_public_definition_is_exported(name):
 
 # ---------------------------------------------------------------------------
 # The refusal table: the bad values of each argument kind that core's
-# docstring names, and for each public callable the kind of each argument
+# docstring names, and for each public callable the kind of each argument.
+# A value whose fault is its shape must raise a DimensionError, any other a
+# ValueError that is not one
 # ---------------------------------------------------------------------------
 
 NAN, INF = math.nan, math.inf
 NUMBER = [NAN, INF, -INF, True, "1", None, 10**400]
 POSITIVE = NUMBER + [0, 0.0, -1.0]
+
+
+class Misshapen(NamedTuple):
+    """A bad value whose fault is its shape."""
+    value: object
+
+
+def misshapen(*values):
+    return [Misshapen(value) for value in values]
+
+
+def unwrap(bad):
+    """(the bad value, whether its fault is its shape)"""
+    return (bad.value, True) if isinstance(bad, Misshapen) else (bad, False)
 
 
 def integer(lo=None):
@@ -59,21 +76,21 @@ def integer(lo=None):
 def vector(n=None):
     """Bad values of a vector of n finite values; any length when n is None."""
     size = n or 3
-    bad = [np.r_[x, np.ones(size - 1)] for x in (NAN, INF, -INF)] + [np.ones((1, size)), 1.0]
-    return bad if n is None else bad + [np.ones(n - 1), np.ones(n + 1)]
+    bad = [np.r_[x, np.ones(size - 1)] for x in (NAN, INF, -INF)] + misshapen(np.ones((1, size)), 1.0)
+    return bad if n is None else bad + misshapen(np.ones(n - 1), np.ones(n + 1))
 
 
 def array(*shape):
     """Bad values of a finite array of the given shape, two dimensions or more."""
     bad = [np.full(shape, x) for x in (NAN, INF, -INF)]
-    return bad + [np.ones(shape[:-2] + (shape[-2] * shape[-1],)), np.ones((1, *shape))]
+    return bad + misshapen(np.ones(shape[:-2] + (shape[-2] * shape[-1],)), np.ones((1, *shape)))
 
 
 def box(n):
     """Bad values of n [lo, hi] parameter bounds."""
     rows = ([NAN, 1.0], [-1.0, NAN], [1.0, -1.0])
     bad = [np.vstack([np.tile([-1.0, 1.0], (n - 1, 1)), row]) for row in rows]
-    return bad + [np.ones((n, 3)), np.tile([-1.0, 1.0], (n + 1, 1))]
+    return bad + misshapen(np.ones((n, 3)), np.tile([-1.0, 1.0], (n + 1, 1)))
 
 
 def fresh_archive():
@@ -125,11 +142,12 @@ ROWS = [
     ("sim.execute", "env", TRANSFER_ENVS, THROW, lambda v: sim.execute(v, sim.NOMINAL_GAP, THETA)),
     ("sim.execute_batch", "env", TRANSFER_ENVS, THROW,
      lambda v: sim.execute_batch(v, sim.NOMINAL_GAP, np.zeros((2, 15)))),
-    ("sim.execute_batch", "values", array(2, 15) + [np.ones((2, 14))], np.zeros((2, 15)),
-     lambda v: sim.execute_batch(THROW, sim.NOMINAL_GAP, v)),
+    ("sim.execute_batch", "values", array(2, 15) + misshapen(np.ones((2, 14)), np.ones((2, 16))),
+     np.zeros((2, 15)), lambda v: sim.execute_batch(THROW, sim.NOMINAL_GAP, v)),
     ("sim.collides", "env", [JOYSTICK, *TRANSFER_ENVS], THROW, lambda v: sim.collides(v, THETA, WALL)),
     ("sim.quality", "env", TRANSFER_ENVS, THROW, lambda v: sim.quality(v, THETA, ZERO_OUT)),
-    *[("sim.quality", "outcome", [Outcome.invalid(2), Outcome(np.zeros(1)), Outcome(np.zeros(3))],
+    *[("sim.quality", "outcome",
+       [Outcome.invalid(2), *misshapen(Outcome(np.zeros(1)), Outcome(np.zeros(3)))],
        ZERO_OUT, lambda v, env=env: sim.quality(env, THETA, v)) for env in (THROW, JOYSTICK)],
     *[("sim.quality", "seed", integer(0), 7, lambda v, env=env: sim.quality(env, THETA, ZERO_OUT, v))
       for env in (THROW, JOYSTICK)],
@@ -143,7 +161,7 @@ ROWS = [
     ("sim.transfer_task", "kind", ["reacherlike", "throw"], "strikerlike", lambda v: transfer(kind=v)),
     ("sim.transfer_task", "policy_layers",
      [[np.full((6, 16), x), LAYERS[1]] for x in (NAN, INF)] + [[LAYERS[0], np.full((16, 2), -INF)]]
-     + [[np.zeros((3, 3)), np.zeros((3, 2))], [np.zeros(96), np.zeros(32)], LAYERS[:1]],
+     + misshapen([np.zeros((3, 3)), np.zeros((3, 2))], [np.zeros(96), np.zeros(32)], LAYERS[:1]),
      LAYERS, lambda v: transfer(policy_layers=v)),
     ("sim.transfer_task", "seed", integer(0), 3, lambda v: transfer(seed=v)),
     ("sim.unflatten_policy", "flat", vector(128), np.zeros(128), sim.unflatten_policy),
@@ -152,7 +170,8 @@ ROWS = [
     ("repertoire.Archive", "dim_params", integer(0), 0, lambda v: Archive(0.1, "throw", v, 2)),
     ("repertoire.Archive", "dim_outcome", integer(0), 0, lambda v: Archive(0.1, "throw", 3, v)),
     ("repertoire.Archive", "seed", integer(), -3, lambda v: Archive(0.1, "throw", 3, 2, v)),
-    ("repertoire.Archive.try_insert", "skill", [make_skill([0, 0], [5.0, 0]), make_skill([0, 0, 0], [5.0, 0, 0])],
+    ("repertoire.Archive.try_insert", "skill",
+     misshapen(make_skill([0, 0], [5.0, 0]), make_skill([0, 0, 0], [5.0, 0, 0])),
      make_skill([0, 0, 0], [5.0, 0]), lambda v: fresh_archive().try_insert(v)),
     ("repertoire.Archive.nearest_outcome", "target", vector(2), (0.5, 0.5),
      lambda v: fresh_archive().nearest_outcome(v)),
@@ -168,7 +187,7 @@ ROWS = [
     ("mathkit.reconstruct", "weight", vector(2), np.ones(2), lambda v: mathkit.reconstruct(FACTORS, v)),
     # a non-finite x0, like a NaN or infinite sigma0, used to spend the budget
     # on non-finite candidates and return x0 with f_best = inf
-    ("mathkit.cmaes_minimize", "x0", vector() + [np.zeros(0)], np.ones(3), lambda v: cmaes(x0=v)),
+    ("mathkit.cmaes_minimize", "x0", vector() + misshapen(np.zeros(0)), np.ones(3), lambda v: cmaes(x0=v)),
     ("mathkit.cmaes_minimize", "sigma0", POSITIVE, 0.5, lambda v: cmaes(sigma0=v)),
     ("mathkit.cmaes_minimize", "budget", integer(LAM), 2 * LAM, lambda v: cmaes(budget=v)),
     ("mathkit.cmaes_minimize", "seed", integer(0), 9, lambda v: cmaes(seed=v)),
@@ -209,11 +228,12 @@ def test_good_value_is_accepted(callable_, argument, good, call):
     call(good)
 
 
-@pytest.mark.parametrize("callable_, argument, bad, call", [
-    pytest.param(name, arg, value, call, id=f"{name}-{arg}-{i}")
+@pytest.mark.parametrize("callable_, argument, bad, shape_fault, call", [
+    pytest.param(name, arg, *unwrap(value), call, id=f"{name}-{arg}-{i}")
     for name, arg, bads, _, call in ROWS for i, value in enumerate(bads)
 ])
-def test_bad_value_is_refused_naming_the_argument(callable_, argument, bad, call):
+def test_bad_value_is_refused_naming_the_argument(callable_, argument, bad, shape_fault, call):
     # a DimensionError is a ValueError
-    with pytest.raises(ValueError, match=rf"\b{re.escape(argument)}\b"):
+    with pytest.raises(ValueError, match=rf"\b{re.escape(argument)}\b") as refusal:
         call(bad)
+    assert isinstance(refusal.value, DimensionError) is shape_fault

@@ -338,10 +338,6 @@ class TestTransferTasks:
             prop = transfer_task("pusherlike", scripted, seed=seed)
             assert prop > zero
 
-    def test_shape_validation(self):
-        with pytest.raises(DimensionError):
-            transfer_task("pusherlike", [np.zeros((3, 3)), np.zeros((3, 2))])
-
     def test_flatten_roundtrip(self):
         rng = np.random.default_rng(17)
         layers = [rng.normal(size=s) for s in sim._POLICY_SHAPES]
@@ -1064,8 +1060,3 @@ class TestShapeChecks:
     def test_gap_fields_must_be_finite(self, field, bad):
         with pytest.raises(ValueError, match=field):
             RealityGap(**{field: bad})
-
-    @pytest.mark.parametrize("shape", [(15,), (3, 14), (3, 16), (1, 3, 15)])
-    def test_execute_batch_needs_rows_of_dim_params(self, throw_env, shape):
-        with pytest.raises(DimensionError):
-            execute_batch(throw_env, NOMINAL_GAP, np.zeros(shape))
