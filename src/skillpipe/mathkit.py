@@ -264,11 +264,23 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int):
 # Correlation
 # ---------------------------------------------------------------------------
 
+def _deviations(v: np.ndarray) -> np.ndarray:
+    """v divided by its largest magnitude, then less its mean.  Pearson does
+    not change when an input is scaled by a positive factor, and after the
+    division a sum of squared deviations neither overflows nor underflows to
+    0 unless every deviation is 0."""
+    scale = np.max(np.abs(v))
+    if scale > 0.0:
+        v = v / scale
+    return v - v.mean()
+
+
 def pearson(x, y) -> float:
     """Sample Pearson correlation in [-1, 1].
 
     Zero variance in either input yields 0.0 with a warning instead of NaN.
-    x and y are finite vectors (the kind of :mod:`core`).
+    x and y are finite vectors (the kind of :mod:`core`) of any magnitude:
+    each is divided by its largest magnitude before it is centred.
     """
     x = _as_array(x, "x")
     y = _as_array(y, "y")
@@ -276,12 +288,11 @@ def pearson(x, y) -> float:
         raise ValueError("pearson expects two equal-length vectors")
     if x.shape[0] < 2:
         raise ValueError("pearson needs at least 2 samples")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(np.sqrt(np.sum(dx * dx)))
-    sy = float(np.sqrt(np.sum(dy * dy)))
-    if sx == 0.0 or sy == 0.0:
+    dx, dy = _deviations(x), _deviations(y)
+    if not dx.any() or not dy.any():
         warnings.warn("zero-variance input to pearson; returning 0.0", stacklevel=2)
         return 0.0
+    sx = float(np.sqrt(np.sum(dx * dx)))
+    sy = float(np.sqrt(np.sum(dy * dy)))
     r = float(np.sum(dx * dy) / (sx * sy))
     return max(-1.0, min(1.0, r))

@@ -92,6 +92,9 @@ _HEADER = (
     ("seed", "seed", lambda value: type(value) is int, "an integer"),   # bool is no int
 )
 
+# the keys of each record, in file order: a skill's theta, outcome and quality
+_RECORD_KEYS = ("theta", "outcome", "quality")
+
 
 def _field_faults(fields) -> list[str]:
     """One phrase for each (name, value, test, phrase) whose value fails its
@@ -291,12 +294,8 @@ def save(archive: Archive, path) -> None:
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(header) + "\n")
             for skill in archive.skills:
-                record = {
-                    "theta": skill.params.values.tolist(),
-                    "outcome": skill.outcome.values.tolist(),
-                    "quality": skill.quality,
-                }
-                fh.write(json.dumps(record) + "\n")
+                record = (skill.params.values.tolist(), skill.outcome.values.tolist(), skill.quality)
+                fh.write(json.dumps(dict(zip(_RECORD_KEYS, record))) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -304,9 +303,6 @@ def save(archive: Archive, path) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-_RECORD_KEYS = ("theta", "outcome", "quality")
 
 
 def _missing(obj: dict, keys) -> str:
@@ -375,7 +371,7 @@ def _record(raw: str, archive: Archive, bounds: np.ndarray | None) -> Skill:
     unbounded); ValueError says what is wrong."""
     rec = _object(raw, "record")
     try:
-        theta, outcome, quality = rec["theta"], rec["outcome"], rec["quality"]
+        theta, outcome, quality = [rec[key] for key in _RECORD_KEYS]
     except KeyError:
         raise ValueError(f"record {_missing(rec, _RECORD_KEYS)}") from None
     theta = _vector(theta, "theta", archive.dim_params)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from skillpipe import mathkit
 from skillpipe.core import DimensionError
@@ -293,6 +295,18 @@ class TestPearson:
     def test_hand_computed_sample(self):
         # {(1,2),(2,1),(3,3)}: covariance 1, std sqrt(2) each -> r = 0.5
         assert pearson([1, 2, 3], [2, 1, 3]) == pytest.approx(0.5)
+
+    # squares that overflow, that underflow to a false zero variance, and a
+    # sum that overflows to a correlation of the wrong sign
+    @given(pairs=st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)), min_size=2, max_size=8),
+           c=st.sampled_from([1e-300, 1e-150, 1e150, 1e300]))
+    @example(pairs=[(1, 1), (3, 3), (2, 2)], c=1e200)
+    @example(pairs=[(1, 0), (0, -1), (2, 1)], c=1e-170)
+    @example(pairs=[(1, -1), (-1, 2), (0, 3)], c=1e308)
+    def test_scaling_an_input_leaves_the_correlation(self, pairs, c):
+        x, y = np.array(pairs, dtype=float).T
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        assert pearson(c * x, y) == pytest.approx(pearson(x, y), abs=1e-9)
 
     def test_zero_variance_flagged(self):
         with pytest.warns(UserWarning):

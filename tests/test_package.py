@@ -46,7 +46,7 @@ def test_every_public_definition_is_exported(name):
 # The refusal table: the bad values of each argument kind that core's
 # docstring names, and for each public callable the kind of each argument.
 # A value whose fault is its shape must raise a DimensionError, any other a
-# ValueError that is not one
+# ValueError that is not one; a bad string is quoted in the message
 # ---------------------------------------------------------------------------
 
 NAN, INF = math.nan, math.inf
@@ -159,9 +159,12 @@ ROWS = [
     ("sim.render_frame", "gripper", vector(2), (0.5, 0.5), lambda v: sim.render_frame(v, (0.5, 0.5))),
     ("sim.render_frame", "target", vector(2), (0.5, 0.5), lambda v: sim.render_frame((0.5, 0.5), v)),
     ("sim.transfer_task", "kind", ["reacherlike", "throw"], "strikerlike", lambda v: transfer(kind=v)),
+    # NaN, inf and -inf in each layer: a NaN weight would make the hand NaN and
+    # leave the puck untouched, so the rollout would score as the zero policy
     ("sim.transfer_task", "policy_layers",
      [[np.full((6, 16), x), LAYERS[1]] for x in (NAN, INF)] + [[LAYERS[0], np.full((16, 2), -INF)]]
-     + misshapen([np.zeros((3, 3)), np.zeros((3, 2))], [np.zeros(96), np.zeros(32)], LAYERS[:1]),
+     + misshapen([np.zeros((3, 3)), np.zeros((3, 2))], [np.zeros(96), np.zeros(32)], LAYERS[:1])
+     + [[LAYERS[0], np.full((16, 2), x)] for x in (NAN, INF)] + [[np.full((6, 16), -INF), LAYERS[1]]],
      LAYERS, lambda v: transfer(policy_layers=v)),
     ("sim.transfer_task", "seed", integer(0), 3, lambda v: transfer(seed=v)),
     ("sim.unflatten_policy", "flat", vector(128), np.zeros(128), sim.unflatten_policy),
@@ -237,3 +240,5 @@ def test_bad_value_is_refused_naming_the_argument(callable_, argument, bad, shap
     with pytest.raises(ValueError, match=rf"\b{re.escape(argument)}\b") as refusal:
         call(bad)
     assert isinstance(refusal.value, DimensionError) is shape_fault
+    if isinstance(bad, str):
+        assert repr(bad) in str(refusal.value)

@@ -349,20 +349,6 @@ class TestTransferTasks:
         with pytest.raises(DimensionError, match="127"):
             sim.unflatten_policy(np.zeros(127))
 
-    def test_unknown_task_rejected(self):
-        with pytest.raises(ValueError, match="reacherlike"):
-            transfer_task("reacherlike", self.zero_policy())
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("layer", [0, 1])
-    def test_non_finite_weights_refused(self, layer, bad):
-        # a NaN weight would make the hand NaN and leave the puck untouched,
-        # so the rollout would return the zero policy's return
-        layers = _scripted_pusher_policy()
-        layers[layer][1, 1] = bad
-        with pytest.raises(ValueError, match="^policy_layers contains non-finite entries"):
-            transfer_task("strikerlike", layers, seed=1)
-
 
 def _scripted_pusher_policy():
     # steer the hand to a point slightly behind the puck, seen from the goal
@@ -373,13 +359,6 @@ def _scripted_pusher_policy():
     w2[0, 0] = w2[1, 1] = 1.0
     w2[2, 0] = w2[3, 1] = -0.1
     return [w1, w2]
-
-
-class TestEnvConfig:
-    def test_unknown_kind_rejected(self):
-        for kind in ("flying", "reach2d"):
-            with pytest.raises(ValueError, match=kind):
-                make_env(kind)
 
 
 # ---------------------------------------------------------------------------
