@@ -2,13 +2,12 @@
 CMA-ES, and Pearson correlation.
 
 Dense SVD factorizations are delegated to numpy.linalg; everything layered on
-top of them (ridge filtering, tolerance-based inversion, Tucker contraction,
-the full CMA-ES update loop) lives here.
+top of them (ridge filtering, tolerance-based inversion, a Tucker slice as a
+product of matrices, the full CMA-ES update loop) lives here.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -130,27 +129,15 @@ def hosvd(tensor, ranks) -> TuckerFactors:
     return TuckerFactors(core=core, u1=u1, u2=u2, u3=u3)
 
 
-_SLICE = "abc,ia,jb,c->ij"
-
-
-@functools.lru_cache(maxsize=64)
-def _slice_path(core_shape, u1_shape, u2_shape) -> tuple:
-    """The contraction path einsum's optimize=True finds for the operands of
-    :func:`reconstruct`, which depends on their shapes alone."""
-    operands = (np.empty(core_shape), np.empty(u1_shape), np.empty(u2_shape), np.empty(core_shape[2]))
-    return tuple(np.einsum_path(_SLICE, *operands, optimize=True)[0])
-
-
 def reconstruct(factors: TuckerFactors, weight) -> np.ndarray:
     """One frontal slice: core x1 U1 x2 U2 x3 w^T.
 
     weight is a finite r3-vector; row k of u3 gives back slice k of the source.
-    The contraction runs the path of ``np.einsum(..., optimize=True)``, bit
-    for bit, searched once per shape of the operands and then reused.
+    The slice is a product of matrices, U1 (core . w) U2^T, where core . w
+    sums the core's frontal slices weighted by w.
     """
-    core, u1, u2 = factors.core, factors.u1, factors.u2
-    w = _as_vector(weight, "weight", core.shape[2])
-    return np.einsum(_SLICE, core, u1, u2, w, optimize=_slice_path(core.shape, u1.shape, u2.shape))
+    w = _as_vector(weight, "weight", factors.core.shape[2])
+    return factors.u1 @ (factors.core @ w) @ factors.u2.T
 
 
 # ---------------------------------------------------------------------------

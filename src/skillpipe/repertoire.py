@@ -46,13 +46,25 @@ def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     are summed one coordinate at a time, in order; for d < 8 that gives the
     bits of np.linalg.norm, which sums in pairs from d = 8 on, as
     np.add.reduce over the coordinate axis would.
+
+    Beyond about 1.3e154 a difference or its square overflows. Only those
+    distances are measured again, from the pair's coordinates divided by
+    their largest magnitude, so every distance that fits keeps its bits.
     """
-    square = np.subtract(points[:, :, None], rows[:, None, :])
-    np.multiply(square, square, out=square)
-    total = square[0] if len(square) else np.zeros(square.shape[1:])   # d = 0: all 0 apart
-    for k in range(1, len(square)):
-        total += square[k]
-    return np.sqrt(total, out=total)
+    with np.errstate(over="ignore"):
+        square = np.subtract(points[:, :, None], rows[:, None, :])
+        np.multiply(square, square, out=square)
+        total = square[0] if len(square) else np.zeros(square.shape[1:])   # d = 0: all 0 apart
+        for k in range(1, len(square)):
+            total += square[k]
+        np.sqrt(total, out=total)
+        far = np.isinf(total)
+        if far.any():
+            i, j = far.nonzero()
+            a, b = points[:, i], rows[:, j]
+            scale = np.maximum(np.abs(a).max(axis=0), np.abs(b).max(axis=0))
+            total[i, j] = np.linalg.norm(a / scale - b / scale, axis=0) * scale
+    return total
 
 
 def _nearest_earlier(outs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -195,14 +195,14 @@ class TestReconstruct:
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     @pytest.mark.parametrize("ranks", [(8, 16, 3), (1, 1, 1), (2, 3, 2), (8, 5, 4), (3, 16, 1)])
-    def test_bit_for_bit_the_einsum_of_optimize_true(self, ranks):
-        # reconstruct reuses the contraction path of the first call per shape
+    def test_row_k_of_u3_gives_slice_k_of_the_oracle(self, ranks):
+        # the product of matrices agrees with the dense contraction of every
+        # factor, at each truncation
         rng = np.random.default_rng(13)
         factors = hosvd(rng.normal(size=(8, 16, 4)), ranks)
-        for _ in range(3):
-            w = rng.normal(size=ranks[2])
-            want = np.einsum("abc,ia,jb,c->ij", factors.core, factors.u1, factors.u2, w, optimize=True)
-            assert reconstruct(factors, w).tobytes() == want.tobytes()
+        full = tucker_full(factors)
+        for k in range(full.shape[2]):
+            np.testing.assert_allclose(reconstruct(factors, factors.u3[k]), full[:, :, k], rtol=0, atol=1e-12)
 
 
 class TestCmaes:

@@ -439,6 +439,15 @@ class TestDistances:
             if d < 8:
                 assert np.array_equal(got, [np.linalg.norm(rows - p, axis=1) for p in points])
 
+    def test_outcomes_too_far_apart_to_square_are_measured(self):
+        # their differences square past the largest float; the configured
+        # filterwarnings turns an overflow warning into an error
+        arch = Archive(0.1, "throw", 3, 2)
+        for outcome in ([-1e200, 0.0], [0.5e200, 0.0]):
+            assert arch.try_insert(make_skill([0, 0, 0], outcome)).outcome is InsertOutcome.ADDED
+        assert arch.nearest_outcome([1e200, 0.0]) is arch.skills[1]
+        assert arch.min_pairwise_distance() == pytest.approx(1.5e200, rel=1e-15)
+
     def test_without_coordinates_every_point_is_0_apart(self):
         # an archive of dim_outcome 0 measures by it
         got = repertoire._distances(np.zeros((0, 2)), np.zeros((0, 3)))
