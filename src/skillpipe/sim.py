@@ -232,12 +232,7 @@ def _tip(env: EnvironmentSpec, cos_y, sin_y, rise, reach):
 def _release(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray):
     """Gripper position (x, y, z) and velocity (vx, vy, vz) of B controllers
     values[B, D] at the end of their motion, each coordinate (B,)."""
-    return _gripper_state(env, *_arm(env, gap, values, _SAMPLE_TIMES[-1:], rates=True))
-
-
-def _gripper_state(env: EnvironmentSpec, cos_y, sin_y, rise, reach, qd):
-    """Gripper position (x, y, z) and velocity (vx, vy, vz), each
-    coordinate (N,), from the kinematics and rates of :func:`_arm`."""
+    cos_y, sin_y, rise, reach, qd = _arm(env, gap, values, _SAMPLE_TIMES[-1:], rates=True)
     x, y, z = _tip(env, cos_y, sin_y, rise, reach)
     yaw_d, phi_d = qd[0], qd[1:]
     r_d = (rise * phi_d).sum(axis=0)
@@ -355,27 +350,23 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     :func:`execute_batch`.  The sweep is the base joint and the end of each
     of the J - 1 links at each of the T time samples execute uses: the
     cumulative link extents form a (J - 1, T) array per coordinate, tested
-    in one :meth:`Obstacle.contains` call.  The last sample is env.duration,
-    so the sweep's kinematics, evaluated with the joint rates, give the
-    release state too: the gripper's position and velocity at env.duration,
-    bit for bit as the throw branch of execute_batch evaluates them.  The
-    flight from it is sampled every env.step from release to landing (see
-    :func:`_flight_hits`).  Raises ValueError, naming env, for an env of
+    in one :meth:`Obstacle.contains` call.  The flight starts from the
+    release that execute computes, the gripper's position and velocity at
+    env.duration, and is sampled every env.step from release to landing
+    (see :func:`_flight_hits`).  Raises ValueError, naming env, for an env of
     any kind but throw (a joystick or transfer kind), and DimensionError
     unless theta has env.dim_params values.
     """
     _skill_env(env, ("throw",))
     values = _controllers(env, theta.values[None, :])
-    cos_y, sin_y, rise, reach, qd = _arm(env, gap, values, _SAMPLE_TIMES, rates=True)
-    # the last sample's links, kept apart from the sums below
-    release = cos_y[-1:], sin_y[-1:], rise[:, -1:].copy(), reach[:, -1:].copy(), qd
+    cos_y, sin_y, rise, reach = _arm(env, gap, values, _SAMPLE_TIMES)
     _accumulate(rise)   # the height and reach of the end of each link
     _accumulate(reach)
     # the base joint, at (0, base_height), and the end of each link
     if obstacle.contains(0.0, env.base_height) or np.any(
             obstacle.contains(reach * cos_y, env.base_height + rise)):
         return True
-    pos, vel = _gripper_state(env, *release)
+    pos, vel = _release(env, gap, values)
     g = env.gravity * gap.gravity_scale
     _, t_land, valid = _flight(pos, vel, g)
     if not valid[0]:
@@ -396,9 +387,12 @@ def _flight_hits(obstacle: Obstacle, pos, vel, g: float, t_land: float, step: fl
     value, but only the steps whose x lies within the wall's x-extent,
     widened by one step, are evaluated, and _FLIGHT_CHUNK at a time, so that
     memory stays bounded however long the flight, as under a small
-    gravity_scale.
+    gravity_scale.  A vertical flight (vx == 0) beside the wall evaluates no
+    sample, since each of its samples has the release's x.
     """
     (x, z), (vx, vz), cx = pos, vel, obstacle.center[0]
+    if vx == 0.0 and abs(x - cx) > obstacle.width / 2.0:
+        return False
     first, stop = 0.0, (t_land + step) / step   # np.arange makes ceil(stop) samples
     speed = vx * step
     if speed != 0.0:

@@ -203,6 +203,23 @@ class TestCollides:
         assert hit and not miss
         assert peak < 1_000_000
 
+    def test_vertical_flight_beside_the_wall_is_not_scanned(self, throw_env):
+        # the zero controller releases the ball at rest at (0, 0, 1.8); under
+        # gravity_scale 1e-8 it falls for some 600,000 samples, each at x = 0,
+        # none of which a wall 5 m to the side can meet
+        gap = RealityGap(gravity_scale=1e-8)
+        theta = zero_theta(throw_env)
+        beside = Obstacle((5.0, 1.0), 0.5, 2.0)
+        with mock.patch.object(Obstacle, "contains", autospec=True, side_effect=Obstacle.contains) as contains:
+            assert not collides(throw_env, theta, beside, gap)
+        assert contains.call_count == 2   # the arm sweep's base joint and link ends
+        # walls across x = 0: one round the arm, one below the base that
+        # only the fall reaches
+        across, below = Obstacle((0.0, 1.0), 0.5, 0.5), Obstacle((0.0, 0.4), 0.5, 0.5)
+        assert collides(throw_env, theta, across, gap) and collides(throw_env, theta, below, gap)
+        for wall in (beside, across, below):
+            assert collides(throw_env, theta, wall, gap) == _oracle_collides(throw_env, theta, wall, gap)
+
     @pytest.mark.parametrize("center", [(0.5,), (0.5, 1.0, 2.0), (), 0.5, ((0.5, 1.0),)],
                              ids=["one", "three", "empty", "scalar", "nested"])
     def test_obstacle_center_must_have_two_values(self, center):
@@ -494,19 +511,6 @@ class TestBatchedPathMatchesOracles:
         env = make_env(kind)
         theta = new_params(env, data.draw(controllers(kind), label="values"))
         assert_outcomes_agree(execute(env, gap, theta), _oracle_execute(env, gap, theta))
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_sweep_gives_the_release_state(self, data, throw_env):
-        # collides reads its release from the last sample of its sweep
-        gap = data.draw(st.sampled_from(GAPS), label="gap")
-        values = np.array([data.draw(controllers("throw"), label="values") for _ in range(3)])
-        times = sim._SAMPLE_TIMES
-        assert times[-1] == throw_env.duration
-        cos_y, sin_y, rise, reach, rates = sim._arm(throw_env, gap, values, times, rates=True)
-        last = slice(len(times) - 1, None, len(times))
-        got = sim._gripper_state(throw_env, cos_y[last], sin_y[last], rise[:, last], reach[:, last], rates)
-        assert np.array(got).tobytes() == np.array(sim._release(throw_env, gap, values)).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
