@@ -10,9 +10,12 @@ against the ones before it, in memory O(d * n) for n outcomes of d values.
 
 An archive's one state is its list of skills, which callers may edit in
 any way.  The nearest-neighbor queries scan an outcome or a parameter
-matrix linearly, plenty at desk scale, each derived from the list on the
+matrix linearly, plenty at desk scale, each built from the list on the
 first read that needs it: a fill, which reads outcomes only, never builds
-the parameter matrix.
+the parameter matrix.  try_insert keeps a built matrix current through its
+own edits, writing a replaced skill's column and appending an added one in
+place, so that a fill reads the list once; any other edit of the list
+drops every matrix on the next read.
 """
 
 from __future__ import annotations
@@ -115,6 +118,9 @@ def _field_faults(fields) -> list[str]:
             for name, value, test, phrase in fields if not test(value)]
 
 
+_GROWTH = 2   # the factor by which a full matrix buffer grows
+
+
 class ArchiveFormatError(ValueError):
     """Malformed archive file.
 
@@ -144,13 +150,17 @@ class Archive:
 
     The queries scan one matrix each, one column per skill: try_insert,
     nearest_outcome, min_pairwise_distance and outcomes the outcome matrix,
-    knn_params the parameter matrix.  Each is stored dimension-major, (d, n)
-    or (D, n) in C order, so that every coordinate of the stored skills is
-    one contiguous row.  A matrix is built on its first read after skills
-    changed, as seen against a copy of the list taken when the cached
-    matrices were built; any read that sees a change drops every matrix
-    first, so that no matrix outlives the list it was built from, nor takes
-    memory beside the matrix built in its place.
+    knn_params the parameter matrix.  Each is the first n columns of a
+    dimension-major buffer, (d, capacity) or (D, capacity) in C order, so
+    that every coordinate of the stored skills is one contiguous row.  A
+    matrix is built on its first read after skills changed, as seen
+    against a copy of the list taken when the cached matrices were built;
+    any read that sees a change drops every matrix first, so that no matrix
+    outlives the list it was built from, nor takes memory beside the matrix
+    built in its place.  try_insert edits that copy with the list: a
+    REPLACED insert overwrites one column of each cached buffer, and an
+    ADDED one writes the next column, first moving a full buffer into one
+    _GROWTH times its capacity.
 
     The constructor raises ValueError, naming each field in file order, for
     what load would refuse in a saved header, by the rules of _HEADER: an
@@ -171,11 +181,12 @@ class Archive:
         self.seed = seed
         self.skills: list[Skill] = []
         self._built_from: list[Skill] = []   # a copy of skills when the cached matrices were built
-        self._matrices: dict[str, np.ndarray] = {}   # by Skill field, "outcome" or "params"
+        self._matrices: dict[str, np.ndarray] = {}   # buffers by Skill field, "outcome" or "params"
 
     def _matrix(self, field: str) -> np.ndarray:
         """The values of skill.<field> for every skill, dimension-major: one
-        contiguous row per coordinate, one column per skill."""
+        contiguous row per coordinate, one column per skill, a view of the
+        first columns of the field's buffer."""
         if self._built_from != self.skills:   # skills compare by identity
             self._matrices.clear()
             self._built_from = list(self.skills)
@@ -189,7 +200,7 @@ class Archive:
                     self._check_dimensions(skill, f"skill {i}")
                 raise
             self._matrices[field] = matrix.T.copy()
-        return self._matrices[field]
+        return self._matrices[field][:, :len(self._built_from)]
 
     def _check_dimensions(self, skill: Skill, name: str) -> None:
         """DimensionError naming the skill as name, unless it has the archive's D and d."""
@@ -200,9 +211,12 @@ class Archive:
     def outcomes(self) -> np.ndarray:
         """The stored outcomes, one row per skill, as a read-only view.
 
-        The view stays current only until the archive next changes: a
-        REPLACED insert patches it in place, but any other change builds a
-        new matrix on the next read and leaves an earlier view stale.
+        The view has a row for each skill held when it was read.  While
+        the buffer behind it has room, a REPLACED insert writes into it and
+        an ADDED one writes beyond its rows.  Once an ADDED insert grows
+        the buffer, or skills is edited other than by try_insert, the
+        archive reads a new buffer, and the view keeps the rows it showed
+        last.
         """
         view = self._matrix("outcome").T
         view.flags.writeable = False
@@ -226,16 +240,24 @@ class Archive:
             raise ValueError("cannot insert a skill whose parameter bounds differ from "
                              "the stored skills'")
         dists = _distances(skill.outcome.values[:, None], self._matrix("outcome"))[0]
+        # the read above left only buffers of this list in the cache
         if dists.min(initial=np.inf) >= self.r_novel:
+            n = len(self.skills)
             self.skills.append(skill)
+            self._built_from.append(skill)
+            for field, buffer in self._matrices.items():
+                if buffer.shape[1] == n:   # full
+                    grown = np.empty((len(buffer), max(1, _GROWTH * n)))
+                    grown[:, :n] = buffer
+                    self._matrices[field] = buffer = grown
+                buffer[:, n] = getattr(skill, field).values
             return InsertResult(InsertOutcome.ADDED)
         nearest = int(np.argmin(dists))
         old = self.skills[nearest]
         if skill.quality > old.quality and np.count_nonzero(dists < self.r_novel) == 1:
             self.skills[nearest] = self._built_from[nearest] = skill
-            # the read above left only matrices of this list in the cache
-            for field, matrix in self._matrices.items():
-                matrix[:, nearest] = getattr(skill, field).values
+            for field, buffer in self._matrices.items():
+                buffer[:, nearest] = getattr(skill, field).values
             return InsertResult(InsertOutcome.REPLACED)
         return InsertResult(InsertOutcome.REJECTED)
 

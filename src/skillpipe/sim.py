@@ -384,16 +384,30 @@ def _flight_hits(obstacle: Obstacle, pos, vel, g: float, t_land: float, step: fl
     under gravity g lies in the wall.
 
     The samples are those of np.arange(0.0, t_land + step, step), value for
-    value, but only the steps whose x lies within the wall's x-extent,
-    widened by one step, are evaluated, and _FLIGHT_CHUNK at a time, so that
-    memory stays bounded however long the flight, as under a small
-    gravity_scale.  A vertical flight (vx == 0) beside the wall evaluates no
-    sample, since each of its samples has the release's x.
+    value, but only the steps in two windows, each widened by one step, are
+    evaluated, and _FLIGHT_CHUNK at a time, so that memory stays bounded
+    however long the flight, as under a small gravity_scale.  The x window
+    holds the steps whose x lies within the wall's x-extent: a vertical
+    flight (vx == 0) beside the wall has none, since each of its samples has
+    the release's x.  The z window holds the steps between the roots of
+    z(t) = the wall's bottom edge, lowered by what rounding can add to a
+    computed height: a flight whose apex stays below the wall has none.
     """
-    (x, z), (vx, vz), cx = pos, vel, obstacle.center[0]
+    (x, z), (vx, vz), (cx, cz) = pos, vel, obstacle.center
     if vx == 0.0 and abs(x - cx) > obstacle.width / 2.0:
         return False
     first, stop = 0.0, (t_land + step) / step   # np.arange makes ceil(stop) samples
+    # a computed height rounds by a few ulps of its terms, which near the
+    # apex sum to |z| + 1.5 vz² / g, and the wall's edge by ulps of its own
+    slack = 4.0 * math.ulp(1.0) * (abs(z) + abs(cz) + obstacle.height + 1.5 * vz * vz / g)
+    level = cz - obstacle.height / 2.0 - slack
+    disc = vz * vz + 2.0 * g * (z - level)
+    if not disc >= 0.0:   # the apex lies below the wall
+        return False
+    if disc < math.inf:   # else vz² or the slack overflowed: the z window is every step
+        q = vz + math.copysign(math.sqrt(disc), vz)   # the root that does not cancel
+        roots = (q / g, 2.0 * (level - z) / q) if q else (0.0, 0.0)   # q = 0: at rest on the level
+        first, stop = max(first, min(roots) / step - 1.0), min(stop, max(roots) / step + 2.0)
     speed = vx * step
     if speed != 0.0:
         reach = obstacle.width / 2.0 + abs(speed)

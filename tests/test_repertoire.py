@@ -314,11 +314,23 @@ class TestQueries:
             view[0] = [5.0, 5.0]
         assert arch.nearest_outcome([0.0, 0.0]) is arch.skills[0]
         assert np.array_equal(view, [[0.0, 0.0], [1.0, 0.0]])
-        # a replaced skill's outcome is written into the matrix behind the view
+        # a replaced skill's outcome is written into the buffer behind the view
         better = make_skill([1, 0, 0], [1.05, 0.0], 2.0)
         assert arch.try_insert(better).outcome is InsertOutcome.REPLACED
         assert np.array_equal(view, [[0.0, 0.0], [1.05, 0.0]])
         assert arch.nearest_outcome([1.1, 0.0]) is better
+        # added skills outgrow that buffer; the view keeps its rows
+        buffer = arch._matrices["outcome"]
+        for i in range(2, 5):
+            assert arch.try_insert(make_skill([i, 0, 0], [float(i), 0.0], 1.0)).outcome is InsertOutcome.ADDED
+        assert arch._matrices["outcome"] is not buffer
+        assert np.array_equal(view, [[0.0, 0.0], [1.05, 0.0]])
+        # a replacement after the growth shows in queries and a fresh view
+        best = make_skill([0, 0, 0], [0.05, 0.0], 3.0)
+        assert arch.try_insert(best).outcome is InsertOutcome.REPLACED
+        assert arch.nearest_outcome([0.0, 0.0]) is best
+        assert np.array_equal(arch.outcomes(), [[0.05, 0.0], [1.05, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]])
+        assert np.array_equal(view, [[0.0, 0.0], [1.05, 0.0]])
 
     def test_single_skill_archive(self):
         arch = fresh_archive()
@@ -576,6 +588,26 @@ class TestOneState:
             save(arch, path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_added_inserts_build_no_matrix_from_the_list(self, monkeypatch):
+        # each ADDED insert used to leave the cached matrices stale, so the
+        # next insert rebuilt the outcome matrix from the whole list
+        arch = self.two_apart()
+        arch.knn_params([0.0, 0.0, 0.0], 1)   # builds the parameter matrix too
+        added = [make_skill([i, 0, 1], [2.0 + i, 0.0], 1.0) for i in range(20)]
+        built, array = [], np.array
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return array(*args, **kwargs)
+
+        monkeypatch.setattr(repertoire.np, "array", counted)
+        for skill in added:
+            assert arch.try_insert(skill).outcome is InsertOutcome.ADDED
+        monkeypatch.undo()
+        assert built == []
+        assert arch.knn_params([19.0, 0.0, 1.0], 1)[0] is added[-1]
+        assert np.array_equal(arch.outcomes(), [[0.0, 0.0], [1.0, 0.0]] + [[2.0 + i, 0.0] for i in range(20)])
+
     def test_fill_never_builds_the_parameter_matrix(self):
         arch = fresh_archive(r_novel=0.1)
         for i in range(20):
@@ -599,6 +631,13 @@ class TestOneState:
     # the matrices read at two skills, then the first skill swapped out
     @example(ops=[("append", ([0, 0, 0], [0.0, 0.0], 0.0)), ("append", ([1, 0, 0], [1.0, 0.0], 0.0)),
                   ("outcomes",), ("assign", 0, ([0, 1, 0], [0.6, 0.6], 0.0))])
+    # both matrices read at one skill, then grown twice by ADDED inserts and
+    # patched by a REPLACED one
+    @example(ops=[("insert", ([0, 0, 0], [-0.6, -0.6], 0.0)), ("outcomes",), ("knn", [0, 0, 0], 1),
+                  ("insert", ([1, 0, 0], [-0.2, -0.6], 0.0)), ("insert", ([0, 1, 0], [0.2, -0.6], 0.0)),
+                  ("outcomes",), ("insert", ([0, 0, 1], [0.6, -0.6], 0.0)),
+                  ("insert", ([1, 1, 0], [-0.6, -0.2], 0.0)), ("insert", ([-1, 0, 0], [0.6, -0.4], 1.0)),
+                  ("knn", [-1, 0, 0], 2), ("nearest", [0.6, -0.4]), ("outcomes",)])
     def test_answers_match_an_archive_rebuilt_from_the_list(self, ops):
         arch = fresh_archive(r_novel=0.3)
 

@@ -220,6 +220,34 @@ class TestCollides:
         for wall in (beside, across, below):
             assert collides(throw_env, theta, wall, gap) == _oracle_collides(throw_env, theta, wall, gap)
 
+    def test_flight_below_the_wall_is_not_scanned(self, throw_env):
+        # the zero controller's ball falls from (0, 0, 1.8) straight under a
+        # wall whose bottom edge is at 4.5 m: 150 contains calls, one per
+        # chunk of its samples, when only x windowed the flight
+        gap = RealityGap(gravity_scale=1e-8)
+        theta = zero_theta(throw_env)
+        above = Obstacle((0.0, 5.0), 0.5, 1.0)
+        with mock.patch.object(Obstacle, "contains", autospec=True, side_effect=Obstacle.contains) as contains:
+            assert not collides(throw_env, theta, above, gap)
+        assert contains.call_count == 2   # the arm sweep's base joint and link ends
+        assert not _oracle_collides(throw_env, theta, above, gap)
+
+    @pytest.mark.parametrize("pos, vel, g, wall", [
+        # the exact apex lies below the wall's bottom edge, but the computed
+        # height of the highest sample rounds up onto the edge
+        ((0.847768723006801, 1.5705026599231042), (0.0, 2.9945024932410584), 9.81 * 1e-3,
+         Obstacle((0.8140834628501767, 458.9126332209137), 0.4492607853791782, 0.6123771233150193)),
+        # under gravity this small the height of the apex overflows
+        ((0.0, 1.0), (1.0, 1.0), 9.81 * 1e-322, Obstacle((0.5, 1.5), 0.2, 0.2)),
+    ], ids=["apex-rounds-up", "apex-overflows"])
+    def test_height_window_keeps_every_sample_in_the_wall(self, pos, vel, g, wall):
+        step = 0.01
+        with np.errstate(all="ignore"):   # the second flight lands at t = inf
+            t_land = float(flight((pos[0], 0.0, pos[1]), (vel[0], 0.0, vel[1]), g)[1])
+        ts = np.arange(0.0, min(t_land, 1000.0) + step, step)   # np.arange's samples, the first 1,000 s
+        assert np.any(wall.contains(pos[0] + vel[0] * ts, pos[1] + vel[1] * ts - 0.5 * g * ts * ts))
+        assert sim._flight_hits(wall, pos, vel, g, t_land, step)
+
     @pytest.mark.parametrize("center", [(0.5,), (0.5, 1.0, 2.0), (), 0.5, ((0.5, 1.0),)],
                              ids=["one", "three", "empty", "scalar", "nested"])
     def test_obstacle_center_must_have_two_values(self, center):
