@@ -4,7 +4,9 @@ A controller is a bounded real vector of polynomial coefficients, three per
 joint, read as values.reshape(J, 3): joint-major, each row (a1, a2, a3) of
 the cubic q_j(t) = a1*t + a2*t^2 + a3*t^3, which starts at 0 with no rest
 term.  Evaluation is analytic for both angles and velocities.  The three
-records below are frozen and slotted, as an archive keeps one per skill.
+records below are frozen and slotted, as an archive keeps one per skill,
+and each array they hold is read-only and theirs (:func:`_frozen`): a
+record is checked once, when it is made, and no later write can change it.
 
 The public API refuses a malformed argument by its kind, each kind checked
 by one function here: an integer >= lo (:func:`_integer`), an int or NumPy
@@ -69,6 +71,17 @@ def _as_array(values, name: str, ndim: int = 1) -> np.ndarray:
     return arr
 
 
+def _frozen(values) -> np.ndarray:
+    """values as a read-only float array that no caller can write to: a
+    read-only float ndarray that owns its data is shared, anything else is
+    copied first, so that a writeable array passed in stays writeable."""
+    if not (type(values) is np.ndarray and values.dtype == float
+            and not values.flags.writeable and values.flags.owndata):
+        values = np.array(values, dtype=float)
+        values.flags.writeable = False
+    return values
+
+
 def _as_vector(values, name: str, size: int) -> np.ndarray:
     vector = np.asarray(values, dtype=float)
     if vector.shape != (size,):
@@ -82,15 +95,15 @@ class ControllerParams:
 
     bounds has shape (D, 2) with rows [lo, hi], lo <= hi, either end possibly
     infinite but not NaN; values are not clamped on construction, use
-    :func:`clamp`.
+    :func:`clamp`.  Both arrays are read-only and the record's own.
     """
 
     values: np.ndarray
     bounds: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_array(self.values, "values"))
-        bounds = np.asarray(self.bounds, dtype=float)
+        object.__setattr__(self, "values", _as_array(_frozen(self.values), "values"))
+        bounds = _frozen(self.bounds)
         if bounds.shape != (self.values.shape[0], 2):
             raise DimensionError(
                 f"bounds shape {bounds.shape} does not match {self.values.shape[0]} values"
@@ -109,14 +122,14 @@ class Outcome:
     """Point in the low-dimensional outcome space, with a validity flag.
 
     Invalid outcomes carry an all-zero sentinel vector and must never be
-    archived.
+    archived.  values is read-only and the record's own.
     """
 
     values: np.ndarray
     valid: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_array(self.values, "values"))
+        object.__setattr__(self, "values", _as_array(_frozen(self.values), "values"))
 
     @staticmethod
     def invalid(dim: int) -> "Outcome":
@@ -164,4 +177,9 @@ def _clamp(values, lo, hi):
 def clamp(theta: ControllerParams) -> ControllerParams:
     """Project every value into its [lo, hi] interval; idempotent."""
     clipped = _clamp(theta.values, theta.bounds[:, 0], theta.bounds[:, 1])
-    return ControllerParams(clipped, theta.bounds)
+    clipped.flags.writeable = False
+    # finite values clipped into theta's checked bounds: the record needs no second check
+    clamped = object.__new__(ControllerParams)
+    object.__setattr__(clamped, "values", clipped)
+    object.__setattr__(clamped, "bounds", theta.bounds)
+    return clamped

@@ -15,7 +15,8 @@ first read that needs it: a fill, which reads outcomes only, never builds
 the parameter matrix.  try_insert keeps a built matrix current through its
 own edits, writing a replaced skill's column and appending an added one in
 place, so that a fill reads the list once; any other edit of the list
-drops every matrix on the next read.
+drops every matrix on the next read.  A skill's arrays are read-only (see
+:mod:`core`), so no edit but one of the list can leave a matrix stale.
 """
 
 from __future__ import annotations
@@ -241,7 +242,8 @@ class Archive:
                              "the stored skills'")
         dists = _distances(skill.outcome.values[:, None], self._matrix("outcome"))[0]
         # the read above left only buffers of this list in the cache
-        if dists.min(initial=np.inf) >= self.r_novel:
+        nearest = int(dists.argmin()) if len(dists) else -1
+        if nearest < 0 or dists[nearest] >= self.r_novel:
             n = len(self.skills)
             self.skills.append(skill)
             self._built_from.append(skill)
@@ -252,7 +254,6 @@ class Archive:
                     self._matrices[field] = buffer = grown
                 buffer[:, n] = getattr(skill, field).values
             return InsertResult(InsertOutcome.ADDED)
-        nearest = int(np.argmin(dists))
         old = self.skills[nearest]
         if skill.quality > old.quality and np.count_nonzero(dists < self.r_novel) == 1:
             self.skills[nearest] = self._built_from[nearest] = skill

@@ -154,7 +154,8 @@ def _skill_env(env: EnvironmentSpec, kinds=SKILL_KINDS) -> None:
 
 
 def theta_bounds(env: EnvironmentSpec) -> np.ndarray:
-    """Per-dimension [lo, hi] for controller coefficients of a skill env.
+    """Per-dimension [lo, hi] for controller coefficients of a skill env, a
+    new read-only array, which every ControllerParams made with it shares.
 
     Raises ValueError, naming env, for an env of a transfer kind.
     """
@@ -162,6 +163,7 @@ def theta_bounds(env: EnvironmentSpec) -> np.ndarray:
     b = np.empty((env.dim_params, 2))
     b[:, 0] = -COEFF_BOUND
     b[:, 1] = COEFF_BOUND
+    b.flags.writeable = False
     return b
 
 
@@ -271,7 +273,14 @@ def _controllers(env: EnvironmentSpec, values) -> np.ndarray:
     Raises DimensionError for any other shape and ValueError when it holds
     non-finite entries.
     """
-    values = _as_array(values, "values", 2)
+    return _width(env, _as_array(values, "values", 2))
+
+
+def _width(env: EnvironmentSpec, values: np.ndarray) -> np.ndarray:
+    """values (B, D) unchanged; DimensionError unless D is env.dim_params.
+
+    A ControllerParams was checked when it was made, so theta.values[None, :]
+    needs only this."""
     if values.shape[1] != env.dim_params:
         raise DimensionError(
             f"{env.kind} expects values of shape (B, {env.dim_params}), got {values.shape}"
@@ -304,7 +313,11 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
     deep, and reads (0, 0) without contact.  Every joystick row is valid.
     """
     _skill_env(env)
-    values = _controllers(env, values)
+    return _execute(env, gap, _controllers(env, values))
+
+
+def _execute(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`execute_batch` of checked controllers values[B, env.dim_params]."""
     if env.kind == "throw":
         landing, _, valid = _flight(*_release(env, gap, values), env.gravity * gap.gravity_scale)
         return landing, valid
@@ -334,12 +347,16 @@ def execute(env: EnvironmentSpec, gap: RealityGap, theta: ControllerParams) -> O
 
     A call of :func:`execute_batch` with B = 1: theta.values of shape (D,)
     gives an outcome of dimension d.  Raises ValueError, naming env, for an
-    env of a transfer kind.
+    env of a transfer kind, and DimensionError unless theta has
+    env.dim_params values.
     """
     _skill_env(env)   # checked before theta is read
-    outcomes, valid = execute_batch(env, gap, theta.values[None, :])
-    # a copy, so that a kept Outcome does not hold the batch array as well
-    return Outcome(values=outcomes[0].copy(), valid=bool(valid[0]))
+    outcomes, valid = _execute(env, gap, _width(env, theta.values[None, :]))
+    # a copy, so that a kept Outcome does not hold the batch array as well,
+    # and read-only, so that the Outcome keeps it
+    values = outcomes[0].copy()
+    values.flags.writeable = False
+    return Outcome(values=values, valid=bool(valid[0]))
 
 
 def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, gap: RealityGap = NOMINAL_GAP) -> bool:
@@ -358,7 +375,7 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     unless theta has env.dim_params values.
     """
     _skill_env(env, ("throw",))
-    values = _controllers(env, theta.values[None, :])
+    values = _width(env, theta.values[None, :])
     cos_y, sin_y, rise, reach = _arm(env, gap, values, _SAMPLE_TIMES)
     _accumulate(rise)   # the height and reach of the end of each link
     _accumulate(reach)
@@ -428,7 +445,9 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
 
     throw: negative integral of squared joint accelerations over the motion
     (closed form for the cubics of values.reshape(J, 3)), a kinematic
-    stand-in for actuation effort.
+    stand-in for actuation effort, summed in Python floats: where a term
+    overflows it reads -inf (NaN when terms of both signs do), the value
+    NumPy gives, without its RuntimeWarning.
     joystick: negative mean outcome deviation over env.perturb_count
     re-executions under NOMINAL_GAP with Gaussian parameter noise, drawn
     from PCG64(seed) as a (perturb_count, D) array and clipped to the
@@ -445,17 +464,18 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
     _integer(seed, "seed", 0)
     if outcome.dim != env.dim_outcome:   # a valid Outcome is a finite vector already
         raise DimensionError(f"outcome must have {env.dim_outcome} values, got {outcome.dim}")
-    values = _controllers(env, theta.values[None, :])[0]
+    values = _width(env, theta.values[None, :])[0]
     if env.kind == "throw":
-        # q''(t) = 2 a2 + 6 a3 t; integral of the square over [0, T]
-        coeffs = values.reshape(N_JOINTS, COEFFS_PER_JOINT)
-        a2 = coeffs[:, 1]
-        a3 = coeffs[:, 2]
+        # q''(t) = 2 a2 + 6 a3 t; integral of the square over [0, T], each
+        # joint's term rounded as NumPy rounds it elementwise and the terms
+        # added in index order from 0.0, as np.sum adds 5 values
         t = env.duration
-        total = np.sum(
-            4.0 * a2 * a2 * t + 12.0 * a2 * a3 * t * t + 12.0 * a3 * a3 * t**3
-        )
-        return -float(total)
+        t3 = t**3
+        total = 0.0
+        coeffs = values.tolist()
+        for a2, a3 in zip(coeffs[1::COEFFS_PER_JOINT], coeffs[2::COEFFS_PER_JOINT]):
+            total += 4.0 * a2 * a2 * t + 12.0 * a2 * a3 * t * t + 12.0 * a3 * a3 * t3
+        return -total
     b = theta.bounds
     with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN scale is refused below
         sigma = env.perturb_sigma * (b[:, 1] - b[:, 0])
@@ -464,7 +484,7 @@ def quality(env: EnvironmentSpec, theta: ControllerParams, outcome: Outcome, see
     rng = np.random.Generator(np.random.PCG64(seed))
     noise = rng.normal(0.0, sigma, size=(env.perturb_count, len(values)))
     noisy = _clamp(values + noise, b[:, 0], b[:, 1])
-    outs, _ = execute_batch(env, NOMINAL_GAP, noisy)
+    outs, _ = _execute(env, NOMINAL_GAP, noisy)   # finite, clipped into finite bounds
     dev = outs - outcome.values
     dist = np.sqrt(np.vecdot(dev, dev))
     return -float(np.add.reduce(dist) / len(dist))   # np.mean's arithmetic, at less overhead

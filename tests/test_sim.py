@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillpipe import sim
@@ -299,6 +299,28 @@ class TestQuality:
             numeric = -np.trapezoid(np.sum(acc**2, axis=0), ts)
             assert quality(throw_env, theta, out) == pytest.approx(numeric, abs=1e-6)
 
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(
+        st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308]),
+                  st.floats(-1e300, 1e300)),
+        min_size=15, max_size=15))
+    @example(values=[-0.0] * 15)
+    @example(values=[0.0, 1e300, 0.0] * 5)   # squares overflow: -inf
+    @example(values=[0.0, 1e300, -1e300] * 5)   # terms of both signs overflow: NaN
+    def test_throw_quality_is_numpys_bit_for_bit(self, throw_env, values):
+        """Throw quality in Python floats has the bits of the NumPy form it
+        replaced, the oracle here: ±0.0, subnormals, and under infinite
+        bounds magnitudes whose squares overflow, where it reads -inf, and
+        NaN when overflowing terms of both signs meet.  Unlike the oracle it
+        warns of no overflow, which the suite would raise."""
+        theta = ControllerParams(values, np.tile([-np.inf, np.inf], (15, 1)))
+        coeffs = theta.values.reshape(5, 3)
+        a2, a3, t = coeffs[:, 1], coeffs[:, 2], throw_env.duration
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle = -float(np.sum(4*a2*a2*t + 12*a2*a3*t*t + 12*a3*a3*t**3))
+        got = quality(throw_env, theta, Outcome(np.zeros(2)))
+        assert np.float64(got).tobytes() == np.float64(oracle).tobytes()
+
     def test_joystick_quality_seeded(self, joystick_env):
         rng = np.random.default_rng(13)
         theta = random_params(joystick_env, rng)
@@ -584,13 +606,14 @@ class TestBatchedPathMatchesOracles:
         env = make_env(kind)
         rng = np.random.default_rng(18)
         values = rng.uniform(-1.0, 1.0, (40, env.dim_params))
+        values[::4, :3] = 0.0   # the base yaw held at 0: a throw may land at y = -0.0
         special = _joystick_contacts()[:5] if kind == "joystick" else np.tile(BELOW_GROUND, (3, 1))
         values = np.concatenate([values[:20], special, values[20:]])
         outcomes, valid = execute_batch(env, gap, values)
         assert outcomes.shape == (len(values), 2) and valid.shape == (len(values),)
         for row, out, ok in zip(values, outcomes, valid):
             one = execute(env, gap, new_params(env, row))
-            assert np.array_equal(out, one.values) and ok == one.valid
+            assert out.tobytes() == one.values.tobytes() and ok == one.valid   # -0.0 too
         if kind == "throw":
             assert not valid[20:23].any() and valid.sum() >= 40
             assert np.array_equal(outcomes[20:23], np.zeros((3, 2)))
