@@ -1,12 +1,12 @@
-"""Shared domain types and the cubic motion-primitive encoding.
+"""Shared domain types: the skill records and the rules for arguments.
 
-A controller is a bounded real vector of polynomial coefficients, three per
-joint, read as values.reshape(J, 3): joint-major, each row (a1, a2, a3) of
-the cubic q_j(t) = a1*t + a2*t^2 + a3*t^3, which starts at 0 with no rest
-term.  Evaluation is analytic for both angles and velocities.  The three
-records below are frozen and slotted, as an archive keeps one per skill,
-and each array they hold is read-only and theirs (:func:`_frozen`): a
-record is checked once, when it is made, and no later write can change it.
+The three records below are frozen and slotted, as an archive keeps one
+per skill, and each is checked once, when it is made.  Each array they
+hold is read-only (:func:`_frozen`): a copy of a writeable or borrowed
+input, so that no later write to the caller's array shows, or else the
+read-only array given, shared.  NumPy lets the owner of such an array set
+its writeable flag back to True, and then a write to it changes every
+record that shares it.
 
 The public API refuses a malformed argument by its kind, each kind checked
 by one function here: an integer >= lo (:func:`_integer`), an int or NumPy
@@ -31,8 +31,6 @@ __all__ = [
     "Skill",
     "clamp",
 ]
-
-COEFFS_PER_JOINT = 3
 
 
 class DimensionError(ValueError):
@@ -72,9 +70,10 @@ def _as_array(values, name: str, ndim: int = 1) -> np.ndarray:
 
 
 def _frozen(values) -> np.ndarray:
-    """values as a read-only float array that no caller can write to: a
-    read-only float ndarray that owns its data is shared, anything else is
-    copied first, so that a writeable array passed in stays writeable."""
+    """values as a read-only float array: a read-only float ndarray that
+    owns its data is shared, anything else is copied first, so that a
+    writeable array passed in stays writeable and its later writes do not
+    show.  The owner of a shared array can still make it writeable again."""
     if not (type(values) is np.ndarray and values.dtype == float
             and not values.flags.writeable and values.flags.owndata):
         values = np.array(values, dtype=float)
@@ -95,7 +94,7 @@ class ControllerParams:
 
     bounds has shape (D, 2) with rows [lo, hi], lo <= hi, either end possibly
     infinite but not NaN; values are not clamped on construction, use
-    :func:`clamp`.  Both arrays are read-only and the record's own.
+    :func:`clamp`.  Both arrays are read-only (:func:`_frozen`).
     """
 
     values: np.ndarray
@@ -122,7 +121,7 @@ class Outcome:
     """Point in the low-dimensional outcome space, with a validity flag.
 
     Invalid outcomes carry an all-zero sentinel vector and must never be
-    archived.  values is read-only and the record's own.
+    archived.  values is read-only (:func:`_frozen`).
     """
 
     values: np.ndarray
@@ -156,17 +155,6 @@ class Skill:
         if not self.outcome.valid:
             raise ValueError("a Skill requires a valid outcome")
         _number(self.quality, "quality")
-
-
-def _cubic(a1, a2, a3, t):
-    """a1 t + a2 t^2 + a3 t^3, elementwise over coefficient rows a1, a2, a3
-    and times t that broadcast together."""
-    return a1 * t + a2 * t * t + a3 * t * t * t
-
-
-def _cubic_rate(a1, a2, a3, t):
-    """The time derivative a1 + 2 a2 t + 3 a3 t^2 of :func:`_cubic`."""
-    return a1 + 2.0 * a2 * t + 3.0 * a3 * t * t
 
 
 def _clamp(values, lo, hi):

@@ -16,7 +16,8 @@ the parameter matrix.  try_insert keeps a built matrix current through its
 own edits, writing a replaced skill's column and appending an added one in
 place, so that a fill reads the list once; any other edit of the list
 drops every matrix on the next read.  A skill's arrays are read-only (see
-:mod:`core`), so no edit but one of the list can leave a matrix stale.
+:mod:`core`), so only an edit of the list, or a write to an array whose
+owner made it writeable again, can leave a matrix stale.
 """
 
 from __future__ import annotations
@@ -210,18 +211,8 @@ class Archive:
                                  f"in an archive of (D={self.dim_params}, d={self.dim_outcome})")
 
     def outcomes(self) -> np.ndarray:
-        """The stored outcomes, one row per skill, as a read-only view.
-
-        The view has a row for each skill held when it was read.  While
-        the buffer behind it has room, a REPLACED insert writes into it and
-        an ADDED one writes beyond its rows.  Once an ADDED insert grows
-        the buffer, or skills is edited other than by try_insert, the
-        archive reads a new buffer, and the view keeps the rows it showed
-        last.
-        """
-        view = self._matrix("outcome").T
-        view.flags.writeable = False
-        return view
+        """A new array of the stored outcomes, one row per skill."""
+        return self._matrix("outcome").T.copy()
 
     def qualities(self) -> np.ndarray:
         return np.array([s.quality for s in self.skills])

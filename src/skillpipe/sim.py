@@ -8,6 +8,11 @@ revolute joints, analytic forward kinematics):
 * joystick -- the gripper sweep may deflect a stick; outcome = (pitch, roll)
               in rad from a clipped linear response to the deepest penetration.
 
+A controller of either is a bounded real vector of polynomial coefficients,
+three per joint, read as values.reshape(J, 3): joint-major, each row
+(a1, a2, a3) of the cubic q_j(t) = a1*t + a2*t^2 + a3*t^3, which starts at 0
+with no rest term.  Evaluation is analytic for both angles and velocities.
+
 :func:`render_frame` draws a gripper and a target as a 16x16 frame for
 representation learning, and a kinematic point-mass task family (pusherlike /
 throwerlike / strikerlike) hosts cross-task policy transfer.  The geometry
@@ -25,8 +30,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (COEFFS_PER_JOINT, ControllerParams, DimensionError, Outcome, _as_array,
-                   _as_vector, _clamp, _cubic, _cubic_rate, _integer, _positive)
+from .core import (ControllerParams, DimensionError, Outcome, _as_array, _as_vector, _clamp,
+                   _frozen, _integer, _positive)
 
 __all__ = [
     "EnvironmentSpec",
@@ -49,6 +54,7 @@ TRANSFER_KINDS = ("pusherlike", "throwerlike", "strikerlike")
 KINDS = SKILL_KINDS + TRANSFER_KINDS
 
 N_JOINTS = 5
+COEFFS_PER_JOINT = 3
 COEFF_BOUND = 1.0
 JOINT_LIMIT = 2.5  # rad, symmetric per joint
 
@@ -63,7 +69,8 @@ class RealityGap:
     link_scale the fixed link lengths, and joint_bias is added to the joint
     angles.  The nominal gap (scale 1, zero bias) leaves execution
     unchanged.  Both scales are positive numbers and joint_bias a vector of
-    N_JOINTS values (the kinds of :mod:`core`).
+    N_JOINTS values (the kinds of :mod:`core`), kept read-only as a
+    record's arrays are.
     """
 
     gravity_scale: float = 1.0
@@ -73,7 +80,8 @@ class RealityGap:
     def __post_init__(self):
         _positive(self.gravity_scale, "gravity_scale")
         _positive(self.link_scale, "link_scale")
-        object.__setattr__(self, "joint_bias", _as_vector(self.joint_bias, "joint_bias", N_JOINTS))
+        bias = _as_vector(self.joint_bias, "joint_bias", N_JOINTS)
+        object.__setattr__(self, "joint_bias", _frozen(bias))
 
 
 NOMINAL_GAP = RealityGap()
@@ -179,6 +187,17 @@ _SAMPLE_TIMES = np.linspace(
 _SAMPLE_TIMES.flags.writeable = False
 
 
+def _cubic(a1, a2, a3, t):
+    """a1 t + a2 t^2 + a3 t^3, elementwise over coefficient rows a1, a2, a3
+    and times t that broadcast together."""
+    return a1 * t + a2 * t * t + a3 * t * t * t
+
+
+def _cubic_rate(a1, a2, a3, t):
+    """The time derivative a1 + 2 a2 t + 3 a3 t^2 of :func:`_cubic`."""
+    return a1 + 2.0 * a2 * t + 3.0 * a3 * t * t
+
+
 def _arm(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray, t: np.ndarray, rates: bool = False):
     """Joint-major kinematics of B controllers values[B, D] at the T times
     of a 1-D array t, with N = B * T columns per joint: column b * T + k is
@@ -267,15 +286,6 @@ def _flight(pos, vel, gravity: float):
     return landing, t_land, ~below
 
 
-def _controllers(env: EnvironmentSpec, values) -> np.ndarray:
-    """values as a float array (B, env.dim_params).
-
-    Raises DimensionError for any other shape and ValueError when it holds
-    non-finite entries.
-    """
-    return _width(env, _as_array(values, "values", 2))
-
-
 def _width(env: EnvironmentSpec, values: np.ndarray) -> np.ndarray:
     """values (B, D) unchanged; DimensionError unless D is env.dim_params.
 
@@ -313,7 +323,7 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
     deep, and reads (0, 0) without contact.  Every joystick row is valid.
     """
     _skill_env(env)
-    return _execute(env, gap, _controllers(env, values))
+    return _execute(env, gap, _width(env, _as_array(values, "values", 2)))
 
 
 def _execute(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,11 +362,7 @@ def execute(env: EnvironmentSpec, gap: RealityGap, theta: ControllerParams) -> O
     """
     _skill_env(env)   # checked before theta is read
     outcomes, valid = _execute(env, gap, _width(env, theta.values[None, :]))
-    # a copy, so that a kept Outcome does not hold the batch array as well,
-    # and read-only, so that the Outcome keeps it
-    values = outcomes[0].copy()
-    values.flags.writeable = False
-    return Outcome(values=values, valid=bool(valid[0]))
+    return Outcome(values=outcomes[0], valid=bool(valid[0]))
 
 
 def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, gap: RealityGap = NOMINAL_GAP) -> bool:

@@ -2,31 +2,11 @@ import numpy as np
 import pytest
 
 from skillpipe import sim
-from skillpipe.core import ControllerParams, Outcome, _cubic, _cubic_rate, clamp
+from skillpipe.core import ControllerParams, Outcome, clamp
 from skillpipe.repertoire import Archive
 from conftest import make_params, make_skill
 
 THROW = sim.make_env("throw")
-
-
-class TestCubic:
-    # four joints: q = 0, t, t^2 + t^3 and t^3, exact in floating point at
-    # these dyadic times
-    A1, A2, A3 = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-
-    @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 1.0])
-    def test_closed_forms(self, t):
-        assert _cubic(self.A1, self.A2, self.A3, t).tolist() == [0.0, t, t * t + t**3, t**3]
-        assert _cubic_rate(self.A1, self.A2, self.A3, t).tolist() == [0.0, 1.0, 2 * t + 3 * t * t, 3 * t * t]
-
-    def test_rate_matches_finite_differences(self):
-        rng = np.random.default_rng(11)
-        h = 1e-6
-        for _ in range(20):
-            a1, a2, a3 = rng.uniform(-1, 1, (3, 5))
-            t = rng.uniform(h, 1.0 - h)
-            slope = (_cubic(a1, a2, a3, t + h) - _cubic(a1, a2, a3, t - h)) / (2 * h)
-            assert np.allclose(_cubic_rate(a1, a2, a3, t), slope, atol=1e-6)
 
 
 class TestClamp:
@@ -78,6 +58,7 @@ class TestRecordsOwnReadOnlyArrays:
         pytest.param(lambda: Outcome(np.zeros(2)).values, id="outcome.values"),
         pytest.param(lambda: clamp(make_params(np.full(3, 2.0))).values, id="clamp-values"),
         pytest.param(lambda: sim.theta_bounds(THROW), id="theta_bounds"),
+        pytest.param(lambda: sim.NOMINAL_GAP.joint_bias, id="NOMINAL_GAP.joint_bias"),
     ])
     def test_arrays_cannot_be_written(self, array):
         with pytest.raises(ValueError, match="read-only"):
@@ -85,14 +66,15 @@ class TestRecordsOwnReadOnlyArrays:
 
     def test_a_writeable_or_borrowed_input_is_copied(self):
         values, bounds, point = np.zeros(3), np.tile([-1.0, 1.0], (3, 1)), np.zeros(2)
-        base = np.zeros(3)
+        base, bias = np.zeros(3), np.zeros(5)
         borrowed = base[:]   # read-only, but its data belongs to a writeable array
         borrowed.flags.writeable = False
         theta, outcome = ControllerParams(values, bounds), Outcome(point)
-        other = ControllerParams(borrowed, bounds)
-        values[0] = bounds[0, 0] = point[0] = base[0] = 0.5   # the caller's arrays stay writeable
+        other, gap = ControllerParams(borrowed, bounds), sim.RealityGap(joint_bias=bias)
+        values[0] = bounds[0, 0] = point[0] = base[0] = bias[0] = 0.5   # the caller's arrays stay writeable
         assert theta.values.tolist() == other.values.tolist() == [0.0, 0.0, 0.0]
         assert theta.bounds[0].tolist() == [-1.0, 1.0] and outcome.values.tolist() == [0.0, 0.0]
+        assert gap.joint_bias.tolist() == [0.0] * 5
 
     def test_a_read_only_array_that_owns_its_data_is_shared(self):
         bounds = sim.theta_bounds(THROW)

@@ -305,32 +305,22 @@ class TestQueries:
         assert value == value and twin != value
         assert len({value, twin, value}) == 2
 
-    def test_outcomes_are_a_read_only_view(self):
+    def test_outcomes_are_a_copy_the_caller_owns(self):
         arch = fresh_archive(r_novel=0.1)
         arch.try_insert(make_skill([0, 0, 0], [0.0, 0.0], 1.0))
         arch.try_insert(make_skill([1, 0, 0], [1.0, 0.0], 1.0))
-        view = arch.outcomes()
-        with pytest.raises(ValueError):
-            view[0] = [5.0, 5.0]
+        copy = arch.outcomes()
+        assert np.array_equal(copy, [[0.0, 0.0], [1.0, 0.0]])
+        copy[0] = [5.0, 5.0]   # writing the copy changes no query
         assert arch.nearest_outcome([0.0, 0.0]) is arch.skills[0]
-        assert np.array_equal(view, [[0.0, 0.0], [1.0, 0.0]])
-        # a replaced skill's outcome is written into the buffer behind the view
+        assert np.array_equal(arch.outcomes(), [[0.0, 0.0], [1.0, 0.0]])
+        # later inserts, replaced or added, show in queries and a new copy only
         better = make_skill([1, 0, 0], [1.05, 0.0], 2.0)
         assert arch.try_insert(better).outcome is InsertOutcome.REPLACED
-        assert np.array_equal(view, [[0.0, 0.0], [1.05, 0.0]])
+        assert arch.try_insert(make_skill([2, 0, 0], [2.0, 0.0], 1.0)).outcome is InsertOutcome.ADDED
         assert arch.nearest_outcome([1.1, 0.0]) is better
-        # added skills outgrow that buffer; the view keeps its rows
-        buffer = arch._matrices["outcome"]
-        for i in range(2, 5):
-            assert arch.try_insert(make_skill([i, 0, 0], [float(i), 0.0], 1.0)).outcome is InsertOutcome.ADDED
-        assert arch._matrices["outcome"] is not buffer
-        assert np.array_equal(view, [[0.0, 0.0], [1.05, 0.0]])
-        # a replacement after the growth shows in queries and a fresh view
-        best = make_skill([0, 0, 0], [0.05, 0.0], 3.0)
-        assert arch.try_insert(best).outcome is InsertOutcome.REPLACED
-        assert arch.nearest_outcome([0.0, 0.0]) is best
-        assert np.array_equal(arch.outcomes(), [[0.05, 0.0], [1.05, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]])
-        assert np.array_equal(view, [[0.0, 0.0], [1.05, 0.0]])
+        assert np.array_equal(arch.outcomes(), [[0.0, 0.0], [1.05, 0.0], [2.0, 0.0]])
+        assert np.array_equal(copy, [[5.0, 5.0], [1.0, 0.0]])
 
     def test_single_skill_archive(self):
         arch = fresh_archive()

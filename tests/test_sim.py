@@ -24,6 +24,7 @@ from skillpipe.sim import (
     render_frame,
     transfer_task,
 )
+from skillpipe.sim import _cubic, _cubic_rate
 from conftest import make_params, new_params, random_params
 
 
@@ -34,6 +35,26 @@ def zero_theta(env):
 def flight(pos, vel, gravity=9.81):
     """sim._flight of one release, each coordinate a NumPy scalar."""
     return sim._flight(tuple(np.asarray(pos, float)), tuple(np.asarray(vel, float)), gravity)
+
+
+class TestCubic:
+    # four joints: q = 0, t, t^2 + t^3 and t^3, exact in floating point at
+    # these dyadic times
+    A1, A2, A3 = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+
+    @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 1.0])
+    def test_closed_forms(self, t):
+        assert _cubic(self.A1, self.A2, self.A3, t).tolist() == [0.0, t, t * t + t**3, t**3]
+        assert _cubic_rate(self.A1, self.A2, self.A3, t).tolist() == [0.0, 1.0, 2 * t + 3 * t * t, 3 * t * t]
+
+    def test_rate_matches_finite_differences(self):
+        rng = np.random.default_rng(11)
+        h = 1e-6
+        for _ in range(20):
+            a1, a2, a3 = rng.uniform(-1, 1, (3, 5))
+            t = rng.uniform(h, 1.0 - h)
+            slope = (_cubic(a1, a2, a3, t + h) - _cubic(a1, a2, a3, t - h)) / (2 * h)
+            assert np.allclose(_cubic_rate(a1, a2, a3, t), slope, atol=1e-6)
 
 
 class TestBallistics:
