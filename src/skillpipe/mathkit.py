@@ -1,9 +1,17 @@
 """Numerical kernels: ridge least squares, pseudo-inverse, truncated HOSVD,
 CMA-ES, and Pearson correlation.
 
-Dense SVD factorizations are delegated to numpy.linalg; everything layered on
-top of them (ridge filtering, tolerance-based inversion, a Tucker slice as a
-product of matrices, the full CMA-ES update loop) lives here.
+Dense factorizations are delegated to numpy.linalg; everything layered on
+top of them (the choice of solver, tolerance-based inversion, a Tucker slice
+as a product of matrices, the full CMA-ES update loop) lives here.
+
+Least squares with ridge > 0 solves the regularised normal equations
+(A^T A + ridge I) X = A^T B by one LU solve, as scikit-learn's dense Ridge
+does.  The solve is backward stable for those equations, so X has a forward
+error of order cond(A^T A + ridge I) * eps.  With ridge == 0 it returns the
+minimum-norm solution from the SVD of A.  Ridge fits need ||A|| below
+about 1e154, where A^T A overflows, as the squared singular values of the
+SVD formula did.
 """
 
 from __future__ import annotations
@@ -45,11 +53,22 @@ class LeastSquaresFit:
 
 
 def least_squares(a, b, ridge: float = 0.0) -> LeastSquaresFit:
-    """Solve A X = B in the (ridge) least-squares sense via SVD.
+    """Solve A X = B in the (ridge) least-squares sense.
 
-    With ridge == 0 and rank-deficient A, the minimum-norm solution is
-    returned and flagged.  a is a finite matrix, b a finite vector or matrix
-    of as many rows and ridge a number >= 0 (the kinds of :mod:`core`).
+    With ridge > 0, the regularised normal equations
+    (A^T A + ridge I) X = A^T B are solved by one np.linalg.solve, and X
+    has a forward error of order cond(A^T A + ridge I) * eps.  When ridge is
+    so small beside A^T A that the sum is singular in floating point, the
+    SVD formula V diag(s / (s^2 + ridge)) U^T B gives X instead.  The
+    minimiser is unique, and the fit is never flagged rank deficient.
+
+    With ridge == 0, the SVD of A gives the minimum-norm solution, and the
+    fit is flagged when A has fewer than min(m, n) singular values above
+    _RANK_TOL * sigma_max.
+
+    a is a finite matrix, of norm below about 1e154 when ridge > 0, where
+    A^T A overflows, b a finite vector or matrix of as many rows and ridge
+    a number >= 0 (the kinds of :mod:`core`).
     """
     a = _as_array(a, "a", 2)
     squeeze = np.ndim(b) == 1
@@ -61,18 +80,27 @@ def least_squares(a, b, ridge: float = 0.0) -> LeastSquaresFit:
         b = b[:, None]
     if b.shape[0] != a.shape[0]:
         raise DimensionError(f"b of shape {b.shape} is incompatible with a of shape {a.shape}")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if ridge == 0.0:
-        inv = _inverse_singular_values(s)
-        rank = int(np.count_nonzero(inv))
+    deficient = False
+    if ridge > 0.0:
+        try:
+            x = np.linalg.solve(a.T @ a + ridge * np.eye(a.shape[1]), a.T @ b)
+        except np.linalg.LinAlgError:   # an exactly zero pivot
+            x, _ = _svd_solve(a, b, ridge)
     else:
-        inv = s / (s * s + ridge)
-        rank = int(np.count_nonzero(s > 0))
-    x = vt.T @ (inv[:, None] * (u.T @ b))
-    deficient = rank < min(a.shape)
+        x, inv = _svd_solve(a, b, ridge)
+        deficient = int(np.count_nonzero(inv)) < min(a.shape)
     if squeeze:
         x = x[:, 0]
     return LeastSquaresFit(x=x, rank_deficient=deficient)
+
+
+def _svd_solve(a: np.ndarray, b: np.ndarray, ridge: float):
+    """V diag(inv) U^T b from the SVD U diag(s) V^T of a, and inv: the
+    ridge filter s / (s^2 + ridge) for ridge > 0, else 1/s with the
+    singular values up to _RANK_TOL * sigma_max zeroed."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    inv = s / (s * s + ridge) if ridge > 0.0 else _inverse_singular_values(s)
+    return vt.T @ (inv[:, None] * (u.T @ b)), inv
 
 
 def pinv(m) -> np.ndarray:

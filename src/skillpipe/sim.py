@@ -253,7 +253,13 @@ def _tip(env: EnvironmentSpec, cos_y, sin_y, rise, reach):
 def _release(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray):
     """Gripper position (x, y, z) and velocity (vx, vy, vz) of B controllers
     values[B, D] at the end of their motion, each coordinate (B,)."""
-    cos_y, sin_y, rise, reach, qd = _arm(env, gap, values, _SAMPLE_TIMES[-1:], rates=True)
+    return _released(env, *_arm(env, gap, values, _SAMPLE_TIMES[-1:], rates=True))
+
+
+def _released(env: EnvironmentSpec, cos_y, sin_y, rise, reach, qd):
+    """:func:`_release` from what :func:`_arm` gives at the end of the
+    motion: the yaw's cosine and sine (B,), the link extents (J - 1, B)
+    and the joint rates (J, B)."""
     x, y, z = _tip(env, cos_y, sin_y, rise, reach)
     yaw_d, phi_d = qd[0], qd[1:]
     r_d = (rise * phi_d).sum(axis=0)
@@ -375,21 +381,24 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     cumulative link extents form a (J - 1, T) array per coordinate, tested
     in one :meth:`Obstacle.contains` call.  The flight starts from the
     release that execute computes, the gripper's position and velocity at
-    env.duration, and is sampled every env.step from release to landing
-    (see :func:`_flight_hits`).  Raises ValueError, naming env, for an env of
-    any kind but throw (a joystick or transfer kind), and DimensionError
-    unless theta has env.dim_params values.
+    env.duration, read from the sweep's last sample, and is sampled every
+    env.step from release to landing (see :func:`_flight_hits`).  Raises
+    ValueError, naming env, for an env of any kind but throw (a joystick or
+    transfer kind), and DimensionError unless theta has env.dim_params
+    values.
     """
     _skill_env(env, ("throw",))
     values = _width(env, theta.values[None, :])
-    cos_y, sin_y, rise, reach = _arm(env, gap, values, _SAMPLE_TIMES)
+    cos_y, sin_y, rise, reach, qd = _arm(env, gap, values, _SAMPLE_TIMES, rates=True)
+    # the last sample is the release; keep its link extents before the sums
+    release = cos_y[-1:], sin_y[-1:], rise[:, -1:].copy(), reach[:, -1:].copy(), qd
     _accumulate(rise)   # the height and reach of the end of each link
     _accumulate(reach)
     # the base joint, at (0, base_height), and the end of each link
     if obstacle.contains(0.0, env.base_height) or np.any(
             obstacle.contains(reach * cos_y, env.base_height + rise)):
         return True
-    pos, vel = _release(env, gap, values)
+    pos, vel = _released(env, *release)
     g = env.gravity * gap.gravity_scale
     _, t_land, valid = _flight(pos, vel, g)
     if not valid[0]:

@@ -86,6 +86,121 @@ class TestLeastSquares:
             least_squares(a, b, ridge=ridge)
 
 
+EPS = np.finfo(float).eps
+
+
+def svd_ridge_oracle(a, b, ridge):
+    """The SVD formula least_squares used for every ridge > 0 before it
+    solved the normal equations: V diag(s / (s^2 + ridge)) U^T B."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return vt.T @ ((s / (s * s + ridge))[:, None] * (u.T @ b))
+
+
+def svd_min_norm_oracle(a, b):
+    """The ridge == 0 formula: V diag(1/s) U^T B, singular values up to
+    _RANK_TOL * sigma_max zeroed."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > mathkit._RANK_TOL * (s[0] if s.size else 0.0)
+    return vt.T @ (np.divide(1.0, s, out=np.zeros(len(s)), where=keep)[:, None] * (u.T @ b))
+
+
+def frobenius(v) -> float:
+    """||v||_F without overflow: the entries run to 1e200 and beyond."""
+    scale = np.max(np.abs(v), initial=0.0)
+    return float(scale * np.linalg.norm(v / scale)) if scale > 0.0 else 0.0
+
+
+@st.composite
+def ridge_problems(draw):
+    """(A, B, ridge > 0): A of m <= 12 rows and n <= 6 columns scaled 1e-6 to
+    1e6 apart, its last column sometimes a multiple of its first, entries
+    at most 1e100 in magnitude, so that A^T A is finite; B of 1-3 columns;
+    ridge from 1e-14 to 1e2 times ||A||_2^2."""
+    m, n, k = draw(st.integers(0, 12)), draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-1.0, 1.0, (m, n)) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+    if n > 1 and draw(st.booleans()):
+        a[:, -1] = a[:, 0] * rng.uniform(-1.0, 1.0)
+    a *= 10.0 ** draw(st.integers(-94, 94))
+    b = rng.uniform(-1.0, 1.0, (m, k)) * 10.0 ** draw(st.integers(-100, 100))
+    norm = np.linalg.norm(a, 2) if a.size else 0.0
+    ratio = 10.0 ** draw(st.floats(-14.0, 2.0))
+    return a, b, ratio * norm**2 if norm > 0.0 else ratio
+
+
+# ridge 1e-300 beside A^T A = [[2, 2], [2, 2]] leaves it singular in floating point
+SINGULAR_SUM = (np.ones((2, 2)), np.array([[2.0], [2.0]]), 1e-300)
+
+
+class TestRidgeLeastSquares:
+    """ridge > 0 solves the normal equations (A^T A + ridge I) X = A^T B."""
+
+    @given(problem=ridge_problems())
+    @example(problem=SINGULAR_SUM)
+    def test_backward_error_of_the_normal_equations(self, problem):
+        a, b, ridge = problem
+        (m, n), x = a.shape, least_squares(a, b, ridge).x
+        norm = np.linalg.norm(a, 2) if a.size else 0.0
+        residual = frobenius((a.T @ a) @ x + ridge * x - a.T @ b)
+        assert residual <= (m + n) * EPS * ((norm**2 + ridge) * frobenius(x) + norm * frobenius(b))
+
+    @given(problem=ridge_problems())
+    def test_agrees_with_the_svd_formula(self, problem):
+        # the solve's backward error bounds its distance from the exact X by
+        # (m + n) eps cond (||X|| + ||A|| ||B|| / (||A||^2 + ridge)); the
+        # SVD formula's own error is of the same order
+        a, b, ridge = problem
+        (m, n), x = a.shape, least_squares(a, b, ridge).x
+        assume(n > 0)
+        s = np.linalg.svd(a.T @ a + ridge * np.eye(n), compute_uv=False)
+        cond = s[0] / s[-1] if s[-1] > 0.0 else math.inf
+        assume(cond <= 1e8)
+        want, norm = svd_ridge_oracle(a, b, ridge), np.linalg.norm(a, 2)
+        scale = frobenius(want) + norm * frobenius(b) / (norm**2 + ridge)
+        assert frobenius(x - want) <= 10.0 * (m + n) * cond * EPS * scale
+
+    def test_a_singular_sum_falls_back_to_the_svd_formula(self):
+        a, b, ridge = SINGULAR_SUM
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a.T @ a + ridge * np.eye(2), a.T @ b)
+        fit = least_squares(a, b, ridge)
+        assert fit.x.tobytes() == svd_ridge_oracle(a, b, ridge).tobytes()
+        assert not fit.rank_deficient
+
+    def test_only_ridge_zero_flags_rank_deficiency(self):
+        # two zero columns: under ridge the minimiser is unique, with its
+        # last two entries 0; it used to be flagged for their zero singular
+        # values
+        a = np.zeros((4, 3))
+        a[:, 0] = [1.0, 2.0, 3.0, 4.0]
+        b = np.array([1.0, 0.0, 2.0, 1.0])
+        fit = least_squares(a, b, ridge=1.0)
+        assert fit.rank_deficient is False
+        assert fit.x.tolist() == pytest.approx([11.0 / 31.0, 0.0, 0.0], rel=1e-15)
+        assert least_squares(a, b).rank_deficient is True
+
+    @pytest.mark.parametrize("a, b, shape", [
+        (np.zeros((3, 0)), np.ones(3), (0,)),
+        (np.zeros((0, 3)), np.ones(0), (3,)),
+        (np.zeros((0, 3)), np.ones((0, 2)), (3, 2)),
+    ], ids=["no-columns", "no-rows", "no-rows-two-columns-of-b"])
+    def test_empty_shapes(self, a, b, shape):
+        fit = least_squares(a, b, ridge=1.0)
+        assert fit.x.shape == shape and not fit.x.any() and not fit.rank_deficient
+
+    def test_wide_a(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(2, 5)), rng.normal(size=2)
+        fit = least_squares(a, b, ridge=0.5)
+        assert fit.x.shape == (5,) and not fit.rank_deficient
+        assert np.allclose(fit.x, svd_ridge_oracle(a, b[:, None], 0.5)[:, 0], rtol=1e-14, atol=1e-15)
+
+    @given(problem=ridge_problems())
+    def test_ridge_zero_is_the_svd_minimum_norm_solution(self, problem):
+        a, b, _ = problem
+        assert least_squares(a, b).x.tobytes() == svd_min_norm_oracle(a, b).tobytes()
+
+
 class TestPinv:
     def test_identity(self):
         assert np.allclose(pinv(np.eye(4)), np.eye(4))

@@ -253,6 +253,19 @@ class TestCollides:
         assert contains.call_count == 2   # the arm sweep's base joint and link ends
         assert not _oracle_collides(throw_env, theta, above, gap)
 
+    def test_flight_starts_from_the_release_execute_computes(self, throw_env):
+        # collides reads the release from its sweep's last sample; a wall out
+        # of reach lets every valid release through to _flight_hits
+        values, wall = _golden_release_cases(), Obstacle((50.0, 1.0), 0.5, 2.0)
+        for gap in GAPS:
+            (x, _, z), (vx, _, vz) = sim._release(throw_env, gap, values)
+            valid = execute_batch(throw_env, gap, values)[1]
+            with mock.patch.object(sim, "_flight_hits", autospec=True, return_value=False) as hits:
+                for row in values:
+                    assert not collides(throw_env, new_params(throw_env, row), wall, gap)
+            starts = [call.args[1:3] for call in hits.call_args_list]
+            assert starts == [((x[i], z[i]), (vx[i], vz[i])) for i in np.flatnonzero(valid)]
+
     @pytest.mark.parametrize("pos, vel, g, wall", [
         # the exact apex lies below the wall's bottom edge, but the computed
         # height of the highest sample rounds up onto the edge
