@@ -11,10 +11,11 @@ record that shares it.
 The public API refuses a malformed argument by its kind, each kind checked
 by one function here: an integer >= lo (:func:`_integer`), an int or NumPy
 integer; a number (:func:`_number`), a finite int, float or NumPy number,
-and a positive one (:func:`_positive`); a finite array of ndim dimensions
-(:func:`_as_array`) and a vector of n finite values (:func:`_as_vector`).
-A bool is neither an integer nor a number.  A refusal is a ValueError, or
-its subclass DimensionError for a wrong shape, naming the argument.
+and a positive one (:func:`_positive`), both returned as a Python float for
+the record to keep; a finite array of ndim dimensions (:func:`_as_array`)
+and a vector of n finite values (:func:`_as_vector`).  A bool is neither an
+integer nor a number.  A refusal is a ValueError, or its subclass
+DimensionError for a wrong shape, naming the argument.
 """
 
 from __future__ import annotations
@@ -43,20 +44,26 @@ def _integer(value, name: str, lo: int) -> None:
 
 
 def _is_number(value) -> bool:
-    # the comparison is exact for an int beyond the float range, and False for NaN
-    return (not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    # a NumPy float compares as a Python float, since a float32 or float16
+    # overflows when NumPy casts float's largest value to its type; the
+    # comparison is exact for an int beyond the float range, and False for NaN
+    if isinstance(value, np.floating):
+        value = float(value)
+    return (not isinstance(value, bool) and isinstance(value, (int, float, np.integer))
             and -sys.float_info.max <= value <= sys.float_info.max)
 
 
-def _number(value, name: str) -> None:
+def _number(value, name: str) -> float:
     if not _is_number(value):
         raise ValueError(f"{name} must be a finite number, got {value!r:.40}")
+    return float(value)
 
 
-def _positive(value, name: str) -> None:
-    _number(value, name)
-    if value <= 0:
+def _positive(value, name: str) -> float:
+    number = _number(value, name)
+    if number <= 0:
         raise ValueError(f"{name} must be positive, got {value!r:.40}")
+    return number
 
 
 def _as_array(values, name: str, ndim: int = 1) -> np.ndarray:
@@ -141,7 +148,8 @@ class Outcome:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Skill:
-    """Archive element: controller, its valid outcome, and a quality number (higher is better).
+    """Archive element: controller, its valid outcome, and a quality number
+    (higher is better), kept as a Python float.
 
     Skills compare and hash by identity, so that ==, in and list.index find
     the very skill an archive holds.
@@ -154,7 +162,7 @@ class Skill:
     def __post_init__(self):
         if not self.outcome.valid:
             raise ValueError("a Skill requires a valid outcome")
-        _number(self.quality, "quality")
+        object.__setattr__(self, "quality", _number(self.quality, "quality"))
 
 
 def _clamp(values, lo, hi):

@@ -8,10 +8,10 @@ as a product of matrices, the full CMA-ES update loop) lives here.
 Least squares with ridge > 0 solves the regularised normal equations
 (A^T A + ridge I) X = A^T B by one LU solve, as scikit-learn's dense Ridge
 does.  The solve is backward stable for those equations, so X has a forward
-error of order cond(A^T A + ridge I) * eps.  With ridge == 0 it returns the
-minimum-norm solution from the SVD of A.  Ridge fits need ||A|| below
-about 1e154, where A^T A overflows, as the squared singular values of the
-SVD formula did.
+error of order cond(A^T A + ridge I) * eps.  An A or B of Frobenius norm
+2^256 or more is first scaled by an exact power of two, and the ridge by
+the square of A's, so that A^T A and A^T B cannot overflow.  With
+ridge == 0 it returns the minimum-norm solution from the SVD of A.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-12
+# A and B of squared Frobenius norms below this bound every entry of A^T A
+# and A^T B by it, far from overflow
+_SAFE_SQUARED_NORM = 2.0**512
 
 
 def _inverse_singular_values(s: np.ndarray) -> np.ndarray:
@@ -60,15 +63,18 @@ def least_squares(a, b, ridge: float = 0.0) -> LeastSquaresFit:
     has a forward error of order cond(A^T A + ridge I) * eps.  When ridge is
     so small beside A^T A that the sum is singular in floating point, the
     SVD formula V diag(s / (s^2 + ridge)) U^T B gives X instead.  The
-    minimiser is unique, and the fit is never flagged rank deficient.
+    minimiser is unique, and the fit is never flagged rank deficient.  An A
+    or B of squared Frobenius norm _SAFE_SQUARED_NORM or more is first
+    brought below 1 by an exact power of two, and ridge scaled by the
+    square of A's, which changes X by one exact power of two; a smaller
+    fit runs unscaled.
 
     With ridge == 0, the SVD of A gives the minimum-norm solution, and the
     fit is flagged when A has fewer than min(m, n) singular values above
     _RANK_TOL * sigma_max.
 
-    a is a finite matrix, of norm below about 1e154 when ridge > 0, where
-    A^T A overflows, b a finite vector or matrix of as many rows and ridge
-    a number >= 0 (the kinds of :mod:`core`).
+    a is a finite matrix, b a finite vector or matrix of as many rows and
+    ridge a number >= 0 (the kinds of :mod:`core`).
     """
     a = _as_array(a, "a", 2)
     squeeze = np.ndim(b) == 1
@@ -82,16 +88,31 @@ def least_squares(a, b, ridge: float = 0.0) -> LeastSquaresFit:
         raise DimensionError(f"b of shape {b.shape} is incompatible with a of shape {a.shape}")
     deficient = False
     if ridge > 0.0:
+        ea = eb = 0
+        if not np.vdot(a, a) < _SAFE_SQUARED_NORM:   # an overflowing sum reads inf, without a warning
+            a, ea = _downscaled(a)
+            ridge = math.ldexp(ridge, -2 * ea)   # 0.0 only beside an A^T A 2^1073 times larger
+        if not np.vdot(b, b) < _SAFE_SQUARED_NORM:
+            b, eb = _downscaled(b)
         try:
             x = np.linalg.solve(a.T @ a + ridge * np.eye(a.shape[1]), a.T @ b)
         except np.linalg.LinAlgError:   # an exactly zero pivot
             x, _ = _svd_solve(a, b, ridge)
+        if ea != eb:
+            x = np.ldexp(x, eb - ea)
     else:
         x, inv = _svd_solve(a, b, ridge)
         deficient = int(np.count_nonzero(inv)) < min(a.shape)
     if squeeze:
         x = x[:, 0]
     return LeastSquaresFit(x=x, rank_deficient=deficient)
+
+
+def _downscaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(m * 2^-e, e), e the exponent that brings m's largest entry below 1;
+    exact but for entries that fall below 2^-1022."""
+    e = math.frexp(abs(m).max())[1]
+    return np.ldexp(m, -e), e
 
 
 def _svd_solve(a: np.ndarray, b: np.ndarray, ridge: float):
@@ -195,7 +216,7 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int):
     n = x0.shape[0]
     if n == 0:
         raise DimensionError("x0 must have at least 1 value, got shape (0,)")
-    _positive(sigma0, "sigma0")
+    sigma = _positive(sigma0, "sigma0")
     _integer(seed, "seed", 0)
     lam = 4 + int(3 * math.log(n)) if n > 1 else 6
     _integer(budget, "budget", lam)
@@ -209,7 +230,6 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int):
     chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
 
     mean = x0.copy()
-    sigma = float(sigma0)
     cov = np.eye(n)
     path_sigma = np.zeros(n)
     path_cov = np.zeros(n)

@@ -68,9 +68,9 @@ class RealityGap:
     The one way to vary the arm: gravity_scale multiplies the fixed gravity,
     link_scale the fixed link lengths, and joint_bias is added to the joint
     angles.  The nominal gap (scale 1, zero bias) leaves execution
-    unchanged.  Both scales are positive numbers and joint_bias a vector of
-    N_JOINTS values (the kinds of :mod:`core`), kept read-only as a
-    record's arrays are.
+    unchanged.  Both scales are positive numbers, kept as Python floats, and
+    joint_bias a vector of N_JOINTS values (the kinds of :mod:`core`), kept
+    read-only as a record's arrays are.
     """
 
     gravity_scale: float = 1.0
@@ -78,8 +78,8 @@ class RealityGap:
     link_scale: float = 1.0
 
     def __post_init__(self):
-        _positive(self.gravity_scale, "gravity_scale")
-        _positive(self.link_scale, "link_scale")
+        object.__setattr__(self, "gravity_scale", _positive(self.gravity_scale, "gravity_scale"))
+        object.__setattr__(self, "link_scale", _positive(self.link_scale, "link_scale"))
         bias = _as_vector(self.joint_bias, "joint_bias", N_JOINTS)
         object.__setattr__(self, "joint_bias", _frozen(bias))
 
@@ -94,7 +94,7 @@ class Obstacle:
     The wall extends infinitely along y; a point collides when its (x, z)
     coordinates fall inside the rectangle.  Both extents are positive
     numbers and the center a vector of 2 values (the kinds of :mod:`core`),
-    stored as a tuple of two floats, so that walls compare and hash by value.
+    stored as Python floats, so that walls compare and hash by value.
     """
 
     center: tuple[float, float]
@@ -103,8 +103,8 @@ class Obstacle:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(map(float, _as_vector(self.center, "center", 2))))
-        _positive(self.width, "width")
-        _positive(self.height, "height")
+        object.__setattr__(self, "width", _positive(self.width, "width"))
+        object.__setattr__(self, "height", _positive(self.height, "height"))
 
     def contains(self, x, z) -> np.ndarray:
         cx, cz = self.center
@@ -276,20 +276,11 @@ def _stack(*columns) -> np.ndarray:
     return out
 
 
-def _flight(pos, vel, gravity: float):
-    """Closed-form landing points (..., 2), landing times (...) and validity
-    of projectiles released at pos = (x, y, z) with vel = (vx, vy, vz),
-    each coordinate an array (...).
-
-    A release below ground is invalid; its landing point reads (0, 0).
-    """
-    (x, y, z), (vx, vy, vz) = pos, vel
-    below = z < 0   # a NaN release stays valid and so fails as a non-finite Outcome
-    disc = np.maximum(vz * vz + 2.0 * gravity * z, 0.0)   # negative only when invalid
-    t_land = (vz + np.sqrt(disc)) / gravity
-    landing = _stack(x + vx * t_land, y + vy * t_land)
-    landing[below] = 0.0
-    return landing, t_land, ~below
+def _landing_time(z, vz, g):
+    """(vz + sqrt(max(vz^2 + 2 g z, 0))) / g, elementwise over arrays or for
+    floats: when a ball released at height z >= 0 with vertical speed vz
+    lands under gravity g (the clamp keeps a release below ground real)."""
+    return (vz + np.sqrt(np.maximum(vz * vz + 2.0 * g * z, 0.0))) / g
 
 
 def _width(env: EnvironmentSpec, values: np.ndarray) -> np.ndarray:
@@ -319,8 +310,10 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
     joint.
 
     throw: each gripper is evaluated at the end of its motion only, from
-    (J, B) joint angles and rates; an invalid row (release below ground)
-    reads (0, 0).
+    (J, B) joint angles and rates, and its ball lands at the time
+    :func:`_landing_time` gives for the whole batch at once.  A row released
+    below ground is invalid and reads (0, 0); a NaN release stays valid, so
+    that :func:`execute` refuses its non-finite outcome.
 
     joystick: the joint angles at all T = duration/step + 1 time samples
     form a (J, B, T) array, and the gripper positions from them a (B, T, 3)
@@ -335,8 +328,12 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
 def _execute(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`execute_batch` of checked controllers values[B, env.dim_params]."""
     if env.kind == "throw":
-        landing, _, valid = _flight(*_release(env, gap, values), env.gravity * gap.gravity_scale)
-        return landing, valid
+        (x, y, z), (vx, vy, vz) = _release(env, gap, values)
+        t_land = _landing_time(z, vz, env.gravity * gap.gravity_scale)
+        landing = _stack(x + vx * t_land, y + vy * t_land)
+        below = z < 0   # a NaN release stays valid and so fails as a non-finite Outcome
+        landing[below] = 0.0
+        return landing, ~below
     x, y, z = _tip(env, *_arm(env, gap, values, _SAMPLE_TIMES))
     stick_x, stick_y, stick_z = env.joystick_pos
     offset = _stack(x - stick_x, y - stick_y, z - stick_z).reshape(len(values), len(_SAMPLE_TIMES), 3)
@@ -381,8 +378,9 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     cumulative link extents form a (J - 1, T) array per coordinate, tested
     in one :meth:`Obstacle.contains` call.  The flight starts from the
     release that execute computes, the gripper's position and velocity at
-    env.duration, read from the sweep's last sample, and is sampled every
-    env.step from release to landing (see :func:`_flight_hits`).  Raises
+    env.duration, read from the sweep's last sample.  A release below
+    ground does not fly; any other is handed to :func:`_flight_hits`, which
+    samples it every env.step up to the landing time execute uses.  Raises
     ValueError, naming env, for an env of any kind but throw (a joystick or
     transfer kind), and DimensionError unless theta has env.dim_params
     values.
@@ -398,25 +396,24 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     if obstacle.contains(0.0, env.base_height) or np.any(
             obstacle.contains(reach * cos_y, env.base_height + rise)):
         return True
-    pos, vel = _released(env, *release)
-    g = env.gravity * gap.gravity_scale
-    _, t_land, valid = _flight(pos, vel, g)
-    if not valid[0]:
+    (x, _, z), (vx, _, vz) = _released(env, *release)
+    if z[0] < 0:   # released below ground: no flight
         return False
-    (x, _, z), (vx, _, vz) = pos, vel
     return _flight_hits(obstacle, (float(x[0]), float(z[0])), (float(vx[0]), float(vz[0])),
-                        g, float(t_land[0]), env.step)
+                        env.gravity * gap.gravity_scale, env.step)
 
 
 _FLIGHT_CHUNK = 4096   # flight samples evaluated at a time
 
 
-def _flight_hits(obstacle: Obstacle, pos, vel, g: float, t_land: float, step: float) -> bool:
+def _flight_hits(obstacle: Obstacle, pos, vel, g: float, step: float) -> bool:
     """True when a sample of the flight from pos = (x, z) at vel = (vx, vz)
-    under gravity g lies in the wall.
+    under gravity g lies in the wall; a release below ground (z < 0) is
+    the caller's to refuse.
 
     The samples are those of np.arange(0.0, t_land + step, step), value for
-    value, but only the steps in two windows, each widened by one step, are
+    value, t_land the :func:`_landing_time` execute lands the release at,
+    but only the steps in two windows, each widened by one step, are
     evaluated, and _FLIGHT_CHUNK at a time, so that memory stays bounded
     however long the flight, as under a small gravity_scale.  The x window
     holds the steps whose x lies within the wall's x-extent: a vertical
@@ -428,7 +425,6 @@ def _flight_hits(obstacle: Obstacle, pos, vel, g: float, t_land: float, step: fl
     (x, z), (vx, vz), (cx, cz) = pos, vel, obstacle.center
     if vx == 0.0 and abs(x - cx) > obstacle.width / 2.0:
         return False
-    first, stop = 0.0, (t_land + step) / step   # np.arange makes ceil(stop) samples
     # a computed height rounds by a few ulps of its terms, which near the
     # apex sum to |z| + 1.5 vz² / g, and the wall's edge by ulps of its own
     slack = 4.0 * math.ulp(1.0) * (abs(z) + abs(cz) + obstacle.height + 1.5 * vz * vz / g)
@@ -436,6 +432,7 @@ def _flight_hits(obstacle: Obstacle, pos, vel, g: float, t_land: float, step: fl
     disc = vz * vz + 2.0 * g * (z - level)
     if not disc >= 0.0:   # the apex lies below the wall
         return False
+    first, stop = 0.0, (_landing_time(z, vz, g) + step) / step   # np.arange makes ceil(stop) samples
     if disc < math.inf:   # else vz² or the slack overflowed: the z window is every step
         q = vz + math.copysign(math.sqrt(disc), vz)   # the root that does not cancel
         roots = (q / g, 2.0 * (level - z) / q) if q else (0.0, 0.0)   # q = 0: at rest on the level

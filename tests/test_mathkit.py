@@ -159,6 +159,39 @@ class TestRidgeLeastSquares:
         scale = frobenius(want) + norm * frobenius(b) / (norm**2 + ridge)
         assert frobenius(x - want) <= 10.0 * (m + n) * cond * EPS * scale
 
+    @given(problem=ridge_problems())
+    @example(problem=(np.array([[1e100, 0.0], [0.0, 2e100], [1e100, 1e100]]),
+                      np.array([[1e100], [1e100], [0.0]]), 1e200))
+    def test_a_fit_that_neither_overflows_nor_underflows_keeps_its_bits(self, problem):
+        # entries run to 1e100, past the norm of 2^256 from which A and B are
+        # scaled by exact powers of two, and that leaves every bit of X
+        a, b, ridge = problem
+        assume(a.size > 0)
+        want = np.linalg.solve(a.T @ a + ridge * np.eye(a.shape[1]), a.T @ b)
+        assert least_squares(a, b, ridge).x.tobytes() == want.tobytes()
+
+    @given(problem=ridge_problems(), tops=st.tuples(st.integers(257, 500), st.integers(257, 1000)))
+    def test_a_fit_past_the_overflow_limit_is_the_fit_scaled_into_range(self, problem, tops):
+        # A shifted to a largest entry of 2^ta, where A^T A overflows, B to
+        # 2^tb, ridge by A's shift squared: X shifts by B's less A's shift
+        a, b, ridge = problem
+        assume(a.size > 0 and b.any())
+        ka, kb = (top - math.frexp(np.abs(m).max())[1] for top, m in zip(tops, (a, b)))
+        with np.errstate(over="ignore"):   # a shifted X out of range is assumed away below
+            want = np.ldexp(least_squares(a, b, ridge).x, kb - ka)
+        assume(np.all(np.isfinite(want)) and np.all((want == 0.0) | (np.abs(want) >= 2.0**-1022)))
+        x = least_squares(np.ldexp(a, ka), np.ldexp(b, kb), math.ldexp(ridge, 2 * ka)).x
+        assert x.tobytes() == want.tobytes()
+
+    def test_a_huge_a_is_scaled_instead_of_overflowing(self):
+        # A^T A overflowed: x read [nan, nan] with a RuntimeWarning; ridge 1
+        # is negligible beside it, so X is the least-squares [1/3, 1/3]
+        a = np.array([[1e160, 0.0], [0.0, 2e160], [1e160, 1e160]])
+        b = np.array([1e160, 1e160, 0.0])
+        fit = least_squares(a, b, ridge=1.0)
+        assert fit.x.tolist() == pytest.approx([1.0 / 3.0, 1.0 / 3.0], rel=1e-15)
+        assert fit.x.tobytes() == least_squares(a * 2.0**-300, b * 2.0**-300, 2.0**-600).x.tobytes()
+
     def test_a_singular_sum_falls_back_to_the_svd_formula(self):
         a, b, ridge = SINGULAR_SUM
         with pytest.raises(np.linalg.LinAlgError):

@@ -231,6 +231,19 @@ def test_good_value_is_accepted(callable_, argument, good, call):
     call(good)
 
 
+@pytest.mark.parametrize("callable_, argument, good, call", [
+    pytest.param(name, arg, good, call, id=f"{name}-{arg}")
+    for name, arg, bads, good, call in ROWS if bads is NUMBER or bads is POSITIVE or arg == "ridge"
+])
+def test_a_float32_number_is_a_number(callable_, argument, good, call):
+    # comparing a float32 with float's largest value overflowed in NumPy's
+    # cast, a RuntimeWarning that the suite raises
+    call(np.float32(good))
+    for bad in (np.float32(NAN), np.float32(INF)):
+        with pytest.raises(ValueError, match=rf"\b{re.escape(argument)}\b"):
+            call(bad)
+
+
 @pytest.mark.parametrize("callable_, argument, bad, shape_fault, call", [
     pytest.param(name, arg, *unwrap(value), call, id=f"{name}-{arg}-{i}")
     for name, arg, bads, _, call in ROWS for i, value in enumerate(bads)

@@ -683,6 +683,18 @@ class TestPersistence:
             assert np.array_equal(a.outcome.values, b.outcome.values)
             assert a.quality == b.quality
 
+    @pytest.mark.parametrize("quality", [np.float32(0.1), np.int64(-3)], ids=["float32", "int64"])
+    def test_a_numpy_quality_survives_save_and_load(self, quality, tmp_path):
+        # Skill accepts any NumPy number as its quality, but json writes
+        # neither a float32 nor an int64: save used to raise TypeError
+        skill = make_skill([0, 0, 0], [0.0, 0.0], quality)
+        assert type(skill.quality) is float and skill.quality == quality
+        arch = fresh_archive()
+        arch.try_insert(skill)
+        path = tmp_path / "arch.jsonl"
+        save(arch, path)
+        assert load(path).skills[0].quality == skill.quality
+
     def test_save_refuses_bounds_other_than_the_first_skills(self, tmp_path):
         # save writes one box for the archive: a directly appended skill with
         # bounds [-2, 2] used to load back with the first skill's [-1, 1]

@@ -3,6 +3,7 @@ import hashlib
 import math
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -32,9 +33,12 @@ def zero_theta(env):
     return new_params(env, np.zeros(env.dim_params))
 
 
-def flight(pos, vel, gravity=9.81):
-    """sim._flight of one release, each coordinate a NumPy scalar."""
-    return sim._flight(tuple(np.asarray(pos, float)), tuple(np.asarray(vel, float)), gravity)
+def released(pos, vel):
+    """A patch of sim._release under which every throw leaves from pos =
+    (x, y, z) at vel = (vx, vy, vz)."""
+    def release(env, gap, values):
+        return tuple(tuple(np.full(len(values), float(c)) for c in v) for v in (pos, vel))
+    return mock.patch.object(sim, "_release", release)
 
 
 class TestCubic:
@@ -57,24 +61,51 @@ class TestCubic:
             assert np.allclose(_cubic_rate(a1, a2, a3, t), slope, atol=1e-6)
 
 
-class TestBallistics:
-    def test_landing_formula_height_one(self):
-        # release at 1 m with horizontal velocity 1 m/s: t* = sqrt(2/g)
-        landing, t_land, valid = flight([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-        assert valid
-        assert t_land == pytest.approx(math.sqrt(2.0 / 9.81), abs=1e-9)
-        assert landing[0] == pytest.approx(math.sqrt(2.0 / 9.81), abs=1e-9)
-        assert landing[1] == pytest.approx(0.0, abs=1e-12)
+# The relative error the landing-time formula meets over the releases of
+# test_landing_time_against_an_exact_root, whose worst is 2.1e-15, at
+# gravity_scale 0.5: for a release heading down, vz + sqrt(vz² + 2gz) cancels
+LANDING_TIME_RTOL = 3e-15
 
-    def test_below_ground_release_is_invalid(self):
-        landing, _, valid = flight([0.0, 0.0, -0.1], np.zeros(3))
-        assert not valid
-        assert np.array_equal(landing, [0.0, 0.0])
+
+class TestBallistics:
+    def test_landing_formula_height_one(self, throw_env):
+        # release at 1 m with horizontal velocity 1 m/s: t* = sqrt(2/g)
+        assert sim._landing_time(1.0, 0.0, 9.81) == pytest.approx(math.sqrt(2.0 / 9.81), abs=1e-9)
+        with released([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]):
+            landing, valid = execute_batch(throw_env, NOMINAL_GAP, np.zeros((1, 15)))
+        assert valid[0]
+        assert landing[0, 0] == pytest.approx(math.sqrt(2.0 / 9.81), abs=1e-9)
+        assert landing[0, 1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_below_ground_release_is_invalid(self, throw_env):
+        with released([0.5, 0.5, -0.1], [1.0, 1.0, 1.0]):
+            landing, valid = execute_batch(throw_env, NOMINAL_GAP, np.zeros((1, 15)))
+        assert not valid[0]
+        assert np.array_equal(landing, [[0.0, 0.0]])
 
     def test_upward_release_lands_later(self):
-        _, up, _ = flight([0.0, 0.0, 1.0], [1.0, 0.0, 2.0])
-        _, flat, _ = flight([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-        assert up > flat
+        assert sim._landing_time(1.0, 2.0, 9.81) > sim._landing_time(1.0, 0.0, 9.81)
+
+    def test_landing_time_against_an_exact_root(self, throw_env):
+        # the releases of seeded valid throws, most of them heading down,
+        # where vz and the square root cancel; each time, from an array as
+        # execute takes it and from floats as collides does, is within the
+        # bound of a 50-digit root of the same doubles
+        values = np.random.default_rng(2005).uniform(-1.0, 1.0, (1000, throw_env.dim_params))
+        (_, _, z), (_, _, vz) = sim._release(throw_env, NOMINAL_GAP, values)
+        z, vz = z[z >= 0], vz[z >= 0]
+        assert len(z) > 900 and np.mean(vz < 0) > 0.9
+        worst = 0.0
+        with localcontext(prec=50):
+            for scale in (0.5, 0.8, 1.0, 1.25, 2.0):
+                g = throw_env.gravity * scale
+                times = sim._landing_time(z, vz, g)
+                for zi, vzi, t in zip(z.tolist(), vz.tolist(), times.tolist()):
+                    assert sim._landing_time(zi, vzi, g) == t
+                    dz, dvz, dg = Decimal(zi), Decimal(vzi), Decimal(g)
+                    exact = (dvz + (dvz * dvz + 2 * dg * dz).sqrt()) / dg
+                    worst = max(worst, abs(Decimal(t) - exact) / exact)
+        assert worst < LANDING_TIME_RTOL
 
 
 class TestExecuteThrow:
@@ -110,6 +141,15 @@ class TestExecuteThrow:
             if a.valid and b.valid and not np.allclose(a.values, b.values):
                 moved += 1
         assert moved >= 5
+
+    def test_a_float32_gap_runs_in_double_precision(self, throw_env):
+        # the scales are kept as Python floats: a float32 one made g a float32
+        gap = RealityGap(np.float32(1.1), link_scale=np.float32(1.05))
+        twin = RealityGap(float(np.float32(1.1)), link_scale=float(np.float32(1.05)))
+        assert type(gap.gravity_scale) is float and type(gap.link_scale) is float
+        values = np.random.default_rng(6).uniform(-1.0, 1.0, (20, throw_env.dim_params))
+        got, want = (execute_batch(throw_env, g, values)[0] for g in (gap, twin))
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("call", [
         lambda env, theta: execute(env, NOMINAL_GAP, theta),
@@ -276,11 +316,11 @@ class TestCollides:
     ], ids=["apex-rounds-up", "apex-overflows"])
     def test_height_window_keeps_every_sample_in_the_wall(self, pos, vel, g, wall):
         step = 0.01
-        with np.errstate(all="ignore"):   # the second flight lands at t = inf
-            t_land = float(flight((pos[0], 0.0, pos[1]), (vel[0], 0.0, vel[1]), g)[1])
+        with np.errstate(over="ignore"):   # the second flight lands at t = inf
+            t_land = float(sim._landing_time(pos[1], vel[1], g))
+            assert sim._flight_hits(wall, pos, vel, g, step)
         ts = np.arange(0.0, min(t_land, 1000.0) + step, step)   # np.arange's samples, the first 1,000 s
         assert np.any(wall.contains(pos[0] + vel[0] * ts, pos[1] + vel[1] * ts - 0.5 * g * ts * ts))
-        assert sim._flight_hits(wall, pos, vel, g, t_land, step)
 
     @pytest.mark.parametrize("center", [(0.5,), (0.5, 1.0, 2.0), (), 0.5, ((0.5, 1.0),)],
                              ids=["one", "three", "empty", "scalar", "nested"])
@@ -654,15 +694,16 @@ class TestBatchedPathMatchesOracles:
         else:
             assert valid.all() and np.any(outcomes[20:25] != 0.0)
 
-    def test_nan_release_is_not_reported_invalid(self):
+    def test_nan_release_is_not_reported_invalid(self, throw_env):
         # a NaN release height is no release below ground: the landing stays
         # valid and NaN, so execute refuses the non-finite outcome, as the
         # scalar path did
-        landing, _, valid = flight([0.0, 0.0, math.nan], [1.0, 0.0, 0.0])
-        assert valid
+        with released([0.0, 0.0, math.nan], [1.0, 0.0, 0.0]):
+            landing, valid = execute_batch(throw_env, NOMINAL_GAP, np.zeros((1, 15)))
+            with pytest.raises(ValueError, match="non-finite"):
+                execute(throw_env, NOMINAL_GAP, zero_theta(throw_env))
+        assert valid[0]
         assert np.isnan(landing).all()
-        with pytest.raises(ValueError, match="non-finite"):
-            Outcome(values=landing)
 
     @pytest.mark.parametrize("kind", sim.SKILL_KINDS)
     def test_empty_batch(self, kind):
