@@ -3,10 +3,9 @@
 Stored outcomes keep pairwise Euclidean distance >= r_novel.  A candidate
 closer than that to existing skills may replace its nearest neighbor when it
 has strictly higher quality, but only if removing that neighbor restores the
-spacing; otherwise it is rejected.  One function measures every distance,
-so load refuses exactly the files try_insert could not have written: its
-spacing check makes try_insert's call for each stored outcome in turn,
-against the ones before it, in memory O(d * n) for n outcomes of d values.
+spacing; otherwise it is rejected.  load admits each record of a file
+through try_insert, in file order, so it refuses exactly the files
+try_insert could not have written.
 
 An archive's one state is its list of skills, which callers may edit in
 any way.  The nearest-neighbor queries scan an outcome or a parameter
@@ -70,23 +69,6 @@ def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
             scale = np.maximum(np.abs(a).max(axis=0), np.abs(b).max(axis=0))
             total[i, j] = np.linalg.norm(a / scale - b / scale, axis=0) * scale
     return total
-
-
-def _nearest_earlier(outs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each column of outs[d, n], a dimension-major matrix, the distance
-    to its nearest earlier column (inf for the first) and that column's
-    index, the earliest of equals.
-
-    Each column is measured against the earlier ones by the call try_insert
-    makes for a candidate, in memory O(d * n).
-    """
-    n = outs.shape[1]
-    dist, index = np.full(n, np.inf), np.zeros(n, dtype=int)
-    for i in range(1, n):
-        row = _distances(outs[:, i:i + 1], outs[:, :i])[0]
-        index[i] = row.argmin()
-        dist[i] = row[index[i]]
-    return dist, index
 
 
 def _is_count(value) -> bool:
@@ -290,7 +272,10 @@ class Archive:
 
     def min_pairwise_distance(self) -> float:
         """Smallest outcome-space distance between stored skills (inf if < 2)."""
-        return float(_nearest_earlier(self._matrix("outcome"))[0].min(initial=np.inf))
+        outs = self._matrix("outcome")
+        # each outcome against the earlier ones, by the call try_insert makes for a candidate
+        nearest = (_distances(outs[:, i:i + 1], outs[:, :i]).min() for i in range(1, outs.shape[1]))
+        return float(min(nearest, default=math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +325,15 @@ def _missing(obj: dict, keys) -> str:
 
 
 def _vector(value, name: str, size: int) -> np.ndarray:
-    """value as a float vector if it is a list of size finite numbers, else ValueError."""
+    """value as a read-only float vector, which a record shares (:func:`core._frozen`),
+    if it is a list of size finite numbers, else ValueError."""
     if not isinstance(value, list) or len(value) != size:
         raise ValueError(f"{name} must be a list of {size} numbers, got {value!r:.40}")
     if not all(map(_is_number, value)):
         raise ValueError(f"{name} must hold finite numbers, got {value!r:.40}")
-    return np.array(value, dtype=float)
+    vector = np.array(value, dtype=float)
+    vector.flags.writeable = False
+    return vector
 
 
 def _object(raw: str, what: str) -> dict:
@@ -416,17 +404,19 @@ def load(path) -> Archive:
     [lo, hi] of numbers with lo <= hi (infinite ends allowed, NaN not). Each
     further non-blank line must be a JSON object whose ``theta`` is D finite
     numbers, whose ``outcome`` is d finite numbers and whose ``quality`` is a
-    finite number. Stored outcomes must keep the pairwise spacing
-    ``>= r_novel`` that :meth:`Archive.try_insert` keeps, measured as it
-    measures; the first line that breaks it is named, with its nearest earlier
-    line; this check takes O(n²) time in the number of records. Any fault in
-    the file's contents, including bytes that are not UTF-8, raises
-    :class:`ArchiveFormatError` starting ``<path>:<line>:``. An OS error
+    finite number. Each record is then admitted by
+    :meth:`Archive.try_insert`, which must add it: an outcome closer than
+    ``r_novel`` to an earlier one is refused, naming the line of the
+    earliest of its nearest earlier outcomes. try_insert scans every stored
+    outcome, so a file of n records takes O(n²) time. Any fault in the
+    file's contents, including bytes that are not UTF-8, raises
+    :class:`ArchiveFormatError` starting ``<path>:<line>:`` and naming the
+    first faulty line in file order. An OS error
     from opening or reading the file, such as FileNotFoundError for a
     missing path or IsADirectoryError for a directory, propagates unchanged.
     """
     archive = None
-    skills, linenos = [], []
+    linenos = []   # the line of each stored skill
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -434,20 +424,16 @@ def load(path) -> Archive:
                 if archive is None:
                     archive, bounds = _header(line)
                 elif line.strip():
-                    skills.append(_record(line, archive, bounds))
-                    bounds = skills[-1].params.bounds   # one box shared by every skill
+                    skill = _record(line, archive, bounds)
+                    bounds = skill.params.bounds   # one box shared by every skill
+                    if archive.try_insert(skill).outcome is not InsertOutcome.ADDED:
+                        # the skill try_insert measured nearest, the earliest of equals
+                        nearest = archive.skills.index(archive.nearest_outcome(skill.outcome.values))
+                        raise ValueError(f"outcome closer than r_novel={archive.r_novel} "
+                                         f"to the outcome on line {linenos[nearest]}")
                     linenos.append(lineno)
             except ValueError as exc:   # UnicodeDecodeError included
                 raise ArchiveFormatError(f"{path}:{lineno}: {exc}") from None
     if archive is None:
         raise ArchiveFormatError(f"{path}:1: empty archive file")
-    archive.skills = skills
-    dist, index = _nearest_earlier(archive._matrix("outcome"))
-    crowded = np.flatnonzero(dist < archive.r_novel)
-    if crowded.size:
-        later = crowded[0]
-        raise ArchiveFormatError(
-            f"{path}:{linenos[later]}: outcome closer than r_novel={archive.r_novel} "
-            f"to the outcome on line {linenos[index[later]]}"
-        )
     return archive

@@ -133,7 +133,8 @@ ROWS = [
     ("sim.theta_bounds", "env", TRANSFER_ENVS, THROW, sim.theta_bounds),
     ("sim.RealityGap", "gravity_scale", POSITIVE, 1.1, lambda v: sim.RealityGap(gravity_scale=v)),
     ("sim.RealityGap", "link_scale", POSITIVE, 1.1, lambda v: sim.RealityGap(link_scale=v)),
-    ("sim.RealityGap", "joint_bias", vector(5), np.ones(5), lambda v: sim.RealityGap(joint_bias=v)),
+    ("sim.RealityGap", "joint_bias", vector(5) + misshapen([0.1], np.zeros((5, 1))), np.ones(5),
+     lambda v: sim.RealityGap(joint_bias=v)),
     # a NaN field fails every comparison in contains, so such a wall would
     # report no hit for any controller
     ("sim.Obstacle", "center", vector(2), (0.0, 1.0), lambda v: sim.Obstacle(v, 0.5, 1.0)),

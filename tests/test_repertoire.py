@@ -260,10 +260,9 @@ class TestQueries:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_min_pairwise_distance_matches_the_naive_form(self, data):
-        # the scan against the per-coordinate oracle, bit for bit, each index
-        # the earliest nearest earlier outcome: coordinates on a small grid
-        # make exact ties, repeated points a distance of 0, and from d = 8 on
-        # np.linalg.norm would sum the squares in another order
+        # the scan against the per-coordinate oracle, bit for bit: coordinates
+        # on a small grid make exact ties, repeated points a distance of 0,
+        # and from d = 8 on np.linalg.norm would sum the squares in another order
         d = data.draw(st.integers(0, 10), label="d")
         coordinate = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]), st.floats(-10.0, 10.0))
         points = st.lists(coordinate, min_size=d, max_size=d)
@@ -275,12 +274,7 @@ class TestQueries:
         n = len(outcomes)
         outs = np.array(outcomes, dtype=float).reshape(n, d)
         oracle = ordered_distances(outs, outs)
-        earliest = [min(range(i), key=oracle[i].__getitem__) for i in range(1, n)]
-        expected = np.array([math.inf] + [oracle[i, j] for i, j in enumerate(earliest, start=1)])[:n]
-        dist, index = repertoire._nearest_earlier(outs.T.copy())
-        assert dist.tobytes() == expected.tobytes()
-        assert index[1:].tolist() == earliest
-        assert arch.min_pairwise_distance() == expected[1:].min(initial=math.inf)
+        assert arch.min_pairwise_distance() == min((oracle[i, :i].min() for i in range(1, n)), default=math.inf)
 
     def test_skills_compare_by_identity(self):
         arch = fresh_archive(r_novel=0.1)
@@ -931,6 +925,13 @@ class TestPersistence:
                     assert len(load(path).skills) == 2
                 else:
                     assert_rejected_at(path, 3)
+
+    def test_the_first_faulty_line_is_named(self, tmp_path):
+        # a crowded record before a malformed line: load used to check the
+        # spacing only after every line had parsed, and named line 4
+        crowded = dict(RECORD, outcome=[0.11, 0.2])   # 0.01 from RECORD's, r_novel 0.05
+        path = write_archive(tmp_path, HEADER, [RECORD, crowded, "not json at all"])
+        assert_rejected_at(path, 3)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

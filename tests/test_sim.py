@@ -1084,11 +1084,6 @@ class TestTransferExits:
 
 
 class TestShapeChecks:
-    @pytest.mark.parametrize("bias", [[0.1], np.zeros(4), np.zeros(6), np.zeros((5, 1))])
-    def test_joint_bias_needs_one_entry_per_joint(self, bias):
-        with pytest.raises(DimensionError):
-            RealityGap(joint_bias=bias)
-
     @pytest.mark.parametrize("kind", sim.SKILL_KINDS)
     def test_arm_needs_four_link_lengths(self, kind):
         # the geometry is fixed: four read-only link lengths, and neither
