@@ -353,6 +353,123 @@ class TestReconstruct:
             np.testing.assert_allclose(reconstruct(factors, factors.u3[k]), full[:, :, k], rtol=0, atol=1e-12)
 
 
+def _oracle_cmaes(f, x0, sigma0, budget, seed, period):
+    """cmaes_minimize as it was when it factorized C on every generation,
+    copied with its argument checks left out, plus the one guard that
+    refreshes the eigensystem every `period` generations.  Period 1 is the
+    eager loop."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.shape[0]
+    sigma = float(sigma0)
+    lam = 4 + int(3 * math.log(n)) if n > 1 else 6
+    mu = lam // 2
+    raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
+    weights = raw / raw.sum()
+    mu_eff = 1.0 / np.sum(weights**2)
+
+    c_sigma = (mu_eff + 2.0) / (n + mu_eff + 5.0)
+    d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + c_sigma
+    c_c = (4.0 + mu_eff / n) / (n + 4.0 + 2.0 * mu_eff / n)
+    c_1 = 2.0 / ((n + 1.3) ** 2 + mu_eff)
+    c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff))
+    chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
+
+    mean = x0.copy()
+    cov = np.eye(n)
+    path_sigma = np.zeros(n)
+    path_cov = np.zeros(n)
+    generation = 0
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    x_best = x0.copy()
+    f_best = math.inf
+    history: list[float] = []
+
+    while len(history) + lam <= budget:
+        if generation % period == 0:
+            # keep the covariance numerically symmetric before factorizing
+            cov = 0.5 * (cov + cov.T)
+            eigvals, eigvecs = np.linalg.eigh(cov)
+            eigvals = np.maximum(eigvals, 1e-20)
+            d = np.sqrt(eigvals)
+            inv_sqrt = (eigvecs * (1.0 / d)) @ eigvecs.T
+
+        z = rng.standard_normal((lam, n))
+        y = z @ (eigvecs * d).T           # y_i ~ N(0, C)
+        xs = mean + sigma * y
+
+        fs = np.empty(lam)
+        for i in range(lam):
+            val = f(xs[i])
+            fs[i] = val if np.isfinite(val) else math.inf
+            if fs[i] < f_best:
+                f_best = float(fs[i])
+                x_best = xs[i].copy()
+            history.append(f_best)
+
+        order = np.argsort(fs, kind="stable")
+        y_sel = y[order[:mu]]
+        y_w = weights @ y_sel
+
+        mean = mean + sigma * y_w
+
+        path_sigma = (1.0 - c_sigma) * path_sigma + math.sqrt(
+            c_sigma * (2.0 - c_sigma) * mu_eff
+        ) * (inv_sqrt @ y_w)
+        ps_norm = float(np.linalg.norm(path_sigma))
+        denom = math.sqrt(
+            1.0 - (1.0 - c_sigma) ** (2.0 * (generation + 1))
+        )
+        h_sigma = 1.0 if ps_norm / denom < (1.4 + 2.0 / (n + 1.0)) * chi_n else 0.0
+
+        path_cov = (1.0 - c_c) * path_cov + h_sigma * math.sqrt(
+            c_c * (2.0 - c_c) * mu_eff
+        ) * y_w
+
+        rank_one = np.outer(path_cov, path_cov)
+        rank_mu = (y_sel * weights[:, None]).T @ y_sel
+        delta_h = (1.0 - h_sigma) * c_c * (2.0 - c_c)
+        cov = (
+            (1.0 - c_1 - c_mu) * cov
+            + c_1 * (rank_one + delta_h * cov)
+            + c_mu * rank_mu
+        )
+
+        sigma *= math.exp((c_sigma / d_sigma) * (ps_norm / chi_n - 1.0))
+        generation += 1
+
+    return x_best, f_best, np.asarray(history)
+
+
+def _scaled_sphere(n, seed):
+    """A seeded sphere with log-normal axis scales and a sin(x[0]) ripple,
+    and a start drawn from the same stream: the problems of the golden
+    digest."""
+    rng = np.random.default_rng(seed)
+    scale = np.exp(rng.normal(size=n))
+    return (lambda v: float(np.sum(scale * v * v) + np.sin(v[0]))), rng.normal(size=n)
+
+
+def _same_run(a, b) -> bool:
+    """x_best, f_best and history equal bit for bit."""
+    return (a[0].tobytes() == b[0].tobytes() and np.float64(a[1]).tobytes() == np.float64(b[1]).tobytes()
+            and a[2].tobytes() == b[2].tobytes())
+
+
+def _counting_eigh(monkeypatch) -> list:
+    """Patches np.linalg.eigh with a wrapper that appends to the returned
+    list on each call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 class TestCmaes:
     def test_1d_quadratic(self):
         x, f, _ = cmaes_minimize(lambda v: (v[0] - 3.0) ** 2, [0.0], 0.5, 800, seed=1)
@@ -390,21 +507,65 @@ class TestCmaes:
         assert hist.tolist() == np.repeat(best, runs).tolist()
 
     def test_runs_match_the_golden_digest(self):
-        # sha256 of x_best, f_best and history of seeded runs on scaled
-        # spheres at n = 10, 40 and 128, recorded before cmaes_minimize formed
-        # inv_sqrt without np.diag; it pins the bits the 50-evaluation run
-        # above leaves free, such as those of inv_sqrt
-        parts = []
-        for n, budget, seed in ((10, 600, 3), (40, 600, 4), (128, 180, 5)):
-            rng = np.random.default_rng(seed)
-            scale = np.exp(rng.normal(size=n))
-            x, f, hist = cmaes_minimize(
-                lambda v: float(np.sum(scale * v * v) + np.sin(v[0])), rng.normal(size=n), 0.5, budget, seed
-            )
-            parts += [x.astype("<f8").tobytes(), np.float64(f).astype("<f8").tobytes(),
-                      hist.astype("<f8").tobytes()]
-        digest = hashlib.sha256(b"".join(parts)).hexdigest()
-        assert digest == "b4e92a1b03141a09ad9f25314058f8e3c0a6b89548d9d0601e1a8414d5a135d4"
+        # sha256 of x_best, f_best and history of each seeded run on a scaled
+        # sphere; it pins the bits the 50-evaluation run above leaves free,
+        # such as those of inv_sqrt.  The n = 10 digest dates from before
+        # cmaes_minimize formed inv_sqrt without np.diag.  The n = 40 and
+        # n = 128 digests were recorded when C came to be factorized every 3
+        # and 7 generations, after those runs matched _oracle_cmaes
+        golden = {
+            (10, 600, 3): "a9fb852816e4ce7369adfe83e9ec4c540e4e3951a17053f8f91cd0427e12811d",
+            (40, 600, 4): "23670be37031a90d0260855bcd03778fb6d721b39f032eed7c8bbce8da322d24",
+            (128, 180, 5): "034a0862c30acc1743c66d8ccbc4d47d787220ff21ebedacf560aa85550d46b3",
+        }
+        digests = {}
+        for n, budget, seed in golden:
+            f, x0 = _scaled_sphere(n, seed)
+            x, f_best, hist = cmaes_minimize(f, x0, 0.5, budget, seed)
+            parts = [x.astype("<f8").tobytes(), np.float64(f_best).astype("<f8").tobytes(),
+                     hist.astype("<f8").tobytes()]
+            digests[n, budget, seed] = hashlib.sha256(b"".join(parts)).hexdigest()
+        assert digests == golden
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 15, 20])
+    def test_up_to_20_dimensions_c_is_factorized_every_generation(self, n):
+        f, x0 = _scaled_sphere(n, n)
+        run = cmaes_minimize(f, x0, 0.5, 300, n)
+        assert _same_run(run, _oracle_cmaes(f, x0, 0.5, 300, n, period=1))
+
+    @pytest.mark.parametrize("n, budget, seed, period", [
+        (21, 300, 21, 2), (40, 600, 4, 3), (128, 180, 5, 7), (128, 400, 6, 7),
+    ])
+    def test_from_21_dimensions_c_is_factorized_every_period(self, n, budget, seed, period):
+        f, x0 = _scaled_sphere(n, seed)
+        run = cmaes_minimize(f, x0, 0.5, budget, seed)
+        assert _same_run(run, _oracle_cmaes(f, x0, 0.5, budget, seed, period))
+        # the eager loop takes another path, so the match above says something
+        assert not _same_run(run, _oracle_cmaes(f, x0, 0.5, budget, seed, period=1))
+
+    @pytest.mark.parametrize("n, period", [
+        (1, 1), (3, 1), (10, 1), (20, 1), (21, 2), (40, 3), (64, 4), (128, 7), (256, 12),
+    ])
+    def test_refresh_period(self, monkeypatch, n, period):
+        # C is factorized once in the first `period` generations, and again
+        # on the one after
+        lam = 4 + int(3 * math.log(n)) if n > 1 else 6
+        calls = _counting_eigh(monkeypatch)
+        for generations, factorized in ((period, 1), (period + 1, 2)):
+            calls.clear()
+            cmaes_minimize(lambda v: float(v @ v), np.ones(n), 0.5, generations * lam, 0)
+            assert len(calls) == factorized
+
+    def test_a_128_weight_search_factorizes_c_twice(self, monkeypatch):
+        # 234 evaluations are 13 generations of 18: factorized on generations
+        # 0 and 7, where the eager loop factorized on all 13
+        f, x0 = _scaled_sphere(128, 7)
+        calls = _counting_eigh(monkeypatch)
+        cmaes_minimize(f, x0, 0.5, 234, 7)
+        assert len(calls) == 2
+        calls.clear()
+        _oracle_cmaes(f, x0, 0.5, 234, 7, period=1)
+        assert len(calls) == 13
 
     def test_seed_reproducibility(self):
         def obj(v):
