@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, _as_array, _as_vector, _integer, _number, _positive
+from .core import DimensionError, _as_array, _as_vector, _integer, _is_number, _number, _positive
 
 __all__ = [
     "LeastSquaresFit",
@@ -199,6 +199,17 @@ def reconstruct(factors: TuckerFactors, weight) -> np.ndarray:
 # CMA-ES
 # ---------------------------------------------------------------------------
 
+def _rank_value(value) -> float:
+    """f's value as CMA-ES ranks it, NaN and +-inf as inf (worst)."""
+    if isinstance(value, np.ndarray) and value.shape == ():
+        value = value[()]
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else math.inf
+    if _is_number(value):   # an int in the float range; a bool is none
+        return float(value)
+    raise ValueError(f"f must return a real number within the float range, got {value!r:.40}")
+
+
 def _cma_weights(lam: int):
     mu = lam // 2
     raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
@@ -211,8 +222,10 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int):
     """Minimize f with CMA-ES (rank-one plus rank-mu covariance updates).
 
     Runs whole generations of 4 + floor(3 ln n) candidates (6 for n = 1)
-    while they fit in the evaluation budget.  Candidates
-    with non-finite objective values are ranked worst and the run continues.
+    while they fit in the evaluation budget.  f must be callable and return
+    a real scalar, Python or NumPy, or a 0-d array of one; any other value,
+    a bool included, raises ValueError naming f.  Candidates with
+    non-finite objective values are ranked worst and the run continues.
     Returns (x_best, f_best, history) where history[i] is the best objective
     value seen after evaluation i+1 (monotone non-increasing).  x0 is a finite
     vector of at least one value, sigma0 a positive number, seed an integer
@@ -227,6 +240,8 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int):
     where runs are unchanged bit for bit; it is 2 at n = 21, 3 at n = 40 and
     7 at n = 128.
     """
+    if not callable(f):
+        raise ValueError(f"f must be callable, got {f!r:.40}")
     x0 = _as_array(x0, "x0")
     n = x0.shape[0]
     if n == 0:
@@ -272,8 +287,7 @@ def cmaes_minimize(f, x0, sigma0: float, budget: int, seed: int):
 
         fs = np.empty(lam)
         for i in range(lam):
-            val = f(xs[i])
-            fs[i] = val if np.isfinite(val) else math.inf
+            fs[i] = _rank_value(f(xs[i]))
             if fs[i] < f_best:
                 f_best = float(fs[i])
                 x_best = xs[i].copy()

@@ -42,32 +42,30 @@ __all__ = [
 ]
 
 
-def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Euclidean distances [m, n] from points[d, m] to rows[d, n], both
-    dimension-major.
+def _distances(point: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Euclidean distances [n] from point[d] to rows[d, n], dimension-major.
 
-    One broadcast difference (d, m, n) is squared in place and its planes
-    are summed one coordinate at a time, in order; for d < 8 that gives the
+    One broadcast difference (d, n) is squared in place and its rows are
+    summed one coordinate at a time, in order; for d < 8 that gives the
     bits of np.linalg.norm, which sums in pairs from d = 8 on, as
     np.add.reduce over the coordinate axis would.
 
     Beyond about 1.3e154 a difference or its square overflows. Only those
-    distances are measured again, from the pair's coordinates divided by
+    columns are measured again, from the pair's coordinates divided by
     their largest magnitude, so every distance that fits keeps its bits.
     """
     with np.errstate(over="ignore"):
-        square = np.subtract(points[:, :, None], rows[:, None, :])
+        square = np.subtract(point[:, None], rows)
         np.multiply(square, square, out=square)
-        total = square[0] if len(square) else np.zeros(square.shape[1:])   # d = 0: all 0 apart
+        total = square[0] if len(square) else np.zeros(rows.shape[1])   # d = 0: all 0 apart
         for k in range(1, len(square)):
             total += square[k]
         np.sqrt(total, out=total)
-        far = np.isinf(total)
-        if far.any():
-            i, j = far.nonzero()
-            a, b = points[:, i], rows[:, j]
-            scale = np.maximum(np.abs(a).max(axis=0), np.abs(b).max(axis=0))
-            total[i, j] = np.linalg.norm(a / scale - b / scale, axis=0) * scale
+        far = np.flatnonzero(np.isinf(total))
+        if len(far):
+            b = rows[:, far]
+            scale = np.maximum(np.abs(point).max(), np.abs(b).max(axis=0))
+            total[far] = np.linalg.norm(point[:, None] / scale - b / scale, axis=0) * scale
     return total
 
 
@@ -213,7 +211,7 @@ class Archive:
         if self.skills and not _same_box(skill.params.bounds, self.skills[0].params.bounds):
             raise ValueError("cannot insert a skill whose parameter bounds differ from "
                              "the stored skills'")
-        dists = _distances(skill.outcome.values[:, None], self._matrix("outcome"))[0]
+        dists = _distances(skill.outcome.values, self._matrix("outcome"))
         # the read above left only buffers of this list in the cache
         nearest = int(dists.argmin()) if len(dists) else -1
         if nearest < 0 or dists[nearest] >= self.r_novel:
@@ -245,7 +243,7 @@ class Archive:
         target = _as_vector(target, "target", self.dim_outcome)
         if not self.skills:
             raise ValueError("archive is empty")
-        dists = _distances(target[:, None], self._matrix("outcome"))[0]
+        dists = _distances(target, self._matrix("outcome"))
         return self.skills[int(np.argmin(dists))]
 
     def knn_params(self, theta_c, k: int) -> list[Skill]:
@@ -262,7 +260,7 @@ class Archive:
         if not self.skills:
             raise ValueError("archive is empty")
         _integer(k, "k", 1)
-        dists = _distances(query[:, None], self._matrix("params"))[0]
+        dists = _distances(query, self._matrix("params"))
         k = min(k, len(dists))
         # every index at or below the k-th distance, in index order, then a
         # stable sort of those: the order of argsort(kind="stable")[:k]
@@ -274,7 +272,7 @@ class Archive:
         """Smallest outcome-space distance between stored skills (inf if < 2)."""
         outs = self._matrix("outcome")
         # each outcome against the earlier ones, by the call try_insert makes for a candidate
-        nearest = (_distances(outs[:, i:i + 1], outs[:, :i]).min() for i in range(1, outs.shape[1]))
+        nearest = (_distances(outs[:, i], outs[:, :i]).min() for i in range(1, outs.shape[1]))
         return float(min(nearest, default=math.inf))
 
 

@@ -189,6 +189,10 @@ ROWS = [
     ("mathkit.hosvd", "tensor", array(3, 3, 3), np.ones((3, 3, 3)), lambda v: mathkit.hosvd(v, (1, 1, 1))),
     ("mathkit.hosvd", "ranks", integer(1), 3, lambda v: mathkit.hosvd(np.ones((3, 3, 3)), (1, v, 1))),
     ("mathkit.reconstruct", "weight", vector(2), np.ones(2), lambda v: mathkit.reconstruct(FACTORS, v)),
+    # NumPy could not rank these values of f, and ranked True as 1.0
+    ("mathkit.cmaes_minimize", "f",
+     [None, *(lambda x, value=value: value for value in (None, "1", 10**400, 1j, True))],
+     lambda x: 0.0, lambda v: cmaes(f=v)),
     # a non-finite x0, like a NaN or infinite sigma0, used to spend the budget
     # on non-finite candidates and return x0 with f_best = inf
     ("mathkit.cmaes_minimize", "x0", vector() + misshapen(np.zeros(0)), np.ones(3), lambda v: cmaes(x0=v)),

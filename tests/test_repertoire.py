@@ -430,7 +430,7 @@ class TestDistances:
         rng = np.random.default_rng(d)
         for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             points, rows = rng.normal(0.0, scale, (4, d)), rng.normal(0.0, scale, (30, d))
-            got = repertoire._distances(points.T, rows.T)
+            got = np.array([repertoire._distances(p, rows.T) for p in points])
             assert got.tolist() == ordered_distances(points, rows).tolist()
             if d < 8:
                 assert np.array_equal(got, [np.linalg.norm(rows - p, axis=1) for p in points])
@@ -444,9 +444,20 @@ class TestDistances:
         assert arch.nearest_outcome([1e200, 0.0]) is arch.skills[1]
         assert arch.min_pairwise_distance() == pytest.approx(1.5e200, rel=1e-15)
 
+    def test_only_the_columns_too_far_apart_are_measured_again(self):
+        # columns 0 and 2 overflow and are measured from scaled coordinates;
+        # column 1 between them keeps the bits of the plain sum
+        point = np.array([1e200, 0.0])
+        rows = np.array([[-1e200, 0.0], [1e200, 0.5], [0.5e200, 0.0]])
+        got = repertoire._distances(point, rows.T.copy())
+        assert got[1:2].tobytes() == ordered_distances(point[None], rows[1:2])[0].tobytes()
+        for j in (0, 2):
+            scale = max(np.abs(point).max(), np.abs(rows[j]).max())
+            assert got[j] == np.linalg.norm(point / scale - rows[j] / scale) * scale
+
     def test_without_coordinates_every_point_is_0_apart(self):
         # an archive of dim_outcome 0 measures by it
-        got = repertoire._distances(np.zeros((0, 2)), np.zeros((0, 3)))
+        got = np.array([repertoire._distances(p, np.zeros((0, 3))) for p in np.zeros((2, 0))])
         assert got.shape == (2, 3) and not got.any()
 
     @settings(max_examples=100, deadline=None)
@@ -463,7 +474,7 @@ class TestDistances:
             points, rows = rng.choice(pool, (m, d)), rng.choice(pool, (n, d))
             if n >= 2:
                 rows[n // 2] = points[-1]
-            got = repertoire._distances(points.T.copy(), rows.T.copy())
+            got = np.array([repertoire._distances(p, rows.T.copy()) for p in points])
             assert got.shape == (m, n) and got.tobytes() == ordered_distances(points, rows).tobytes()
 
 
