@@ -605,14 +605,15 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     then reused from a bounded cache: every rollout of one search runs the
     same episode.
 
-    Hand, puck, goal and puck velocity are Python floats.  NumPy computes
-    only the two tanh layers, the hand-puck distance and the push projection
+    Hand, puck, goal and puck velocity are Python floats.  NumPy computes only
+    the two tanh layers, the hand-puck distance and the push projection
     (2-vector dots) and the final miss distance: the BLAS dot may fuse
-    multiply and add, so writing a dot out as a*a + b*b would change the
-    low bits of the return.  Such a sum only screens out the hands well
-    beyond the contact radius, which no rounding brings into contact.  The
-    layers use ``ndarray.dot``, the BLAS call of ``@`` at less overhead, and
-    the hand step is scaled in Python, one rounded multiply either way.
+    multiply and add, so writing a dot out as a*a + b*b would change the low
+    bits of the return.  Such a sum only screens out hands beyond the contact
+    radius that no rounding brings into contact.  The layers are read in C
+    order by ``ndarray.dot`` (``@`` at less overhead), so the ``dgemv`` bits do
+    not depend on the caller's layout; the first reads the state, written
+    through a memoryview.  Scaling the hand step in Python rounds as NumPy does.
     """
     if kind not in TRANSFER_KINDS:
         raise ValueError(f"unknown transfer kind {kind!r}")
@@ -620,17 +621,21 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     layers = tuple(_as_array(w, "policy_layers", 2) for w in policy_layers)
     if (shapes := tuple(w.shape for w in layers)) != _POLICY_SHAPES:
         raise DimensionError(f"policy_layers must have shapes {_POLICY_SHAPES}, got {shapes}")
-    w_in, w_out = layers
+    w_in, w_out = (np.ascontiguousarray(w) for w in layers)
     hx, hy, px, py, gx, gy = _transfer_start(kind, seed)
     vx = vy = 0.0
     struck = False
+    pusher, thrower = kind == "pusherlike", kind == "throwerlike"
+    drag = 0.9 if thrower else 0.98
     state = np.empty(TRANSFER_STATE_DIM)
+    slot, dot, tanh, clip = memoryview(state), state.dot, np.tanh, _clip_unit
     for _ in range(TRANSFER_STEPS):
         before = (hx, hy, px, py, vx, vy)
-        state[:] = (px - hx, py - hy, gx - px, gy - py, hx, hy)
-        sx, sy = np.tanh(np.tanh(state.dot(w_in)).dot(w_out)).tolist()
+        slot[0], slot[1], slot[2] = px - hx, py - hy, gx - px
+        slot[3], slot[4], slot[5] = gy - py, hx, hy
+        sx, sy = tanh(tanh(dot(w_in)).dot(w_out)).tolist()
         sx, sy = sx * _HAND_STEP, sy * _HAND_STEP
-        hx, hy = _clip_unit(hx + sx), _clip_unit(hy + sy)
+        hx, hy = clip(hx + sx), clip(hy + sy)
         push_x = push_y = 0.0
         dx, dy = px - hx, py - hy
         if dx * dx + dy * dy < _NEAR_SQ:
@@ -640,18 +645,16 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
                 direction = gap / gap_norm
                 push = max(0.0, float(np.array((sx, sy)) @ direction))
                 push_x, push_y = (push * direction).tolist()
-        if kind == "pusherlike":
-            px, py = _clip_unit(px + push_x), _clip_unit(py + push_y)
-        elif kind == "throwerlike":
-            vx, vy = vx + 0.7 * push_x, vy + 0.7 * push_y
-            px, py = _clip_unit(px + vx), _clip_unit(py + vy)
-            vx, vy = vx * 0.9, vy * 0.9
-        else:  # strikerlike
-            if not struck and (push_x != 0.0 or push_y != 0.0):
+        if pusher:
+            px, py = clip(px + push_x), clip(py + push_y)
+        else:
+            if thrower:
+                vx, vy = vx + 0.7 * push_x, vy + 0.7 * push_y
+            elif not struck and (push_x != 0.0 or push_y != 0.0):   # strikerlike
                 vx, vy = 4.0 * push_x, 4.0 * push_y
                 struck = True
-            px, py = _clip_unit(px + vx), _clip_unit(py + vy)
-            vx, vy = vx * 0.98, vy * 0.98
+            px, py = clip(px + vx), clip(py + vy)
+            vx, vy = vx * drag, vy * drag
         if (hx, hy, px, py, vx, vy) == before:
             break   # every later step would repeat this one
     return -float(np.linalg.norm([px - gx, py - gy]))

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import sys
+import threading
 import tracemalloc
 from decimal import Decimal, localcontext
 from unittest import mock
@@ -1081,6 +1082,49 @@ class TestTransferExits:
     def test_returns_match_the_golden_digest(self):
         returns = np.array([transfer_task(*case) for case in _golden_transfer_cases()], dtype="<f8")
         assert hashlib.sha256(returns.tobytes()).hexdigest() == GOLDEN_RETURNS_SHA256
+
+
+class TestTransferBits:
+    """A rollout's return is a function of the layers' values and of nothing
+    else: not of their memory layout, and not of a rollout running beside it."""
+
+    def test_returns_do_not_depend_on_the_layout_of_the_layers(self):
+        # an F-ordered or transposed layer sends ndarray.dot down another
+        # BLAS path (dgemv_t for dgemv_n), with other low bits
+        c_order, f_order, transposed = [], [], []
+        for kind, layers, seed in _golden_transfer_cases():
+            w_in, w_out = (np.ascontiguousarray(w) for w in layers)
+            c_order.append(transfer_task(kind, [w_in, w_out], seed))
+            f_order.append(transfer_task(kind, [np.asfortranarray(w) for w in (w_in, w_out)], seed))
+            transposed.append(transfer_task(kind, [w_in.T.copy().T, w_out], seed))
+        want = np.array(c_order, dtype="<f8").tobytes()
+        assert np.array(f_order, dtype="<f8").tobytes() == want
+        assert np.array(transposed, dtype="<f8").tobytes() == want
+
+    def test_rollouts_in_four_threads_match_the_sequential_ones(self):
+        # ndarray.dot lets go of the interpreter lock around its BLAS call,
+        # so with threads switching every microsecond another rollout runs
+        # while one reads its state: a state shared between calls shows in
+        # the returns (two threads showed it only about once in 3,000)
+        cases = _golden_transfer_cases()
+        want = [transfer_task(*case) for case in cases]
+        got = [None] * 4
+
+        def run(i):
+            got[i] = [transfer_task(*case) for case in cases]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(got))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * len(got)
 
 
 class TestShapeChecks:
