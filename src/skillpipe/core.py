@@ -14,12 +14,18 @@ integer; a number (:func:`_number`), a finite int, float or NumPy number,
 and a positive one (:func:`_positive`), both returned as a Python float for
 the record to keep; a finite array of ndim dimensions (:func:`_as_array`)
 and a vector of n finite values (:func:`_as_vector`).  A bool is neither an
-integer nor a number.  A refusal is a ValueError, or its subclass
-DimensionError for a wrong shape, naming the argument.
+integer nor a number.  An array argument, and each array a record keeps,
+must be read by NumPy as real numbers (:func:`_floats`): a string, a
+nesting that holds one, a complex value, an object that is no real number
+and a ragged nesting are refused.  A refusal is a ValueError, or its
+subclass DimensionError for a wrong shape, naming the argument.  A ragged
+nesting is a ValueError, not a DimensionError: NumPy reads it as no array,
+so it has no shape to be wrong.
 """
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -66,8 +72,27 @@ def _positive(value, name: str) -> float:
     return number
 
 
+_FLOAT = np.dtype(float)
+
+
+def _floats(values, name: str) -> np.ndarray:
+    """values as a float ndarray, a float one as it is, else ValueError
+    naming name: NumPy must read values as bools, integers or floats, or as
+    objects that are each a real number (numbers.Real)."""
+    if type(values) is np.ndarray and values.dtype is _FLOAT:
+        return values
+    try:
+        arr = np.asarray(values)
+        kind = arr.dtype.kind
+        if kind in "biuf" or kind == "O" and all(isinstance(x, numbers.Real) for x in arr.flat):
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):   # a ragged nesting, an int beyond float
+        pass
+    raise ValueError(f"{name} must be an array of real numbers, got {values!r:.40}")
+
+
 def _as_array(values, name: str, ndim: int = 1) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = _floats(values, name)
     if arr.ndim != ndim:
         noun = "vector" if ndim == 1 else "matrix" if ndim == 2 else "array"
         raise DimensionError(f"{name} must be a {ndim}-D {noun}, got shape {arr.shape}")
@@ -76,20 +101,21 @@ def _as_array(values, name: str, ndim: int = 1) -> np.ndarray:
     return arr
 
 
-def _frozen(values) -> np.ndarray:
+def _frozen(values, name: str) -> np.ndarray:
     """values as a read-only float array: a read-only float ndarray that
-    owns its data is shared, anything else is copied first, so that a
-    writeable array passed in stays writeable and its later writes do not
-    show.  The owner of a shared array can still make it writeable again."""
-    if not (type(values) is np.ndarray and values.dtype == float
+    owns its data is shared, anything else is read as :func:`_floats` reads
+    it and copied, so that a writeable array passed in stays writeable and
+    its later writes do not show.  The owner of a shared array can still
+    make it writeable again."""
+    if not (type(values) is np.ndarray and values.dtype is _FLOAT
             and not values.flags.writeable and values.flags.owndata):
-        values = np.array(values, dtype=float)
+        values = np.array(_floats(values, name))
         values.flags.writeable = False
     return values
 
 
 def _as_vector(values, name: str, size: int) -> np.ndarray:
-    vector = np.asarray(values, dtype=float)
+    vector = _floats(values, name)
     if vector.shape != (size,):
         raise DimensionError(f"{name} must have {size} values, got shape {vector.shape}")
     return _as_array(vector, name)
@@ -108,8 +134,8 @@ class ControllerParams:
     bounds: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_array(_frozen(self.values), "values"))
-        bounds = _frozen(self.bounds)
+        object.__setattr__(self, "values", _as_array(_frozen(self.values, "values"), "values"))
+        bounds = _frozen(self.bounds, "bounds")
         if bounds.shape != (self.values.shape[0], 2):
             raise DimensionError(
                 f"bounds shape {bounds.shape} does not match {self.values.shape[0]} values"
@@ -135,7 +161,7 @@ class Outcome:
     valid: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_array(_frozen(self.values), "values"))
+        object.__setattr__(self, "values", _as_array(_frozen(self.values, "values"), "values"))
 
     @staticmethod
     def invalid(dim: int) -> "Outcome":

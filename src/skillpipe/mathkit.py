@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, _as_array, _as_vector, _integer, _is_number, _number, _positive
+from .core import DimensionError, _as_array, _as_vector, _floats, _integer, _is_number, _number, _positive
 
 __all__ = [
     "LeastSquaresFit",
@@ -83,7 +83,8 @@ def least_squares(a, b, ridge: float = 0.0) -> LeastSquaresFit:
     ridge a number >= 0 (the kinds of :mod:`core`).
     """
     a = _as_array(a, "a", 2)
-    squeeze = np.ndim(b) == 1
+    b = _floats(b, "b")
+    squeeze = b.ndim == 1
     b = _as_array(b, "b", 1 if squeeze else 2)
     _number(ridge, "ridge")
     if ridge < 0:

@@ -81,7 +81,7 @@ class RealityGap:
         object.__setattr__(self, "gravity_scale", _positive(self.gravity_scale, "gravity_scale"))
         object.__setattr__(self, "link_scale", _positive(self.link_scale, "link_scale"))
         bias = _as_vector(self.joint_bias, "joint_bias", N_JOINTS)
-        object.__setattr__(self, "joint_bias", _frozen(bias))
+        object.__setattr__(self, "joint_bias", _frozen(bias, "joint_bias"))
 
 
 NOMINAL_GAP = RealityGap()
@@ -546,18 +546,15 @@ _NEAR_SQ = (1.001 * _CONTACT_RADIUS) ** 2
 
 # Layer shapes of the shared transfer-task policy (6 -> 16 -> 2, tanh)
 _POLICY_SHAPES = ((TRANSFER_STATE_DIM, TRANSFER_HIDDEN), (TRANSFER_HIDDEN, TRANSFER_ACTION_DIM))
+_W_IN_SIZE = TRANSFER_STATE_DIM * TRANSFER_HIDDEN
+_POLICY_SIZE = _W_IN_SIZE + TRANSFER_HIDDEN * TRANSFER_ACTION_DIM
 
 
 def unflatten_policy(flat) -> list[np.ndarray]:
-    """The policy layers of a vector of 128 values, the kind of :mod:`core`."""
-    flat = _as_vector(flat, "flat", sum(rows * cols for rows, cols in _POLICY_SHAPES))
-    layers = []
-    idx = 0
-    for shape in _POLICY_SHAPES:
-        size = shape[0] * shape[1]
-        layers.append(flat[idx : idx + size].reshape(shape))
-        idx += size
-    return layers
+    """The policy layers of a vector of 128 values, the kind of :mod:`core`:
+    two C-ordered views of the checked vector, with no copy."""
+    flat = _as_vector(flat, "flat", _POLICY_SIZE)
+    return [flat[:_W_IN_SIZE].reshape(_POLICY_SHAPES[0]), flat[_W_IN_SIZE:].reshape(_POLICY_SHAPES[1])]
 
 
 def _clip_unit(x: float) -> float:
@@ -592,8 +589,10 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     strikerlike: a single contact imparts an amplified impulse (drag 0.98);
     afterwards the hand can no longer affect the puck.
 
-    Raises ValueError for an unknown kind, non-finite weights or a seed not an
-    integer >= 0, and DimensionError unless the layers fit the 6 -> 16 -> 2 policy.
+    Raises ValueError for an unknown kind, policy_layers that cannot be
+    iterated, weights that are not finite real numbers or a seed not an
+    integer >= 0, and DimensionError unless the layers fit the 6 -> 16 -> 2
+    policy.
 
     The rollout ends at the first step that leaves hand, puck and puck
     velocity as they were: every later step would start from the same state
@@ -607,18 +606,30 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
 
     Hand, puck, goal and puck velocity are Python floats.  NumPy computes only
     the two tanh layers, the hand-puck distance and the push projection
-    (2-vector dots) and the final miss distance: the BLAS dot may fuse
-    multiply and add, so writing a dot out as a*a + b*b would change the low
-    bits of the return.  Such a sum only screens out hands beyond the contact
-    radius that no rounding brings into contact.  The layers are read in C
-    order by ``ndarray.dot`` (``@`` at less overhead), so the ``dgemv`` bits do
-    not depend on the caller's layout; the first reads the state, written
-    through a memoryview.  Scaling the hand step in Python rounds as NumPy does.
+    (2-vector dots) and the final miss, as ``math.sqrt`` of the miss vector's
+    dot with itself, which is what ``np.linalg.norm`` computes: the BLAS dot
+    may fuse multiply and add, so writing a dot out as a*a + b*b would change
+    the low bits of the return.  Such a sum only screens out hands beyond the
+    contact radius that no rounding brings into contact.  The layers are read
+    in C order by ``ndarray.dot`` (``@`` at less overhead), so the ``dgemv``
+    bits do not depend on the caller's layout; the first reads the state,
+    written through a memoryview.  The policy runs as four NumPy calls a
+    step into two buffers made once per rollout, the hidden 16 and the
+    action 2: each layer's ``dot`` writes into its buffer (``out=``), and
+    ``np.tanh`` runs in place on it, the same kernels as into a fresh array,
+    so the policy allocates no array a step and the return keeps its bits.
+    The buffers are the call's own, so rollouts in threads do not share
+    them, and no caller's layer is written.  Scaling the hand step in Python
+    rounds as NumPy does.
     """
     if kind not in TRANSFER_KINDS:
         raise ValueError(f"unknown transfer kind {kind!r}")
     _integer(seed, "seed", 0)
-    layers = tuple(_as_array(w, "policy_layers", 2) for w in policy_layers)
+    try:
+        layers = iter(policy_layers)
+    except TypeError:
+        raise ValueError(f"policy_layers must be a sequence of arrays, got {policy_layers!r:.40}") from None
+    layers = tuple(_as_array(w, "policy_layers", 2) for w in layers)
     if (shapes := tuple(w.shape for w in layers)) != _POLICY_SHAPES:
         raise DimensionError(f"policy_layers must have shapes {_POLICY_SHAPES}, got {shapes}")
     w_in, w_out = (np.ascontiguousarray(w) for w in layers)
@@ -628,12 +639,19 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
     pusher, thrower = kind == "pusherlike", kind == "throwerlike"
     drag = 0.9 if thrower else 0.98
     state = np.empty(TRANSFER_STATE_DIM)
-    slot, dot, tanh, clip = memoryview(state), state.dot, np.tanh, _clip_unit
+    hidden = np.empty(TRANSFER_HIDDEN)
+    action = np.empty(TRANSFER_ACTION_DIM)
+    slot, tanh, clip = memoryview(state), np.tanh, _clip_unit
+    state_dot, hidden_dot, action_list = state.dot, hidden.dot, action.tolist
     for _ in range(TRANSFER_STEPS):
         before = (hx, hy, px, py, vx, vy)
         slot[0], slot[1], slot[2] = px - hx, py - hy, gx - px
         slot[3], slot[4], slot[5] = gy - py, hx, hy
-        sx, sy = tanh(tanh(dot(w_in)).dot(w_out)).tolist()
+        state_dot(w_in, hidden)
+        tanh(hidden, hidden)
+        hidden_dot(w_out, action)
+        tanh(action, action)
+        sx, sy = action_list()
         sx, sy = sx * _HAND_STEP, sy * _HAND_STEP
         hx, hy = clip(hx + sx), clip(hy + sy)
         push_x = push_y = 0.0
@@ -657,4 +675,5 @@ def transfer_task(kind: str, policy_layers, seed: int = 0) -> float:
             vx, vy = vx * drag, vy * drag
         if (hx, hy, px, py, vx, vy) == before:
             break   # every later step would repeat this one
-    return -float(np.linalg.norm([px - gx, py - gy]))
+    miss = np.array((px - gx, py - gy))
+    return -math.sqrt(miss.dot(miss))   # what np.linalg.norm computes

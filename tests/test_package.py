@@ -46,7 +46,9 @@ def test_every_public_definition_is_exported(name):
 # The refusal table: the bad values of each argument kind that core's
 # docstring names, and for each public callable the kind of each argument.
 # A value whose fault is its shape must raise a DimensionError, any other a
-# ValueError that is not one; a bad string is quoted in the message
+# ValueError that is not one; a bad string is quoted in the message.  A
+# ragged nesting is a fault of its values: NumPy reads it as no array at all,
+# so it has no shape to be wrong
 # ---------------------------------------------------------------------------
 
 NAN, INF = math.nan, math.inf
@@ -73,17 +75,30 @@ def integer(lo=None):
     return [True, False, 1.5, 2.0, NAN, INF, "1", None] + ([] if lo is None else [lo - 1])
 
 
-def vector(n=None):
-    """Bad values of a vector of n finite values; any length when n is None."""
+def unreadable(good):
+    """Values that NumPy cannot read as floats: a string, good as nested
+    lists with a string for its first number, good as complex numbers, and
+    good beside itself one row short, a ragged nesting."""
+    cells = good.astype(object)
+    cells.flat[0] = "1"
+    return ["1", cells.tolist(), good + 1j, [good.tolist(), good[:-1].tolist()]]
+
+
+def vector(n=None, also=()):
+    """Bad values of a vector of n finite values, any length when n is None,
+    with the argument's own bad values also."""
     size = n or 3
     bad = [np.r_[x, np.ones(size - 1)] for x in (NAN, INF, -INF)] + misshapen(np.ones((1, size)), 1.0)
-    return bad if n is None else bad + misshapen(np.ones(n - 1), np.ones(n + 1))
+    bad = bad if n is None else bad + misshapen(np.ones(n - 1), np.ones(n + 1))
+    return bad + list(also) + unreadable(np.ones(size))
 
 
-def array(*shape):
-    """Bad values of a finite array of the given shape, two dimensions or more."""
+def array(*shape, also=()):
+    """Bad values of a finite array of the given shape, two dimensions or
+    more, with the argument's own bad values also."""
     bad = [np.full(shape, x) for x in (NAN, INF, -INF)]
-    return bad + misshapen(np.ones(shape[:-2] + (shape[-2] * shape[-1],)), np.ones((1, *shape)))
+    bad += misshapen(np.ones(shape[:-2] + (shape[-2] * shape[-1],)), np.ones((1, *shape)))
+    return bad + list(also) + unreadable(np.ones(shape))
 
 
 def box(n):
@@ -133,7 +148,7 @@ ROWS = [
     ("sim.theta_bounds", "env", TRANSFER_ENVS, THROW, sim.theta_bounds),
     ("sim.RealityGap", "gravity_scale", POSITIVE, 1.1, lambda v: sim.RealityGap(gravity_scale=v)),
     ("sim.RealityGap", "link_scale", POSITIVE, 1.1, lambda v: sim.RealityGap(link_scale=v)),
-    ("sim.RealityGap", "joint_bias", vector(5) + misshapen([0.1], np.zeros((5, 1))), np.ones(5),
+    ("sim.RealityGap", "joint_bias", vector(5, also=misshapen([0.1], np.zeros((5, 1)))), np.ones(5),
      lambda v: sim.RealityGap(joint_bias=v)),
     # a NaN field fails every comparison in contains, so such a wall would
     # report no hit for any controller
@@ -143,7 +158,7 @@ ROWS = [
     ("sim.execute", "env", TRANSFER_ENVS, THROW, lambda v: sim.execute(v, sim.NOMINAL_GAP, THETA)),
     ("sim.execute_batch", "env", TRANSFER_ENVS, THROW,
      lambda v: sim.execute_batch(v, sim.NOMINAL_GAP, np.zeros((2, 15)))),
-    ("sim.execute_batch", "values", array(2, 15) + misshapen(np.ones((2, 14)), np.ones((2, 16))),
+    ("sim.execute_batch", "values", array(2, 15, also=misshapen(np.ones((2, 14)), np.ones((2, 16)))),
      np.zeros((2, 15)), lambda v: sim.execute_batch(THROW, sim.NOMINAL_GAP, v)),
     ("sim.collides", "env", [JOYSTICK, *TRANSFER_ENVS], THROW, lambda v: sim.collides(v, THETA, WALL)),
     ("sim.quality", "env", TRANSFER_ENVS, THROW, lambda v: sim.quality(v, THETA, ZERO_OUT)),
@@ -161,11 +176,12 @@ ROWS = [
     ("sim.render_frame", "target", vector(2), (0.5, 0.5), lambda v: sim.render_frame((0.5, 0.5), v)),
     ("sim.transfer_task", "kind", ["reacherlike", "throw"], "strikerlike", lambda v: transfer(kind=v)),
     # NaN, inf and -inf in each layer: a NaN weight would make the hand NaN and
-    # leave the puck untouched, so the rollout would score as the zero policy
+    # leave the puck untouched, so the rollout would score as the zero policy;
+    # a number is no sequence of layers
     ("sim.transfer_task", "policy_layers",
      [[np.full((6, 16), x), LAYERS[1]] for x in (NAN, INF)] + [[LAYERS[0], np.full((16, 2), -INF)]]
      + misshapen([np.zeros((3, 3)), np.zeros((3, 2))], [np.zeros(96), np.zeros(32)], LAYERS[:1])
-     + [[LAYERS[0], np.full((16, 2), x)] for x in (NAN, INF)] + [[np.full((6, 16), -INF), LAYERS[1]]],
+     + [[LAYERS[0], np.full((16, 2), x)] for x in (NAN, INF)] + [[np.full((6, 16), -INF), LAYERS[1]], 5],
      LAYERS, lambda v: transfer(policy_layers=v)),
     ("sim.transfer_task", "seed", integer(0), 3, lambda v: transfer(seed=v)),
     ("sim.unflatten_policy", "flat", vector(128), np.zeros(128), sim.unflatten_policy),
@@ -195,7 +211,7 @@ ROWS = [
      lambda x: 0.0, lambda v: cmaes(f=v)),
     # a non-finite x0, like a NaN or infinite sigma0, used to spend the budget
     # on non-finite candidates and return x0 with f_best = inf
-    ("mathkit.cmaes_minimize", "x0", vector() + misshapen(np.zeros(0)), np.ones(3), lambda v: cmaes(x0=v)),
+    ("mathkit.cmaes_minimize", "x0", vector(also=misshapen(np.zeros(0))), np.ones(3), lambda v: cmaes(x0=v)),
     ("mathkit.cmaes_minimize", "sigma0", POSITIVE, 0.5, lambda v: cmaes(sigma0=v)),
     ("mathkit.cmaes_minimize", "budget", integer(LAM), 2 * LAM, lambda v: cmaes(budget=v)),
     ("mathkit.cmaes_minimize", "seed", integer(0), 9, lambda v: cmaes(seed=v)),

@@ -1021,14 +1021,18 @@ GOLDEN_RETURNS_SHA256 = "3b5a123b84bcb8d79a6031d7db754f3525de2d55cce4cf1bb102326
 @st.composite
 def transfer_cases(draw):
     """(kind, layers, seed): a random policy at a weight scale of 0.05-50,
-    the scripted pusher with noise, or a case of the screen."""
-    source = draw(st.sampled_from(["random", "scripted", "screen"]))
+    given as two arrays or, as a search gives its candidates, as the
+    unflatten_policy views of one vector; the scripted pusher with noise; or
+    a case of the screen."""
+    source = draw(st.sampled_from(["random", "flat", "scripted", "screen"]))
     if source == "screen":
         kind, layers, seed, _ = draw(st.sampled_from(_transfer_screen()))
         return kind, layers, seed
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if source == "random":
         layers = _random_policy(rng, draw(st.floats(0.05, 50.0)))
+    elif source == "flat":
+        layers = sim.unflatten_policy(draw(st.floats(0.05, 50.0)) * rng.normal(size=sim._POLICY_SIZE))
     else:
         layers = _noisy_pusher(rng, draw(st.sampled_from([0.0, 0.01, 0.1, 0.5])))
     return draw(st.sampled_from(sim.TRANSFER_KINDS)), layers, draw(st.integers(0, 2**32 - 1))
@@ -1100,6 +1104,21 @@ class TestTransferBits:
         want = np.array(c_order, dtype="<f8").tobytes()
         assert np.array(f_order, dtype="<f8").tobytes() == want
         assert np.array(transposed, dtype="<f8").tobytes() == want
+
+    def test_a_rollout_leaves_its_layers_unchanged(self):
+        # the policy runs into buffers of the rollout's own: an out= or an
+        # in-place tanh on a layer would change the caller's weights, and
+        # C-ordered layers and the views of a flat vector reach the rollout
+        # uncopied
+        for kind, layers, seed in _golden_transfer_cases():
+            w_in, w_out = (np.ascontiguousarray(w) for w in layers)
+            flat = np.concatenate([w_in.ravel(), w_out.ravel()])
+            views = sim.unflatten_policy(flat)
+            assert all(np.shares_memory(w, flat) for w in views)
+            for given in ([w_in, w_out], [np.asfortranarray(w) for w in (w_in, w_out)], views):
+                before = [(w.tobytes(), w.flags.writeable) for w in (*given, flat)]
+                transfer_task(kind, given, seed)
+                assert [(w.tobytes(), w.flags.writeable) for w in (*given, flat)] == before
 
     def test_rollouts_in_four_threads_match_the_sequential_ones(self):
         # ndarray.dot lets go of the interpreter lock around its BLAS call,
