@@ -16,11 +16,12 @@ the record to keep; a finite array of ndim dimensions (:func:`_as_array`)
 and a vector of n finite values (:func:`_as_vector`).  A bool is neither an
 integer nor a number.  An array argument, and each array a record keeps,
 must be read by NumPy as real numbers (:func:`_floats`): a string, a
-nesting that holds one, a complex value, an object that is no real number
-and a ragged nesting are refused.  A refusal is a ValueError, or its
-subclass DimensionError for a wrong shape, naming the argument.  A ragged
-nesting is a ValueError, not a DimensionError: NumPy reads it as no array,
-so it has no shape to be wrong.
+nesting that holds one, a complex value, an object that is no real number,
+a bool array, a bool among objects and a ragged nesting are refused; a list
+mixing bools with numbers is read, as NumPy reads it, as numbers.  A
+refusal is a ValueError, or its subclass DimensionError for a wrong shape,
+naming the argument.  A ragged nesting is a ValueError, not a
+DimensionError: NumPy reads it as no array, so it has no shape to be wrong.
 """
 
 from __future__ import annotations
@@ -77,14 +78,15 @@ _FLOAT = np.dtype(float)
 
 def _floats(values, name: str) -> np.ndarray:
     """values as a float ndarray, a float one as it is, else ValueError
-    naming name: NumPy must read values as bools, integers or floats, or as
-    objects that are each a real number (numbers.Real)."""
+    naming name: NumPy must read values as integers or floats, or as
+    objects that are each a real number (numbers.Real) but no bool."""
     if type(values) is np.ndarray and values.dtype is _FLOAT:
         return values
     try:
         arr = np.asarray(values)
         kind = arr.dtype.kind
-        if kind in "biuf" or kind == "O" and all(isinstance(x, numbers.Real) for x in arr.flat):
+        if kind in "iuf" or kind == "O" and all(
+                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in arr.flat):
             return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):   # a ragged nesting, an int beyond float
         pass

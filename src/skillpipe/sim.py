@@ -186,16 +186,35 @@ _SAMPLE_TIMES = np.linspace(
 )
 _SAMPLE_TIMES.flags.writeable = False
 
+# The lo and hi columns (J, 1) of EnvironmentSpec.joint_limits, contiguous
+# and read-only: a clamp of one controller's (J, 1) angles then takes
+# NumPy's same-shape path, not the broadcast one
+_JOINT_LO = EnvironmentSpec.joint_limits[:, :1].copy()
+_JOINT_HI = EnvironmentSpec.joint_limits[:, 1:].copy()
+_JOINT_LO.flags.writeable = _JOINT_HI.flags.writeable = False
 
-def _cubic(a1, a2, a3, t):
-    """a1 t + a2 t^2 + a3 t^3, elementwise over coefficient rows a1, a2, a3
-    and times t that broadcast together."""
-    return a1 * t + a2 * t * t + a3 * t * t * t
+
+def _cubic(a, t):
+    """a1 t + a2 t^2 + a3 t^3, elementwise over the coefficient rows
+    (a1, a2, a3) = a and times t that broadcast together.
+
+    One product makes every a_k t and two in-place products the higher
+    powers, so each term rounds as a_k * t * ... * t does and the terms are
+    added in order: three broadcast products where the sum as written
+    takes six."""
+    terms = a * t
+    high = terms[1:]
+    high *= t
+    top = terms[2]
+    top *= t
+    total = terms[0] + terms[1]
+    total += top
+    return total
 
 
-def _cubic_rate(a1, a2, a3, t):
+def _cubic_rate(a, t):
     """The time derivative a1 + 2 a2 t + 3 a3 t^2 of :func:`_cubic`."""
-    return a1 + 2.0 * a2 * t + 3.0 * a3 * t * t
+    return a[0] + 2.0 * a[1] * t + 3.0 * a[2] * t * t
 
 
 def _arm(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray, t: np.ndarray, rates: bool = False):
@@ -206,33 +225,44 @@ def _arm(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray, t: np.ndarra
     Joint 0 is the base yaw; joints 1..4 rotate in the yawed vertical plane,
     angles measured from vertical (rest pose points straight up), so link k
     sits at the cumulative angle of joints 1..k.  Returns the cosine and
-    sine of the yaw (N,) and the vertical rise and horizontal reach of each
-    link (J - 1, N); with rates also the joint rates (J, B) at t[-1], where
-    a release reads them: the yaw rate and the cumulative rates of joints
-    1..k, a joint held at its limit counting 0.  Each step is elementwise or
-    adds joint rows in np.cumsum's order, so every column is bit for bit the
-    joint-last evaluation at its time.
+    sine of the yaw, the rows of one (2, N) array, and the vertical rise
+    and horizontal reach of each link, one (2, J - 1, N) array; with rates
+    also the joint rates (J, B) at t[-1], where a release reads them: the
+    yaw rate and the cumulative rates of joints 1..k, a joint held at its
+    limit counting 0.  Each step is elementwise or adds joint rows in
+    np.cumsum's order, so every column is bit for bit the joint-last
+    evaluation at its time.
+
+    The joint states are one (J, N) array, or with rates one (J, N + B)
+    array: each joint's biased angles in its first N columns and its rates
+    in the last B, side by side in one contiguous row, so that one add per
+    joint sums both, and no row is a single element, on which an in-place
+    add costs twice as much.  The rates are joined by np.concatenate: at
+    B = 1, writing the angles into the strided columns of a preallocated
+    buffer costs more.  The cosines and sines of the angles fill one
+    (2, J, N) buffer, so that one product with the link lengths gives both
+    extents of every link.
     """
     # (3, J, B) in C order, so that each product below fills whole joint rows
-    a1, a2, a3 = values.reshape(len(values), N_JOINTS, COEFFS_PER_JOINT).T.copy()
-    angles = _cubic(a1[..., None], a2[..., None], a3[..., None], t)
+    coeffs = values.reshape(len(values), N_JOINTS, COEFFS_PER_JOINT).T.copy()
+    angles = _cubic(coeffs[..., None], t)
     n = angles.size // N_JOINTS   # -1 fails on an empty batch
     angles = angles.reshape(N_JOINTS, n)
-    q = _clamp(angles, env.joint_limits[:, :1], env.joint_limits[:, 1:])
+    q = _clamp(angles, _JOINT_LO, _JOINT_HI)
     states = q + gap.joint_bias[:, None]
     if rates:
-        # each joint's angles and rates side by side in one contiguous row, so
-        # that one add per joint sums both, and no row is a single element,
-        # on which an in-place add costs twice as much; the last of the T
-        # times is in columns T - 1, 2T - 1, ...
+        # the last of the T times is in columns T - 1, 2T - 1, ...; np.where
+        # keeps a held joint's rate +0.0, where a product with the mask
+        # would give -0.0 for a negative rate
         last = slice(len(t) - 1, None, len(t))
-        joint_rates = np.where(q[:, last] == angles[:, last], _cubic_rate(a1, a2, a3, t[-1]), 0.0)
+        joint_rates = np.where(q[:, last] == angles[:, last], _cubic_rate(coeffs, t[-1]), 0.0)
         states = np.concatenate((states, joint_rates), axis=1)
     _accumulate(states[1:])   # the cumulative link angles (and rates)
-    c, s = np.cos(states[:, :n]), np.sin(states[:, :n])
-    links = (env.link_lengths * gap.link_scale)[:, None]
-    kinematics = c[0], s[0], links * c[1:], links * s[1:]
-    return (*kinematics, states[:, n:]) if rates else kinematics
+    trig = np.empty((2, N_JOINTS, n))
+    np.cos(states[:, :n], out=trig[0])
+    np.sin(states[:, :n], out=trig[1])
+    extents = (env.link_lengths * gap.link_scale)[:, None] * trig[:, 1:]
+    return (trig[:, 0], extents, states[:, n:]) if rates else (trig[:, 0], extents)
 
 
 def _accumulate(rows: np.ndarray) -> None:
@@ -243,11 +273,13 @@ def _accumulate(rows: np.ndarray) -> None:
         total = row
 
 
-def _tip(env: EnvironmentSpec, cos_y, sin_y, rise, reach):
-    """Gripper position (x, y, z) from the link extents of :func:`_arm`,
-    each coordinate (N,); np.sum adds the links in index order, from 0."""
-    r = reach.sum(axis=0)
-    return r * cos_y, r * sin_y, env.base_height + rise.sum(axis=0)
+def _tip(env: EnvironmentSpec, yaw, extents):
+    """Gripper position (x, y, z) from the yaw and the link extents of
+    :func:`_arm`, each coordinate (N,); np.add.reduce adds the J - 1 links
+    in index order, from 0, both extents in one call."""
+    sums = np.add.reduce(extents, axis=1)   # indexed, as unpacking an array costs more
+    reach = sums[1]
+    return reach * yaw[0], reach * yaw[1], env.base_height + sums[0]
 
 
 def _release(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray):
@@ -256,14 +288,16 @@ def _release(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray):
     return _released(env, *_arm(env, gap, values, _SAMPLE_TIMES[-1:], rates=True))
 
 
-def _released(env: EnvironmentSpec, cos_y, sin_y, rise, reach, qd):
+def _released(env: EnvironmentSpec, yaw, extents, qd):
     """:func:`_release` from what :func:`_arm` gives at the end of the
-    motion: the yaw's cosine and sine (B,), the link extents (J - 1, B)
-    and the joint rates (J, B)."""
-    x, y, z = _tip(env, cos_y, sin_y, rise, reach)
-    yaw_d, phi_d = qd[0], qd[1:]
-    r_d = (rise * phi_d).sum(axis=0)
-    vel = (r_d * cos_y - y * yaw_d, r_d * sin_y + x * yaw_d, -(reach * phi_d).sum(axis=0))
+    motion: the yaw's cosine and sine (2, B), the link extents
+    (2, J - 1, B) and the joint rates (J, B)."""
+    x, y, z = _tip(env, yaw, extents)
+    yaw_d = qd[0]
+    # the rates of the rise and the reach, each link's extent times its cumulative rate
+    rates = np.add.reduce(extents * qd[1:], axis=1)
+    r_d = rates[0]
+    vel = (r_d * yaw[0] - y * yaw_d, r_d * yaw[1] + x * yaw_d, -rates[1])
     return (x, y, z), vel
 
 
@@ -304,10 +338,13 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
     holds non-finite entries.
 
     Both kinds evaluate the arm joint-major: each joint's states over the
-    batch fill one contiguous row, so that each step of the cubic, the
-    clamp, the joint bias, the cosine, the sine and the link sums takes one
-    NumPy call over all joints, and the cumulative link angles one add per
-    joint.
+    batch fill one contiguous row of one state array, so that each step of
+    the clamp, the joint bias, the cosine and the sine takes one NumPy call
+    over all joints, and the cumulative link angles one add per joint.  The
+    cubic takes three products over the stacked coefficients; the cosines
+    and sines fill one buffer, whose one product with the link lengths
+    gives the rise and reach of every link, and one reduction sums the
+    links of both.
 
     throw: each gripper is evaluated at the end of its motion only, from
     (J, B) joint angles and rates, and its ball lands at the time
@@ -330,7 +367,9 @@ def _execute(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray) -> tuple
     if env.kind == "throw":
         (x, y, z), (vx, vy, vz) = _release(env, gap, values)
         t_land = _landing_time(z, vz, env.gravity * gap.gravity_scale)
-        landing = _stack(x + vx * t_land, y + vy * t_land)
+        landing = np.empty((len(values), 2))   # filled by column: _stack costs more on one row
+        landing[:, 0] = x + vx * t_land
+        landing[:, 1] = y + vy * t_land
         below = z < 0   # a NaN release stays valid and so fails as a non-finite Outcome
         landing[below] = 0.0
         return landing, ~below
@@ -387,14 +426,14 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     """
     _skill_env(env, ("throw",))
     values = _width(env, theta.values[None, :])
-    cos_y, sin_y, rise, reach, qd = _arm(env, gap, values, _SAMPLE_TIMES, rates=True)
+    yaw, extents, qd = _arm(env, gap, values, _SAMPLE_TIMES, rates=True)
     # the last sample is the release; keep its link extents before the sums
-    release = cos_y[-1:], sin_y[-1:], rise[:, -1:].copy(), reach[:, -1:].copy(), qd
-    _accumulate(rise)   # the height and reach of the end of each link
-    _accumulate(reach)
+    release = yaw[:, -1:], extents[..., -1:].copy(), qd
+    _accumulate(extents.swapaxes(0, 1))   # the height and reach of the end of each link
+    rise, reach = extents
     # the base joint, at (0, base_height), and the end of each link
     if obstacle.contains(0.0, env.base_height) or np.any(
-            obstacle.contains(reach * cos_y, env.base_height + rise)):
+            obstacle.contains(reach * yaw[0], env.base_height + rise)):
         return True
     (x, _, z), (vx, _, vz) = _released(env, *release)
     if z[0] < 0:   # released below ground: no flight

@@ -55,6 +55,19 @@ NAN, INF = math.nan, math.inf
 NUMBER = [NAN, INF, -INF, True, "1", None, 10**400]
 POSITIVE = NUMBER + [0, 0.0, -1.0]
 
+# How a refusal names its argument: the name in one of the package's
+# phrasings below, or followed by the bad value itself ("kind 'flying'"),
+# or "a valid <name>".  The name alone as a word would not do: NumPy's own
+# messages hold words such as "a" that are one-letter argument names too.
+PHRASES = (" must", " contains", " of shape", " of dimensions", " rows must", " shape (", "'s bounds")
+
+
+def naming(argument, bad):
+    """The pattern that a refusal of bad for argument matches."""
+    name = re.escape(argument)
+    after = "|".join(re.escape(phrase) for phrase in (*PHRASES, f" {bad!r}"))
+    return rf"(?<![\w.]){name}(?:{after})|\ba valid {name}\b"
+
 
 class Misshapen(NamedTuple):
     """A bad value whose fault is its shape."""
@@ -76,12 +89,13 @@ def integer(lo=None):
 
 
 def unreadable(good):
-    """Values that NumPy cannot read as floats: a string, good as nested
-    lists with a string for its first number, good as complex numbers, and
-    good beside itself one row short, a ragged nesting."""
-    cells = good.astype(object)
-    cells.flat[0] = "1"
-    return ["1", cells.tolist(), good + 1j, [good.tolist(), good[:-1].tolist()]]
+    """Values that are no array of real numbers: a string, good as nested
+    lists with a string for its first number, good as complex numbers, good
+    beside itself one row short, a ragged nesting, good as bools, and good
+    as objects with True for its first number."""
+    cells, flags = good.astype(object), good.astype(object)
+    cells.flat[0], flags.flat[0] = "1", True
+    return ["1", cells.tolist(), good + 1j, [good.tolist(), good[:-1].tolist()], good.astype(bool), flags]
 
 
 def vector(n=None, also=()):
@@ -261,7 +275,7 @@ def test_a_float32_number_is_a_number(callable_, argument, good, call):
     # cast, a RuntimeWarning that the suite raises
     call(np.float32(good))
     for bad in (np.float32(NAN), np.float32(INF)):
-        with pytest.raises(ValueError, match=rf"\b{re.escape(argument)}\b"):
+        with pytest.raises(ValueError, match=naming(argument, bad)):
             call(bad)
 
 
@@ -271,7 +285,7 @@ def test_a_float32_number_is_a_number(callable_, argument, good, call):
 ])
 def test_bad_value_is_refused_naming_the_argument(callable_, argument, bad, shape_fault, call):
     # a DimensionError is a ValueError
-    with pytest.raises(ValueError, match=rf"\b{re.escape(argument)}\b") as refusal:
+    with pytest.raises(ValueError, match=naming(argument, bad)) as refusal:
         call(bad)
     assert isinstance(refusal.value, DimensionError) is shape_fault
     if isinstance(bad, str):

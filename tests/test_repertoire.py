@@ -461,16 +461,17 @@ class TestDistances:
         assert got.shape == (2, 3) and not got.any()
 
     @settings(max_examples=100, deadline=None)
-    @given(d=st.integers(1, 16), size=st.integers(1, 6), scale=st.sampled_from([1e-3, 1.0, 1e3]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_bits_match_the_per_coordinate_loop(self, d, size, scale, seed):
+    @given(d=st.integers(0, 40), size=st.integers(1, 6), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           seed=st.integers(0, 2**32 - 1), many=st.integers(41, 20_000))
+    def test_bits_match_the_per_coordinate_loop(self, d, size, scale, seed, many):
         # every entry from a small pool holding signed zeros, so that
         # coordinates tie, and a point among the rows from n = 2 on;
         # ordered_distances loops as the kernel of row-major matrices did,
-        # one coordinate at a time
+        # one coordinate at a time.  np.add.reduce over the coordinates
+        # would sum in pairs from d = 8 on where n = 1
         rng = np.random.default_rng(seed)
         pool = np.concatenate(([0.0, -0.0], rng.uniform(-scale, scale, size)))
-        for m, n in itertools.product([1, 2, 33], [0, 1, 2, 40]):
+        for m, n in [*itertools.product([1, 2, 33], [0, 1, 2, 40]), (1, many)]:
             points, rows = rng.choice(pool, (m, d)), rng.choice(pool, (n, d))
             if n >= 2:
                 rows[n // 2] = points[-1]

@@ -45,21 +45,39 @@ def released(pos, vel):
 class TestCubic:
     # four joints: q = 0, t, t^2 + t^3 and t^3, exact in floating point at
     # these dyadic times
-    A1, A2, A3 = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    A = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
 
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 1.0])
     def test_closed_forms(self, t):
-        assert _cubic(self.A1, self.A2, self.A3, t).tolist() == [0.0, t, t * t + t**3, t**3]
-        assert _cubic_rate(self.A1, self.A2, self.A3, t).tolist() == [0.0, 1.0, 2 * t + 3 * t * t, 3 * t * t]
+        assert _cubic(self.A, t).tolist() == [0.0, t, t * t + t**3, t**3]
+        assert _cubic_rate(self.A, t).tolist() == [0.0, 1.0, 2 * t + 3 * t * t, 3 * t * t]
 
     def test_rate_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         h = 1e-6
         for _ in range(20):
-            a1, a2, a3 = rng.uniform(-1, 1, (3, 5))
+            a = rng.uniform(-1, 1, (3, 5))
             t = rng.uniform(h, 1.0 - h)
-            slope = (_cubic(a1, a2, a3, t + h) - _cubic(a1, a2, a3, t - h)) / (2 * h)
-            assert np.allclose(_cubic_rate(a1, a2, a3, t), slope, atol=1e-6)
+            slope = (_cubic(a, t + h) - _cubic(a, t - h)) / (2 * h)
+            assert np.allclose(_cubic_rate(a, t), slope, atol=1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e150]),
+           case=st.sampled_from([((5, 1, 1), 1), ((5, 3, 1), 101), ((5, 3, 1), None), ((4,), None)]))
+    def test_bits_match_the_sum_as_written(self, seed, scale, case):
+        # coefficients (J, B, 1) at T times, as the arm takes them, or at one
+        # float time; the stacked products round each term as a_k * t * ...
+        # * t does and add the terms left to right, signed zeros, overflows
+        # and underflows included, and leave the coefficients as they were
+        (shape, times), rng = case, np.random.default_rng(seed)
+        a = rng.uniform(-scale, scale, (3, *shape))
+        a[:, 0] *= 0.0
+        t = rng.uniform(0.0, 1.0) if times is None else rng.uniform(0.0, 1.0, times)
+        kept = a.tobytes()
+        with np.errstate(over="ignore", under="ignore"):
+            want = a[0] * t + a[1] * t * t + a[2] * t * t * t
+            assert _cubic(a, t).tobytes() == want.tobytes()
+        assert a.tobytes() == kept
 
 
 # The relative error the landing-time formula meets over the releases of
