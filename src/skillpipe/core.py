@@ -17,10 +17,10 @@ and a vector of n finite values (:func:`_as_vector`).  A bool is neither an
 integer nor a number.  An array argument, and each array a record keeps,
 must be read by NumPy as real numbers (:func:`_floats`): a string, a
 nesting that holds one, a complex value, an object that is no real number,
-a bool array, a bool among objects and a ragged nesting are refused; a list
-mixing bools with numbers is read, as NumPy reads it, as numbers.  A
-refusal is a ValueError, or its subclass DimensionError for a wrong shape,
-naming the argument.  A ragged nesting is a ValueError, not a
+a bool array, a bool anywhere in a list or tuple or among objects, and a
+ragged nesting are refused, although NumPy reads a list mixing bools with
+numbers as numbers.  A refusal is a ValueError, or its subclass
+DimensionError for a wrong shape, naming the argument.  A ragged nesting is a ValueError, not a
 DimensionError: NumPy reads it as no array, so it has no shape to be wrong.
 """
 
@@ -79,18 +79,27 @@ _FLOAT = np.dtype(float)
 def _floats(values, name: str) -> np.ndarray:
     """values as a float ndarray, a float one as it is, else ValueError
     naming name: NumPy must read values as integers or floats, or as
-    objects that are each a real number (numbers.Real) but no bool."""
+    objects that are each a real number (numbers.Real) but no bool.  Values
+    that are no ndarray, a list or a tuple, must also hold no bool, which
+    NumPy would read as a number; only they are walked, so an ndarray
+    argument costs one type and one dtype check."""
     if type(values) is np.ndarray and values.dtype is _FLOAT:
         return values
     try:
         arr = np.asarray(values)
         kind = arr.dtype.kind
-        if kind in "iuf" or kind == "O" and all(
-                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in arr.flat):
+        if (kind in "iuf" and (isinstance(values, np.ndarray) or not _holds_bool(values))
+                or kind == "O" and all(
+                    isinstance(x, numbers.Real) and not isinstance(x, bool) for x in arr.flat)):
             return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):   # a ragged nesting, an int beyond float
         pass
     raise ValueError(f"{name} must be an array of real numbers, got {values!r:.40}")
+
+
+def _holds_bool(values) -> bool:
+    """Whether a bool, Python's or NumPy's, is among values read as objects."""
+    return any(isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat)
 
 
 def _as_array(values, name: str, ndim: int = 1) -> np.ndarray:

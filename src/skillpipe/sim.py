@@ -213,25 +213,62 @@ def _cubic(a, t):
 
 
 def _cubic_rate(a, t):
-    """The time derivative a1 + 2 a2 t + 3 a3 t^2 of :func:`_cubic`."""
+    """The time derivative a1 + 2 a2 t + 3 a3 t^2 of :func:`_cubic`, the
+    general form of :func:`_release_rates`."""
     return a[0] + 2.0 * a[1] * t + 3.0 * a[2] * t * t
 
 
-def _arm(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray, t: np.ndarray, rates: bool = False):
-    """Joint-major kinematics of B controllers values[B, D] at the T times
-    of a 1-D array t, with N = B * T columns per joint: column b * T + k is
-    controller b at time t[k].
+def _release_angles(a):
+    """(a1 + a2) + a3: :func:`_cubic` of the coefficient rows a at t = 1.0,
+    bit for bit, in two adds.
+
+    The release happens at t = EnvironmentSpec.duration = 1.0, the last
+    sample time, where every power of t is exactly 1: each product by t in
+    _cubic and _cubic_rate returns its other factor unchanged, signed zeros,
+    overflows and NaNs included, so these sums of the coefficients give the
+    bits of the general forms."""
+    angles = a[0] + a[1]
+    angles += a[2]
+    return angles
+
+
+def _release_rates(a):
+    """(a1 + 2 a2) + 3 a3: :func:`_cubic_rate` of the coefficient rows a at
+    t = 1.0, bit for bit, in two products and two adds."""
+    rates = a[0] + 2.0 * a[1]
+    rates += 3.0 * a[2]
+    return rates
+
+
+def _coefficients(values: np.ndarray) -> np.ndarray:
+    """The coefficient rows (a1, a2, a3) of B controllers values[B, D], one
+    (3, J, B) array in C order, so that each product or add over them fills
+    whole joint rows."""
+    return values.reshape(len(values), N_JOINTS, COEFFS_PER_JOINT).T.copy()
+
+
+def _swept_angles(a) -> np.ndarray:
+    """The joint angles (J, B * T) of the coefficient rows a (3, J, B) at the
+    T sample times: column b * T + k is controller b at _SAMPLE_TIMES[k]."""
+    angles = _cubic(a[..., None], _SAMPLE_TIMES)
+    return angles.reshape(N_JOINTS, angles.size // N_JOINTS)   # -1 fails on an empty batch
+
+
+def _arm(env: EnvironmentSpec, gap: RealityGap, angles: np.ndarray, rates: np.ndarray | None = None):
+    """Joint-major kinematics of joint angles (J, N), one column per arm
+    pose, as :func:`_swept_angles` or :func:`_release_angles` give them.
 
     Joint 0 is the base yaw; joints 1..4 rotate in the yawed vertical plane,
     angles measured from vertical (rest pose points straight up), so link k
     sits at the cumulative angle of joints 1..k.  Returns the cosine and
     sine of the yaw, the rows of one (2, N) array, and the vertical rise
-    and horizontal reach of each link, one (2, J - 1, N) array; with rates
-    also the joint rates (J, B) at t[-1], where a release reads them: the
-    yaw rate and the cumulative rates of joints 1..k, a joint held at its
-    limit counting 0.  Each step is elementwise or adds joint rows in
-    np.cumsum's order, so every column is bit for bit the joint-last
-    evaluation at its time.
+    and horizontal reach of each link, one (2, J - 1, N) array.  With rates,
+    the raw joint rates (J, B) at the poses of the last B columns, as
+    :func:`_release_rates` gives them, it also returns the joint rates
+    (J, B) a release reads: the yaw rate and the cumulative rates of joints
+    1..k, a joint held at its limit counting 0.  Each step is elementwise or
+    adds joint rows in np.cumsum's order, so every column is bit for bit the
+    joint-last evaluation of its pose.
 
     The joint states are one (J, N) array, or with rates one (J, N + B)
     array: each joint's biased angles in its first N columns and its rates
@@ -243,26 +280,20 @@ def _arm(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray, t: np.ndarra
     (2, J, N) buffer, so that one product with the link lengths gives both
     extents of every link.
     """
-    # (3, J, B) in C order, so that each product below fills whole joint rows
-    coeffs = values.reshape(len(values), N_JOINTS, COEFFS_PER_JOINT).T.copy()
-    angles = _cubic(coeffs[..., None], t)
-    n = angles.size // N_JOINTS   # -1 fails on an empty batch
-    angles = angles.reshape(N_JOINTS, n)
+    n = angles.shape[1]
     q = _clamp(angles, _JOINT_LO, _JOINT_HI)
     states = q + gap.joint_bias[:, None]
-    if rates:
-        # the last of the T times is in columns T - 1, 2T - 1, ...; np.where
-        # keeps a held joint's rate +0.0, where a product with the mask
-        # would give -0.0 for a negative rate
-        last = slice(len(t) - 1, None, len(t))
-        joint_rates = np.where(q[:, last] == angles[:, last], _cubic_rate(coeffs, t[-1]), 0.0)
-        states = np.concatenate((states, joint_rates), axis=1)
+    if rates is not None:
+        # np.where keeps a held joint's rate +0.0, where a product with the
+        # mask would give -0.0 for a negative rate
+        last = slice(n - rates.shape[1], None)
+        states = np.concatenate((states, np.where(q[:, last] == angles[:, last], rates, 0.0)), axis=1)
     _accumulate(states[1:])   # the cumulative link angles (and rates)
     trig = np.empty((2, N_JOINTS, n))
     np.cos(states[:, :n], out=trig[0])
     np.sin(states[:, :n], out=trig[1])
     extents = (env.link_lengths * gap.link_scale)[:, None] * trig[:, 1:]
-    return (trig[:, 0], extents, states[:, n:]) if rates else (trig[:, 0], extents)
+    return (trig[:, 0], extents) if rates is None else (trig[:, 0], extents, states[:, n:])
 
 
 def _accumulate(rows: np.ndarray) -> None:
@@ -274,40 +305,48 @@ def _accumulate(rows: np.ndarray) -> None:
 
 
 def _tip(env: EnvironmentSpec, yaw, extents):
-    """Gripper position (x, y, z) from the yaw and the link extents of
-    :func:`_arm`, each coordinate (N,); np.add.reduce adds the J - 1 links
-    in index order, from 0, both extents in one call."""
+    """Gripper position from the yaw and the link extents of :func:`_arm`:
+    its (x, y), the rows of one (2, N) array, and its height z (N,).
+    np.add.reduce adds the J - 1 links in index order, from 0, both extents
+    in one call, and one product with the reach gives x and y."""
     sums = np.add.reduce(extents, axis=1)   # indexed, as unpacking an array costs more
-    reach = sums[1]
-    return reach * yaw[0], reach * yaw[1], env.base_height + sums[0]
+    return sums[1] * yaw, env.base_height + sums[0]
 
 
 def _release(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray):
-    """Gripper position (x, y, z) and velocity (vx, vy, vz) of B controllers
-    values[B, D] at the end of their motion, each coordinate (B,)."""
-    return _released(env, *_arm(env, gap, values, _SAMPLE_TIMES[-1:], rates=True))
+    """Gripper position ((x, y), z) and velocity ((vx, vy), vz) of B
+    controllers values[B, D] at the end of their motion, t = duration = 1.0:
+    (x, y) and (vx, vy) the rows of a (2, B) array each, z and vz (B,).
+
+    The joint angles and rates come in closed form, :func:`_release_angles`
+    and :func:`_release_rates`, bit for bit what the cubic and its rate give
+    at the last sample time."""
+    a = _coefficients(values)
+    return _released(env, *_arm(env, gap, _release_angles(a), _release_rates(a)))
+
+
+# the signs of the yaw rate in vx and vy, one per row of (y, x)
+_TURN_SIGNS = np.array([[1.0], [-1.0]])
+_TURN_SIGNS.flags.writeable = False
 
 
 def _released(env: EnvironmentSpec, yaw, extents, qd):
-    """:func:`_release` from what :func:`_arm` gives at the end of the
-    motion: the yaw's cosine and sine (2, B), the link extents
-    (2, J - 1, B) and the joint rates (J, B)."""
-    x, y, z = _tip(env, yaw, extents)
-    yaw_d = qd[0]
+    """:func:`_release` from what :func:`_arm` gives at t = duration = 1.0,
+    for angles and raw rates in the closed form of :func:`_release_angles`
+    and :func:`_release_rates`: the yaw's cosine and sine (2, B), the link
+    extents (2, J - 1, B) and the joint rates (J, B).
+
+    vx = r_d cos - y yaw_d and vy = r_d sin + x yaw_d keep that order, the
+    products first, in four calls over both rows: r_d (cos, sin), then
+    (y, x) times the signed rates (yaw_d, -yaw_d), subtracted.  Negating a
+    product's factor negates the product exactly, and a - (-b) is a + b, so
+    vy has the bits of the sum as written."""
+    xy, z = _tip(env, yaw, extents)
     # the rates of the rise and the reach, each link's extent times its cumulative rate
     rates = np.add.reduce(extents * qd[1:], axis=1)
-    r_d = rates[0]
-    vel = (r_d * yaw[0] - y * yaw_d, r_d * yaw[1] + x * yaw_d, -rates[1])
-    return (x, y, z), vel
-
-
-def _stack(*columns) -> np.ndarray:
-    """Equal-shape arrays stacked along a new last axis; np.stack costs
-    several times more on the tiny arrays of a single evaluation."""
-    out = np.empty(np.shape(columns[0]) + (len(columns),))
-    for k, column in enumerate(columns):
-        out[..., k] = column
-    return out
+    vxy = rates[0] * yaw
+    vxy -= xy[::-1] * (qd[0] * _TURN_SIGNS)
+    return (xy, z), (vxy, -rates[1])
 
 
 def _landing_time(z, vz, g):
@@ -341,22 +380,30 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
     batch fill one contiguous row of one state array, so that each step of
     the clamp, the joint bias, the cosine and the sine takes one NumPy call
     over all joints, and the cumulative link angles one add per joint.  The
-    cubic takes three products over the stacked coefficients; the cosines
-    and sines fill one buffer, whose one product with the link lengths
-    gives the rise and reach of every link, and one reduction sums the
-    links of both.
+    cosines and sines fill one buffer, whose one product with the link
+    lengths gives the rise and reach of every link, and one reduction sums
+    the links of both.  Outcomes are a new (B, 2) float array in C order,
+    valid a new (B,) bool array.
 
-    throw: each gripper is evaluated at the end of its motion only, from
-    (J, B) joint angles and rates, and its ball lands at the time
-    :func:`_landing_time` gives for the whole batch at once.  A row released
-    below ground is invalid and reads (0, 0); a NaN release stays valid, so
-    that :func:`execute` refuses its non-finite outcome.
+    throw: each gripper is evaluated at the end of its motion only, t =
+    duration = 1.0, where every power of t is exactly 1: its (J, B) joint
+    angles are the coefficient sums (a1 + a2) + a3 and its raw joint rates
+    (a1 + 2 a2) + 3 a3, bit for bit what the cubic and its rate give there,
+    in six NumPy calls where the general forms take twelve.  Its (x, y) and
+    (vx, vy) are the rows of one (2, B) array each, and the ball lands at
+    (x, y) + (vx, vy) t_land, t_land the time :func:`_landing_time` gives
+    for the whole batch at once, written through the transpose of the
+    outcomes.  A row released below ground is invalid and reads (0, 0); a
+    NaN release stays valid, so that :func:`execute` refuses its non-finite
+    outcome.
 
-    joystick: the joint angles at all T = duration/step + 1 time samples
-    form a (J, B, T) array, and the gripper positions from them a (B, T, 3)
-    array of offsets from the stick; each row takes the deepest penetration
-    of the stick region over T, the first sample when several are equally
-    deep, and reads (0, 0) without contact.  Every joystick row is valid.
+    joystick: the cubic takes three products over the stacked coefficients
+    for the joint angles at all T = duration/step + 1 time samples, a
+    (J, B, T) array, and the gripper positions from them fill a (B, T, 3)
+    array of offsets from the stick, one coordinate at a time; each row
+    takes the deepest penetration of the stick region over T, the first
+    sample when several are equally deep, and reads (0, 0) without contact.
+    Every joystick row is valid.
     """
     _skill_env(env)
     return _execute(env, gap, _width(env, _as_array(values, "values", 2)))
@@ -365,17 +412,19 @@ def execute_batch(env: EnvironmentSpec, gap: RealityGap, values) -> tuple[np.nda
 def _execute(env: EnvironmentSpec, gap: RealityGap, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`execute_batch` of checked controllers values[B, env.dim_params]."""
     if env.kind == "throw":
-        (x, y, z), (vx, vy, vz) = _release(env, gap, values)
+        (xy, z), (vxy, vz) = _release(env, gap, values)
         t_land = _landing_time(z, vz, env.gravity * gap.gravity_scale)
-        landing = np.empty((len(values), 2))   # filled by column: _stack costs more on one row
-        landing[:, 0] = x + vx * t_land
-        landing[:, 1] = y + vy * t_land
+        landing = np.empty((len(values), 2))
+        np.add(xy, vxy * t_land, out=landing.T)   # x + vx t and y + vy t, written by row
         below = z < 0   # a NaN release stays valid and so fails as a non-finite Outcome
         landing[below] = 0.0
         return landing, ~below
-    x, y, z = _tip(env, *_arm(env, gap, values, _SAMPLE_TIMES))
-    stick_x, stick_y, stick_z = env.joystick_pos
-    offset = _stack(x - stick_x, y - stick_y, z - stick_z).reshape(len(values), len(_SAMPLE_TIMES), 3)
+    xy, z = _tip(env, *_arm(env, gap, _swept_angles(_coefficients(values))))
+    stick = env.joystick_pos
+    offset = np.empty((len(values), len(_SAMPLE_TIMES), 3))   # filled by coordinate
+    coords = offset.reshape(-1, 3).T
+    np.subtract(xy, stick[:2, None], out=coords[:2])
+    np.subtract(z, stick[2], out=coords[2])
     # vecdot takes the dot product np.linalg.norm takes of a single vector
     depth = env.joystick_radius - np.sqrt(np.vecdot(offset, offset))   # (B, T)
     rows = np.arange(len(values))
@@ -417,16 +466,18 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     cumulative link extents form a (J - 1, T) array per coordinate, tested
     in one :meth:`Obstacle.contains` call.  The flight starts from the
     release that execute computes, the gripper's position and velocity at
-    env.duration, read from the sweep's last sample.  A release below
-    ground does not fly; any other is handed to :func:`_flight_hits`, which
-    samples it every env.step up to the landing time execute uses.  Raises
+    env.duration: the sweep's last sample, at t = 1.0, has the bits of the
+    release's joint angles, and the joint rates are the release's closed
+    form (:func:`_release_rates`).  A release below ground does not fly;
+    any other is handed to :func:`_flight_hits`, which samples it every
+    env.step up to the landing time execute uses.  Raises
     ValueError, naming env, for an env of any kind but throw (a joystick or
     transfer kind), and DimensionError unless theta has env.dim_params
     values.
     """
     _skill_env(env, ("throw",))
-    values = _width(env, theta.values[None, :])
-    yaw, extents, qd = _arm(env, gap, values, _SAMPLE_TIMES, rates=True)
+    a = _coefficients(_width(env, theta.values[None, :]))
+    yaw, extents, qd = _arm(env, gap, _swept_angles(a), _release_rates(a))
     # the last sample is the release; keep its link extents before the sums
     release = yaw[:, -1:], extents[..., -1:].copy(), qd
     _accumulate(extents.swapaxes(0, 1))   # the height and reach of the end of each link
@@ -435,10 +486,10 @@ def collides(env: EnvironmentSpec, theta: ControllerParams, obstacle: Obstacle, 
     if obstacle.contains(0.0, env.base_height) or np.any(
             obstacle.contains(reach * yaw[0], env.base_height + rise)):
         return True
-    (x, _, z), (vx, _, vz) = _released(env, *release)
+    (xy, z), (vxy, vz) = _released(env, *release)
     if z[0] < 0:   # released below ground: no flight
         return False
-    return _flight_hits(obstacle, (float(x[0]), float(z[0])), (float(vx[0]), float(vz[0])),
+    return _flight_hits(obstacle, (float(xy[0, 0]), float(z[0])), (float(vxy[0, 0]), float(vz[0])),
                         env.gravity * gap.gravity_scale, env.step)
 
 

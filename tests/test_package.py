@@ -91,11 +91,14 @@ def integer(lo=None):
 def unreadable(good):
     """Values that are no array of real numbers: a string, good as nested
     lists with a string for its first number, good as complex numbers, good
-    beside itself one row short, a ragged nesting, good as bools, and good
-    as objects with True for its first number."""
-    cells, flags = good.astype(object), good.astype(object)
-    cells.flat[0], flags.flat[0] = "1", True
-    return ["1", cells.tolist(), good + 1j, [good.tolist(), good[:-1].tolist()], good.astype(bool), flags]
+    beside itself one row short, a ragged nesting, good as bools, good as
+    objects with True for its first number, and, which NumPy would read as
+    numbers, good as nested lists with True for its first number and as a
+    tuple with NumPy's False for its last."""
+    cells, flags, last = good.astype(object), good.astype(object), good.astype(object)
+    cells.flat[0], flags.flat[0], last.flat[-1] = "1", True, np.False_
+    return ["1", cells.tolist(), good + 1j, [good.tolist(), good[:-1].tolist()], good.astype(bool), flags,
+            flags.tolist(), tuple(last.tolist())]
 
 
 def vector(n=None, also=()):

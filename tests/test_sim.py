@@ -36,9 +36,12 @@ def zero_theta(env):
 
 def released(pos, vel):
     """A patch of sim._release under which every throw leaves from pos =
-    (x, y, z) at vel = (vx, vy, vz)."""
+    (x, y, z) at vel = (vx, vy, vz), in _release's layout: ((x, y) rows of
+    a (2, B) array, z (B,)) for each."""
     def release(env, gap, values):
-        return tuple(tuple(np.full(len(values), float(c)) for c in v) for v in (pos, vel))
+        def rows(x, y, z):
+            return np.tile([[float(x)], [float(y)]], len(values)), np.full(len(values), float(z))
+        return rows(*pos), rows(*vel)
     return mock.patch.object(sim, "_release", release)
 
 
@@ -79,6 +82,23 @@ class TestCubic:
             assert _cubic(a, t).tobytes() == want.tobytes()
         assert a.tobytes() == kept
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-300, 308), batch=st.integers(0, 4))
+    @example(seed=0, exponent=308, batch=4)
+    def test_release_closed_forms_are_the_cubic_at_one(self, seed, exponent, batch):
+        # the release is at t = duration = 1.0, the last sample time, where
+        # every power of t is exactly 1: (a1 + a2) + a3 and (a1 + 2 a2) + 3
+        # a3 give the bits of the cubic and its rate there, signed zeros,
+        # and from 1e308 on overflows and the NaNs of inf - inf, included
+        assert sim.EnvironmentSpec.duration == 1.0 and sim._SAMPLE_TIMES[-1] == 1.0
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, (3, sim.N_JOINTS, batch)) * 10.0**exponent
+        zeros = rng.random(a.shape) < 0.2
+        a[zeros] = rng.choice([0.0, -0.0], np.count_nonzero(zeros))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert sim._release_angles(a).tobytes() == _cubic(a, np.array([1.0])).tobytes()
+            assert sim._release_rates(a).tobytes() == _cubic_rate(a, np.float64(1.0)).tobytes()
+
 
 # The relative error the landing-time formula meets over the releases of
 # test_landing_time_against_an_exact_root, whose worst is 2.1e-15, at
@@ -111,7 +131,7 @@ class TestBallistics:
         # execute takes it and from floats as collides does, is within the
         # bound of a 50-digit root of the same doubles
         values = np.random.default_rng(2005).uniform(-1.0, 1.0, (1000, throw_env.dim_params))
-        (_, _, z), (_, _, vz) = sim._release(throw_env, NOMINAL_GAP, values)
+        (_, z), (_, vz) = sim._release(throw_env, NOMINAL_GAP, values)
         z, vz = z[z >= 0], vz[z >= 0]
         assert len(z) > 900 and np.mean(vz < 0) > 0.9
         worst = 0.0
@@ -317,7 +337,7 @@ class TestCollides:
         # of reach lets every valid release through to _flight_hits
         values, wall = _golden_release_cases(), Obstacle((50.0, 1.0), 0.5, 2.0)
         for gap in GAPS:
-            (x, _, z), (vx, _, vz) = sim._release(throw_env, gap, values)
+            ((x, _), z), ((vx, _), vz) = sim._release(throw_env, gap, values)
             valid = execute_batch(throw_env, gap, values)[1]
             with mock.patch.object(sim, "_flight_hits", autospec=True, return_value=False) as hits:
                 for row in values:
@@ -658,18 +678,26 @@ class TestBatchedPathMatchesOracles:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_each_time_of_an_array_is_that_time_alone(self, data, throw_env):
-        # the draws hold joints past their limits, where the rate is 0
+        # the poses of three controllers at the drawn times, then at their
+        # release, as collides joins them: each column of the kinematics is
+        # that column alone, and the rates of the last three are the
+        # release's alone; the draws hold joints past their limits, where
+        # the rate is 0
         gap = data.draw(st.sampled_from(GAPS), label="gap")
         values = np.array([data.draw(controllers("throw"), label="values") for _ in range(3)])
         times = np.array(data.draw(st.lists(st.floats(0.0, throw_env.duration), min_size=1, max_size=8),
                                    label="times"))
-        *swept, rates = sim._arm(throw_env, gap, values, times, rates=True)
-        for k in range(len(times)):
-            alone = sim._arm(throw_env, gap, values, times[k:k + 1])
+        a = sim._coefficients(values)
+        rates = sim._release_rates(a)
+        poses = np.concatenate((sim._cubic(a[..., None], times).reshape(sim.N_JOINTS, -1),
+                                sim._release_angles(a)), axis=1)
+        *swept, qd = sim._arm(throw_env, gap, poses, rates)
+        for k in range(poses.shape[1]):
+            alone = sim._arm(throw_env, gap, poses[:, k:k + 1])
             for got, want in zip(swept, alone):
-                assert got[..., k::len(times)].tobytes() == want.tobytes()
-        last_rates = sim._arm(throw_env, gap, values, times[-1:], rates=True)[-1]
-        assert rates.tobytes() == last_rates.tobytes()
+                assert got[..., k:k + 1].tobytes() == want.tobytes()
+        release = sim._arm(throw_env, gap, poses[:, -3:], rates)
+        assert qd.tobytes() == release[-1].tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -723,6 +751,16 @@ class TestBatchedPathMatchesOracles:
                 execute(throw_env, NOMINAL_GAP, zero_theta(throw_env))
         assert valid[0]
         assert np.isnan(landing).all()
+
+    @pytest.mark.parametrize("batch", [0, 1, 64])
+    @pytest.mark.parametrize("kind", sim.SKILL_KINDS)
+    def test_outcomes_are_rows_in_c_order(self, kind, batch):
+        # the throw landing is formed as (x, y) rows: callers still get
+        # (B, 2) float rows in C order, not a transposed view
+        values = np.random.default_rng(19).uniform(-1.0, 1.0, (batch, 15))
+        outcomes, valid = execute_batch(make_env(kind), NOMINAL_GAP, values)
+        assert outcomes.dtype == np.float64 and outcomes.shape == (batch, 2) and outcomes.flags.c_contiguous
+        assert valid.dtype == np.bool_ and valid.shape == (batch,) and valid.flags.c_contiguous
 
     @pytest.mark.parametrize("kind", sim.SKILL_KINDS)
     def test_empty_batch(self, kind):
