@@ -12,15 +12,19 @@ The public API refuses a malformed argument by its kind, each kind checked
 by one function here: an integer >= lo (:func:`_integer`), an int or NumPy
 integer; a number (:func:`_number`), a finite int, float or NumPy number,
 and a positive one (:func:`_positive`), both returned as a Python float for
-the record to keep; a finite array of ndim dimensions (:func:`_as_array`)
-and a vector of n finite values (:func:`_as_vector`).  A bool is neither an
-integer nor a number.  An array argument, and each array a record keeps,
-must be read by NumPy as real numbers (:func:`_floats`): a string, a
-nesting that holds one, a complex value, an object that is no real number,
-a bool array, a bool anywhere in a list or tuple or among objects, and a
-ragged nesting are refused, although NumPy reads a list mixing bools with
-numbers as numbers.  A refusal is a ValueError, or its subclass
-DimensionError for a wrong shape, naming the argument.  A ragged nesting is a ValueError, not a
+the record to keep; a finite array of ndim dimensions (:func:`_as_array`);
+a vector of n finite values (:func:`_as_vector`); and the box rule
+(:func:`_as_box`), n rows [lo, hi] with lo <= hi, either end possibly
+infinite but not NaN, which ControllerParams applies to its bounds and
+repertoire.load to a file's header.  A bool is neither an integer nor a
+number.  An array argument, and each array a record keeps, must be read by
+NumPy as real numbers (:func:`_floats`): a string, a nesting that holds
+one, a complex value, an object that is no real number, an int beyond the
+float range, a bool array, a bool anywhere in a list or tuple or among
+objects, and a ragged nesting are refused, although NumPy reads a list
+mixing bools with numbers as numbers.
+A refusal is a ValueError, or its subclass DimensionError for a wrong shape,
+naming the argument.  A ragged nesting is a ValueError, not a
 DimensionError: NumPy reads it as no array, so it has no shape to be wrong.
 """
 
@@ -79,7 +83,7 @@ _FLOAT = np.dtype(float)
 def _floats(values, name: str) -> np.ndarray:
     """values as a float ndarray, a float one as it is, else ValueError
     naming name: NumPy must read values as integers or floats, or as
-    objects that are each a real number (numbers.Real) but no bool.  Values
+    objects that are each a real number (:func:`_is_real`).  Values
     that are no ndarray, a list or a tuple, must also hold no bool, which
     NumPy would read as a number; only they are walked, so an ndarray
     argument costs one type and one dtype check."""
@@ -89,12 +93,19 @@ def _floats(values, name: str) -> np.ndarray:
         arr = np.asarray(values)
         kind = arr.dtype.kind
         if (kind in "iuf" and (isinstance(values, np.ndarray) or not _holds_bool(values))
-                or kind == "O" and all(
-                    isinstance(x, numbers.Real) and not isinstance(x, bool) for x in arr.flat)):
+                or kind == "O" and all(map(_is_real, arr.flat))):
             return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):   # a ragged nesting, an int beyond float
         pass
     raise ValueError(f"{name} must be an array of real numbers, got {values!r:.40}")
+
+
+def _is_real(x) -> bool:
+    """Whether x, read by NumPy as an object, is a real number (numbers.Real)
+    but no bool, and a float or else within the float range, as
+    :func:`_is_number` asks of an int."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and (isinstance(x, (float, np.floating)) or -sys.float_info.max <= x <= sys.float_info.max))
 
 
 def _holds_bool(values) -> bool:
@@ -132,13 +143,24 @@ def _as_vector(values, name: str, size: int) -> np.ndarray:
     return _as_array(vector, name)
 
 
+def _as_box(bounds, size: int) -> np.ndarray:
+    """bounds as :func:`_frozen` reads them, if they are size rows [lo, hi]
+    with lo <= hi, either end possibly infinite but not NaN: the box rule."""
+    box = _frozen(bounds, "bounds")
+    if box.shape != (size, 2):
+        raise DimensionError(f"bounds shape {box.shape} does not match {size} values")
+    if np.count_nonzero(box[:, 0] <= box[:, 1]) != size:   # False for NaN too
+        raise ValueError("bounds rows must satisfy lo <= hi, and not be NaN")
+    return box
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class ControllerParams:
     """Bounded coefficient vector parameterizing a motion primitive.
 
-    bounds has shape (D, 2) with rows [lo, hi], lo <= hi, either end possibly
-    infinite but not NaN; values are not clamped on construction, use
-    :func:`clamp`.  Both arrays are read-only (:func:`_frozen`).
+    bounds are D rows [lo, hi] by the box rule (:func:`_as_box`); values
+    are not clamped on construction, use :func:`clamp`.  Both arrays are
+    read-only (:func:`_frozen`).
     """
 
     values: np.ndarray
@@ -146,14 +168,7 @@ class ControllerParams:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_array(_frozen(self.values, "values"), "values"))
-        bounds = _frozen(self.bounds, "bounds")
-        if bounds.shape != (self.values.shape[0], 2):
-            raise DimensionError(
-                f"bounds shape {bounds.shape} does not match {self.values.shape[0]} values"
-            )
-        if np.count_nonzero(bounds[:, 0] <= bounds[:, 1]) != len(bounds):   # False for NaN too
-            raise ValueError("bounds rows must satisfy lo <= hi, and not be NaN")
-        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "bounds", _as_box(self.bounds, self.values.shape[0]))
 
     @property
     def dim(self) -> int:

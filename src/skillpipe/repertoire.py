@@ -5,7 +5,9 @@ closer than that to existing skills may replace its nearest neighbor when it
 has strictly higher quality, but only if removing that neighbor restores the
 spacing; otherwise it is rejected.  load admits each record of a file
 through try_insert, in file order, so it refuses exactly the files
-try_insert could not have written.
+try_insert could not have written.  It reads a record's vectors by
+:mod:`core`'s vector rule and the header's parameter bounds by its box
+rule, so a file holds what a skill's constructors would accept.
 
 An archive's one state is its list of skills, which callers may edit in
 any way.  The nearest-neighbor queries scan an outcome or a parameter
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControllerParams, DimensionError, Outcome, Skill, _as_vector, _integer, _is_number
+from .core import ControllerParams, DimensionError, Outcome, Skill, _as_box, _as_vector, _integer, _is_number
 
 __all__ = [
     "Archive",
@@ -72,11 +74,6 @@ def _distances(point: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _is_count(value) -> bool:
     """True for a non-negative int (bool is not one), the rule for D and d."""
     return type(value) is int and value >= 0
-
-
-def _same_box(bounds: np.ndarray, box: np.ndarray) -> bool:
-    """True when two (D, 2) parameter bounds are equal, as save needs of all skills."""
-    return bounds is box or np.array_equal(bounds, box)
 
 
 # the fields of a file's header, in file order, so that save writes only what
@@ -190,6 +187,16 @@ class Archive:
             raise DimensionError(f"{name} of dimensions (D={skill.params.dim}, d={skill.outcome.dim}) "
                                  f"in an archive of (D={self.dim_params}, d={self.dim_outcome})")
 
+    def _check_skill(self, skill: Skill, name: str) -> None:
+        """Raise naming the skill as name unless the archive may hold it: a
+        DimensionError unless it has the archive's D and d, a ValueError
+        unless its parameter bounds equal skill 0's, the one box a file keeps."""
+        self._check_dimensions(skill, name)
+        bounds = skill.params.bounds
+        box = self.skills[0].params.bounds if self.skills else bounds
+        if not (bounds is box or np.array_equal(bounds, box)):
+            raise ValueError(f"{name}, whose parameter bounds differ from skill 0's")
+
     def outcomes(self) -> np.ndarray:
         """A new array of the stored outcomes, one row per skill."""
         return self._matrix("outcome").T.copy()
@@ -207,10 +214,7 @@ class Archive:
         dim_params controller values and dim_outcome outcome values, and
         ValueError unless its parameter bounds equal the stored skills'.
         """
-        self._check_dimensions(skill, "skill")
-        if self.skills and not _same_box(skill.params.bounds, self.skills[0].params.bounds):
-            raise ValueError("cannot insert a skill whose parameter bounds differ from "
-                             "the stored skills'")
+        self._check_skill(skill, "skill")
         dists = _distances(skill.outcome.values, self._matrix("outcome"))
         # the read above left only buffers of this list in the cache
         nearest = int(dists.argmin()) if len(dists) else -1
@@ -293,9 +297,7 @@ def save(archive: Archive, path) -> None:
     whose parameter bounds differ from the first skill's.
     """
     for i, skill in enumerate(archive.skills):
-        archive._check_dimensions(skill, f"cannot save skill {i}")
-        if not _same_box(skill.params.bounds, archive.skills[0].params.bounds):
-            raise ValueError(f"cannot save skill {i}, whose parameter bounds differ from skill 0's")
+        archive._check_skill(skill, f"cannot save skill {i}")
     header = {key: getattr(archive, attr) for key, attr, _, _ in _HEADER}
     header["bounds"] = archive.skills[0].params.bounds.tolist() if archive.skills else []
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
@@ -322,18 +324,6 @@ def _missing(obj: dict, keys) -> str:
     return f"missing key{'s' if len(absent) > 1 else ''} " + ", ".join(map(repr, absent))
 
 
-def _vector(value, name: str, size: int) -> np.ndarray:
-    """value as a read-only float vector, which a record shares (:func:`core._frozen`),
-    if it is a list of size finite numbers, else ValueError."""
-    if not isinstance(value, list) or len(value) != size:
-        raise ValueError(f"{name} must be a list of {size} numbers, got {value!r:.40}")
-    if not all(map(_is_number, value)):
-        raise ValueError(f"{name} must hold finite numbers, got {value!r:.40}")
-    vector = np.array(value, dtype=float)
-    vector.flags.writeable = False
-    return vector
-
-
 def _object(raw: str, what: str) -> dict:
     """The JSON object on one line, else ValueError naming what the line holds."""
     try:
@@ -346,8 +336,8 @@ def _object(raw: str, what: str) -> dict:
 
 
 def _header(raw: str) -> tuple[Archive, np.ndarray | None]:
-    """Empty archive and (D, 2) parameter bounds from the header line, None
-    for a header without them.
+    """Empty archive and (D, 2) parameter bounds from the header line, read
+    by the box rule (:func:`core._as_box`), None for a header without them.
 
     Raises ValueError naming every fault found in the header.
     """
@@ -357,25 +347,16 @@ def _header(raw: str) -> tuple[Archive, np.ndarray | None]:
         faults.append(f"header {missing}")
     faults += _field_faults((key, header[key], test, phrase)
                             for key, _, test, phrase in _HEADER if key in header)
-    dim = header.get("D")
-    bounds = header.get("bounds", [])
+    dim, bounds, box = header.get("D"), header.get("bounds", []), None
     if _is_count(dim) and bounds != []:
-        if not (
-            isinstance(bounds, list)
-            and len(bounds) == dim
-            and all(
-                isinstance(row, list) and len(row) == 2
-                and all(_is_number(v) or v in (-math.inf, math.inf) for v in row)
-                for row in bounds
-            )
-        ):
-            faults.append(f"bounds must be D={dim} [lo, hi] rows of numbers, got {bounds!r:.40}")
-        elif inverted := [i for i, (lo, hi) in enumerate(bounds, start=1) if lo > hi]:
-            faults.append(f"bounds row {inverted[0]} has lo > hi")
+        try:
+            box = _as_box(bounds, dim)
+        except ValueError as exc:
+            faults.append(str(exc))
     if faults:
         raise ValueError("; ".join(faults))
     archive = Archive(**{attr: header[key] for key, attr, _, _ in _HEADER})
-    return archive, None if bounds == [] else np.array(bounds, dtype=float)
+    return archive, box
 
 
 def _record(raw: str, archive: Archive, bounds: np.ndarray | None) -> Skill:
@@ -386,8 +367,8 @@ def _record(raw: str, archive: Archive, bounds: np.ndarray | None) -> Skill:
         theta, outcome, quality = [rec[key] for key in _RECORD_KEYS]
     except KeyError:
         raise ValueError(f"record {_missing(rec, _RECORD_KEYS)}") from None
-    theta = _vector(theta, "theta", archive.dim_params)
-    outcome = _vector(outcome, "outcome", archive.dim_outcome)
+    theta = _as_vector(theta, "theta", archive.dim_params)
+    outcome = _as_vector(outcome, "outcome", archive.dim_outcome)
     if bounds is None:   # the unbounded box, built only once a theta has shown D values
         bounds = np.tile([-np.inf, np.inf], (len(theta), 1))
     return Skill(ControllerParams(theta, bounds), Outcome(outcome), quality)
@@ -399,10 +380,11 @@ def load(path) -> Archive:
     The header (line 1) must be a JSON object with ``env`` (string), ``D`` and
     ``d`` (non-negative integers), ``r_novel`` (positive finite number) and
     ``seed`` (integer); ``bounds``, if present and not empty, must be D rows
-    [lo, hi] of numbers with lo <= hi (infinite ends allowed, NaN not). Each
-    further non-blank line must be a JSON object whose ``theta`` is D finite
-    numbers, whose ``outcome`` is d finite numbers and whose ``quality`` is a
-    finite number. Each record is then admitted by
+    [lo, hi] with lo <= hi (infinite ends allowed, NaN not), by
+    :mod:`core`'s box rule. Each further non-blank line must be a JSON
+    object whose ``theta`` is D finite numbers and whose ``outcome`` is d
+    finite numbers, each by :mod:`core`'s vector rule, and whose
+    ``quality`` is a finite number. Each record is then admitted by
     :meth:`Archive.try_insert`, which must add it: an outcome closer than
     ``r_novel`` to an earlier one is refused, naming the line of the
     earliest of its nearest earlier outcomes. try_insert scans every stored

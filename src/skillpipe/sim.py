@@ -212,29 +212,24 @@ def _cubic(a, t):
     return total
 
 
-def _cubic_rate(a, t):
-    """The time derivative a1 + 2 a2 t + 3 a3 t^2 of :func:`_cubic`, the
-    general form of :func:`_release_rates`."""
-    return a[0] + 2.0 * a[1] * t + 3.0 * a[2] * t * t
-
-
 def _release_angles(a):
     """(a1 + a2) + a3: :func:`_cubic` of the coefficient rows a at t = 1.0,
     bit for bit, in two adds.
 
     The release happens at t = EnvironmentSpec.duration = 1.0, the last
     sample time, where every power of t is exactly 1: each product by t in
-    _cubic and _cubic_rate returns its other factor unchanged, signed zeros,
-    overflows and NaNs included, so these sums of the coefficients give the
-    bits of the general forms."""
+    _cubic and in its time derivative a1 + 2 a2 t + 3 a3 t^2 returns its
+    other factor unchanged, signed zeros, overflows and NaNs included, so
+    these sums of the coefficients give the bits of the general forms."""
     angles = a[0] + a[1]
     angles += a[2]
     return angles
 
 
 def _release_rates(a):
-    """(a1 + 2 a2) + 3 a3: :func:`_cubic_rate` of the coefficient rows a at
-    t = 1.0, bit for bit, in two products and two adds."""
+    """(a1 + 2 a2) + 3 a3: the time derivative a1 + 2 a2 t + 3 a3 t^2 of
+    :func:`_cubic`, as written, of the coefficient rows a at t = 1.0, bit
+    for bit, in two products and two adds."""
     rates = a[0] + 2.0 * a[1]
     rates += 3.0 * a[2]
     return rates

@@ -1,8 +1,12 @@
+import ast
 import importlib
 import inspect
+import json
 import math
 import pkgutil
 import re
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -10,8 +14,8 @@ import pytest
 
 import skillpipe
 from skillpipe import mathkit, sim
-from skillpipe.core import ControllerParams, DimensionError, Outcome, Skill
-from skillpipe.repertoire import Archive
+from skillpipe.core import ControllerParams, DimensionError, Outcome, Skill, _as_vector
+from skillpipe.repertoire import Archive, ArchiveFormatError, load
 from conftest import make_skill
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(skillpipe.__path__))
@@ -52,6 +56,7 @@ def test_every_public_definition_is_exported(name):
 # ---------------------------------------------------------------------------
 
 NAN, INF = math.nan, math.inf
+BEYOND_FLOAT = int(sys.float_info.max) + 2**969   # an int that float() rounds to the largest float
 NUMBER = [NAN, INF, -INF, True, "1", None, 10**400]
 POSITIVE = NUMBER + [0, 0.0, -1.0]
 
@@ -93,12 +98,13 @@ def unreadable(good):
     lists with a string for its first number, good as complex numbers, good
     beside itself one row short, a ragged nesting, good as bools, good as
     objects with True for its first number, and, which NumPy would read as
-    numbers, good as nested lists with True for its first number and as a
-    tuple with NumPy's False for its last."""
-    cells, flags, last = good.astype(object), good.astype(object), good.astype(object)
-    cells.flat[0], flags.flat[0], last.flat[-1] = "1", True, np.False_
+    numbers, good as nested lists with True for its first number, as a
+    tuple with NumPy's False for its last and as nested lists with an int
+    beyond the float range for its first number."""
+    cells, flags, last, huge = (good.astype(object) for _ in range(4))
+    cells.flat[0], flags.flat[0], last.flat[-1], huge.flat[0] = "1", True, np.False_, BEYOND_FLOAT
     return ["1", cells.tolist(), good + 1j, [good.tolist(), good[:-1].tolist()], good.astype(bool), flags,
-            flags.tolist(), tuple(last.tolist())]
+            flags.tolist(), tuple(last.tolist()), huge.tolist()]
 
 
 def vector(n=None, also=()):
@@ -293,3 +299,107 @@ def test_bad_value_is_refused_naming_the_argument(callable_, argument, bad, shap
     assert isinstance(refusal.value, DimensionError) is shape_fault
     if isinstance(bad, str):
         assert repr(bad) in str(refusal.value)
+
+
+# ---------------------------------------------------------------------------
+# An archive file is read by core's rules: its header's bounds by the box
+# rule of ControllerParams, a record's theta and outcome by the vector rule.
+# So load refuses what those refuse, at the line that holds it and with
+# their message, and loads what they accept to the archive they build
+# ---------------------------------------------------------------------------
+
+def from_json(value):
+    """value as load reads it from a file, or None when JSON cannot hold it."""
+    try:
+        return json.loads(json.dumps(value.tolist() if isinstance(value, np.ndarray) else value))
+    except TypeError:   # complex numbers, a NumPy bool
+        return None
+
+
+FILE_VALUES = [read for value in (np.ones(3), np.tile([-1.0, 1.0], (3, 1)), *vector(3), *array(3, 2))
+               if (read := from_json(unwrap(value)[0])) is not None]
+
+
+def archive_of(archive):
+    """An archive's header fields and the bytes of each skill's arrays and quality."""
+    return ((archive.r_novel, archive.env_kind, archive.dim_params, archive.dim_outcome, archive.seed),
+            [(s.params.values.tobytes(), s.params.bounds.tobytes(), s.outcome.values.tobytes(), s.quality)
+             for s in archive.skills])
+
+
+@pytest.mark.parametrize("place", ["bounds", "theta", "outcome"])
+@pytest.mark.parametrize("value", [pytest.param(value, id=str(i)) for i, value in enumerate(FILE_VALUES)])
+def test_load_refuses_what_core_refuses(place, value, tmp_path):
+    header = {"env": "throw", "D": 3, "d": 3, "r_novel": 0.5, "seed": 0}
+    records = [{"theta": [0.0] * 3, "outcome": [5.0] * 3, "quality": 1.0},
+               {"theta": [0.5] * 3, "outcome": [0.0] * 3, "quality": 2.0}]
+    (header if place == "bounds" else records[1])[place] = value
+    path = tmp_path / "arch.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in (header, *records)))
+    bounds = header.get("bounds", np.tile([-INF, INF], (3, 1)))
+    try:
+        if place == "bounds":
+            ControllerParams(np.zeros(3), bounds)
+        else:
+            _as_vector(value, place, 3)
+    except ValueError as refusal:
+        with pytest.raises(ArchiveFormatError) as info:
+            load(path)
+        assert str(info.value) == f"{path}:{1 if place == 'bounds' else 3}: {refusal}"
+        return
+    built = Archive(0.5, "throw", 3, 3)
+    for record in records:
+        params = ControllerParams(record["theta"], bounds)
+        built.try_insert(Skill(params, Outcome(record["outcome"]), record["quality"]))
+    assert archive_of(load(path)) == archive_of(built)
+
+
+# ---------------------------------------------------------------------------
+# No leftovers: a helper or an import that a fold of two rules into one left
+# behind is named here
+# ---------------------------------------------------------------------------
+
+SRC = Path(skillpipe.__file__).parent
+SOURCES = sorted(SRC.glob("*.py"))
+
+
+def names_read(tree):
+    """Every name a module reads, as a name, an attribute, an imported name
+    or a string such as a patch target."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.stem)
+def test_every_import_is_used(source):
+    tree = ast.parse(source.read_text())
+    imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.stem)
+def test_every_private_definition_is_referenced(source):
+    root = SRC.parent.parent
+    read = set().union(*(names_read(ast.parse(path.read_text()))
+                         for folder in ("src", "tests", "bench") for path in (root / folder).rglob("*.py")))
+    defined = set()
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)}
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - read) == []

@@ -26,7 +26,7 @@ from skillpipe.sim import (
     render_frame,
     transfer_task,
 )
-from skillpipe.sim import _cubic, _cubic_rate
+from skillpipe.sim import _cubic, _release_rates
 from conftest import make_params, new_params, random_params
 
 
@@ -53,16 +53,17 @@ class TestCubic:
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 1.0])
     def test_closed_forms(self, t):
         assert _cubic(self.A, t).tolist() == [0.0, t, t * t + t**3, t**3]
-        assert _cubic_rate(self.A, t).tolist() == [0.0, 1.0, 2 * t + 3 * t * t, 3 * t * t]
+        if t == 1.0:   # the release's time, the one time a rate is taken
+            assert _release_rates(self.A).tolist() == [0.0, 1.0, 2.0 + 3.0, 3.0]
 
     def test_rate_matches_finite_differences(self):
+        # the release's rates are the cubic's slope at t = 1
         rng = np.random.default_rng(11)
         h = 1e-6
         for _ in range(20):
             a = rng.uniform(-1, 1, (3, 5))
-            t = rng.uniform(h, 1.0 - h)
-            slope = (_cubic(a, t + h) - _cubic(a, t - h)) / (2 * h)
-            assert np.allclose(_cubic_rate(a, t), slope, atol=1e-6)
+            slope = (_cubic(a, 1.0 + h) - _cubic(a, 1.0 - h)) / (2 * h)
+            assert np.allclose(_release_rates(a), slope, atol=1e-6)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e150]),
@@ -88,16 +89,19 @@ class TestCubic:
     def test_release_closed_forms_are_the_cubic_at_one(self, seed, exponent, batch):
         # the release is at t = duration = 1.0, the last sample time, where
         # every power of t is exactly 1: (a1 + a2) + a3 and (a1 + 2 a2) + 3
-        # a3 give the bits of the cubic and its rate there, signed zeros,
-        # and from 1e308 on overflows and the NaNs of inf - inf, included
+        # a3 give the bits of the cubic and of its rate as written there,
+        # signed zeros, and from 1e308 on overflows and the NaNs of inf -
+        # inf, included
         assert sim.EnvironmentSpec.duration == 1.0 and sim._SAMPLE_TIMES[-1] == 1.0
         rng = np.random.default_rng(seed)
         a = rng.uniform(-1.0, 1.0, (3, sim.N_JOINTS, batch)) * 10.0**exponent
         zeros = rng.random(a.shape) < 0.2
         a[zeros] = rng.choice([0.0, -0.0], np.count_nonzero(zeros))
+        t = np.float64(1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             assert sim._release_angles(a).tobytes() == _cubic(a, np.array([1.0])).tobytes()
-            assert sim._release_rates(a).tobytes() == _cubic_rate(a, np.float64(1.0)).tobytes()
+            rate = a[0] + 2.0 * a[1] * t + 3.0 * a[2] * t * t
+            assert _release_rates(a).tobytes() == rate.tobytes()
 
 
 # The relative error the landing-time formula meets over the releases of
